@@ -1,10 +1,10 @@
 #include "core/gni_amam.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/chain_util.hpp"
+#include "core/gni_search.hpp"
 #include "core/gni_wire.hpp"
 #include "core/wire.hpp"
 #include "graph/generators.hpp"
@@ -18,78 +18,6 @@
 namespace dip::core {
 
 namespace {
-
-__extension__ using U128 = unsigned __int128;
-
-// Rows (with self-loops) of sigma(G_b): row sigma(v) is the image of v's
-// closed G_b neighborhood under sigma.
-std::vector<util::DynBitset> permutedClosedRows(const graph::Graph& gb,
-                                                const graph::Permutation& sigma) {
-  const std::size_t n = gb.numVertices();
-  std::vector<util::DynBitset> rows(n, util::DynBitset(n));
-  for (graph::Vertex v = 0; v < n; ++v) {
-    rows[sigma[v]] = graph::Graph::imageOf(gb.closedRow(v), sigma);
-  }
-  return rows;
-}
-
-// Exhaustive Goldwasser-Sipser preimage search over S = {sigma(G_b)}.
-struct PreimageHit {
-  graph::Permutation sigma;
-  std::uint8_t b = 0;
-};
-std::optional<PreimageHit> searchPreimage(const GniInstance& instance,
-                                          const hash::EpsApiHash& gsHash,
-                                          const hash::EpsApiHash::Seed& seed,
-                                          const util::BigUInt& y) {
-  const std::size_t n = instance.g0.numVertices();
-  hash::EpsApiHash::PowerTable table = gsHash.preparePowers(seed);
-  const std::size_t ell = gsHash.outputBits();
-  if (hash::batchEnabled() && !table.powers64.empty() && ell < 64 && y.fitsU64()) {
-    // Native-word search: sigma is a permutation, so row sigma(v) of
-    // sigma(G_b) has exactly the bits {sigma(u) : u in N[v]} — the whole
-    // candidate hash is a direct power-table accumulation with no row
-    // materialization, and the outer affine layer runs in u64 (mod 2^ell is
-    // a mask since ell < 64). Values match the scalar path below exactly:
-    // modular sums are grouping-independent and every step stays canonical.
-    const std::uint64_t p64 = gsHash.fieldPrime().toU64();
-    const std::uint64_t alpha64 = seed.alpha.modU64(p64);
-    const std::uint64_t beta64 = seed.beta.modU64(p64);
-    const std::uint64_t mask = (std::uint64_t{1} << ell) - 1;
-    const std::uint64_t y64 = y.toU64();
-    for (std::uint8_t b = 0; b < 2; ++b) {
-      const graph::Graph& gb = (b == 0) ? instance.g0 : instance.g1;
-      graph::Permutation sigma = graph::identityPermutation(n);
-      do {
-        std::uint64_t acc = 0;
-        for (graph::Vertex v = 0; v < n; ++v) {
-          const std::size_t rowBase = static_cast<std::size_t>(sigma[v]) * n;
-          gb.closedRow(v).forEachSet([&](std::size_t u) {
-            const std::uint64_t term = table.powers64[rowBase + sigma[u]];
-            acc += term;
-            if (acc < term || acc >= p64) acc -= p64;
-          });
-        }
-        std::uint64_t affine =
-            static_cast<std::uint64_t>(static_cast<U128>(alpha64) * acc % p64);
-        affine += beta64;
-        if (affine < beta64 || affine >= p64) affine -= p64;
-        if ((affine & mask) == y64) return PreimageHit{sigma, b};
-      } while (std::next_permutation(sigma.begin(), sigma.end()));
-    }
-    return std::nullopt;
-  }
-  for (std::uint8_t b = 0; b < 2; ++b) {
-    const graph::Graph& gb = (b == 0) ? instance.g0 : instance.g1;
-    graph::Permutation sigma = graph::identityPermutation(n);
-    do {
-      if (gsHash.hashRowsPrepared(seed, table, permutedClosedRows(gb, sigma)) == y) {
-        return PreimageHit{sigma, b};
-      }
-    } while (std::next_permutation(sigma.begin(), sigma.end()));
-  }
-  return std::nullopt;
-}
 
 std::vector<graph::Vertex> sortedClosed1(const GniInstance& instance, graph::Vertex v) {
   return instance.g1.closedNeighbors(v);
@@ -459,9 +387,10 @@ AcceptanceStats GniAmamProtocol::estimatePerRoundHit(const GniInstance& instance
 }
 
 bool GniAmamProtocol::perRoundHitOnce(const GniInstance& instance, util::Rng& rng) const {
-  hash::EpsApiHash::Seed seed = params_.gsHash.randomSeed(rng);
-  util::BigUInt y = rng.nextBigBits(params_.ell);
-  return searchPreimage(instance, params_.gsHash, seed, y).has_value();
+  GniChallenge target;
+  target.seed = params_.gsHash.randomSeed(rng);
+  target.y = rng.nextBigBits(params_.ell);
+  return searchGsPreimages(instance, params_.gsHash, std::span(&target, 1)).front().has_value();
 }
 
 CostBreakdown GniAmamProtocol::costModel(std::size_t n, std::size_t repetitions) {
@@ -498,12 +427,12 @@ GniFirstMessage HonestGniProver::firstMessage(
 
   lastClaims_.assign(k, 0);
   lastFound_.assign(k, std::nullopt);
+  GsSearchResult hits =
+      searchGsPreimages(instance, params_.gsHash, std::span(rootChallenges).first(k));
   for (std::size_t j = 0; j < k; ++j) {
-    auto hit = searchPreimage(instance, params_.gsHash, rootChallenges[j].seed,
-                              rootChallenges[j].y);
-    if (hit) {
+    if (hits[j]) {
       lastClaims_[j] = 1;
-      lastFound_[j] = Found{std::move(hit->sigma), hit->b};
+      lastFound_[j] = Found{std::move(hits[j]->sigma), hits[j]->b};
     }
   }
 

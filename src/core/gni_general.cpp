@@ -1,6 +1,5 @@
 #include "core/gni_general.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,8 +19,6 @@ namespace dip::core {
 
 namespace {
 
-__extension__ using U128 = unsigned __int128;
-
 // Pads an n-bit row to the hash's 2n-bit row width.
 util::DynBitset padRow(const util::DynBitset& row, std::size_t width) {
   util::DynBitset padded(width);
@@ -38,98 +35,6 @@ util::BigUInt gsPairPiece(const hash::EpsApiHash& gsHash, std::size_t n,
   util::DynBitset alphaRow(2 * n);
   alphaRow.set(av);
   return gsHash.combine(piece, gsHash.innerRow(seed, n + sv, alphaRow));
-}
-
-// Exhaustive preimage search over S = {(sigma(G_b), alpha)}.
-struct GeneralHit {
-  graph::Permutation sigma;
-  graph::Permutation alpha;
-  std::uint8_t b = 0;
-};
-std::optional<GeneralHit> searchGeneralPreimage(
-    const GniInstance& instance, const hash::EpsApiHash& gsHash, std::size_t n,
-    const hash::EpsApiHash::Seed& seed, const util::BigUInt& y,
-    const std::vector<graph::Permutation>& aut0,
-    const std::vector<graph::Permutation>& aut1) {
-  hash::EpsApiHash::PowerTable table = gsHash.preparePowers(seed);
-  const util::BigUInt& bigP = gsHash.fieldPrime();
-  const std::size_t width = 2 * n;
-  const std::size_t ell = gsHash.outputBits();
-
-  if (hash::batchEnabled() && !table.powers64.empty() && ell < 64 && y.fitsU64()) {
-    // Native-word search. Padding an n-bit row to width 2n changes no bit
-    // positions, and sigma is a permutation, so row sigma(v) of H =
-    // sigma(G_b) contributes exactly the powers at {sigma(u) : u in N[v]} —
-    // no row bitsets, no BigUInt traffic, and alpha = sigma.beta.sigma^-1
-    // lands in two reused index buffers instead of three fresh permutations
-    // per candidate. Values match the scalar loop below exactly.
-    const std::uint64_t p64 = gsHash.fieldPrime().toU64();
-    const std::uint64_t alphaSeed64 = seed.alpha.modU64(p64);
-    const std::uint64_t betaSeed64 = seed.beta.modU64(p64);
-    const std::uint64_t mask = (std::uint64_t{1} << ell) - 1;
-    const std::uint64_t y64 = y.toU64();
-    graph::Permutation sigmaInv(n);
-    graph::Permutation alpha(n);
-    for (std::uint8_t b = 0; b < 2; ++b) {
-      const graph::Graph& gb = (b == 0) ? instance.g0 : instance.g1;
-      const std::vector<graph::Permutation>& aut = (b == 0) ? aut0 : aut1;
-      graph::Permutation sigma = graph::identityPermutation(n);
-      do {
-        std::uint64_t hPart = 0;
-        for (graph::Vertex v = 0; v < n; ++v) {
-          const std::size_t rowBase = static_cast<std::size_t>(sigma[v]) * width;
-          sigmaInv[sigma[v]] = v;
-          gb.closedRow(v).forEachSet([&](std::size_t u) {
-            const std::uint64_t term = table.powers64[rowBase + sigma[u]];
-            hPart += term;
-            if (hPart < term || hPart >= p64) hPart -= p64;
-          });
-        }
-        for (const graph::Permutation& beta : aut) {
-          std::uint64_t full = hPart;
-          for (graph::Vertex u = 0; u < n; ++u) {
-            alpha[u] = sigma[beta[sigmaInv[u]]];
-            const std::uint64_t term =
-                table.powers64[(n + u) * width + alpha[u]];
-            full += term;
-            if (full < term || full >= p64) full -= p64;
-          }
-          std::uint64_t affine =
-              static_cast<std::uint64_t>(static_cast<U128>(alphaSeed64) * full % p64);
-          affine += betaSeed64;
-          if (affine < betaSeed64 || affine >= p64) affine -= p64;
-          if ((affine & mask) == y64) return GeneralHit{sigma, alpha, b};
-        }
-      } while (std::next_permutation(sigma.begin(), sigma.end()));
-    }
-    return std::nullopt;
-  }
-
-  for (std::uint8_t b = 0; b < 2; ++b) {
-    const graph::Graph& gb = (b == 0) ? instance.g0 : instance.g1;
-    const std::vector<graph::Permutation>& aut = (b == 0) ? aut0 : aut1;
-    graph::Permutation sigma = graph::identityPermutation(n);
-    do {
-      // H = sigma(G_b); its row part of the inner hash is shared by every
-      // alpha, so compute it once per sigma.
-      util::BigUInt hPart;
-      for (graph::Vertex v = 0; v < n; ++v) {
-        util::DynBitset row = padRow(graph::Graph::imageOf(gb.closedRow(v), sigma), width);
-        hPart = util::addMod(hPart, gsHash.innerRowPrepared(table, sigma[v], row), bigP);
-      }
-      for (const graph::Permutation& beta : aut) {
-        // alpha = sigma . beta . sigma^{-1} is an automorphism of H.
-        graph::Permutation alpha = graph::compose(sigma, graph::compose(beta,
-                                                          graph::inverse(sigma)));
-        util::BigUInt full = hPart;
-        for (graph::Vertex u = 0; u < n; ++u) {
-          full = util::addMod(full, table.powers[(n + u) * width + alpha[u]], bigP);
-        }
-        if (gsHash.outer(seed, full) == y) return GeneralHit{sigma, alpha, b};
-      }
-    } while (std::next_permutation(sigma.begin(), sigma.end()));
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -504,9 +409,11 @@ bool GniGeneralProtocol::perRoundHitOnce(const GniInstance& instance,
                                          const std::vector<graph::Permutation>& aut0,
                                          const std::vector<graph::Permutation>& aut1,
                                          util::Rng& rng) const {
-  hash::EpsApiHash::Seed seed = params_.gsHash.randomSeed(rng);
-  util::BigUInt y = rng.nextBigBits(params_.ell);
-  return searchGeneralPreimage(instance, params_.gsHash, params_.n, seed, y, aut0, aut1)
+  GniChallenge target;
+  target.seed = params_.gsHash.randomSeed(rng);
+  target.y = rng.nextBigBits(params_.ell);
+  return searchGsPreimages(instance, params_.gsHash, std::span(&target, 1), aut0, aut1)
+      .front()
       .has_value();
 }
 
@@ -544,17 +451,10 @@ GniGenFirstMessage HonestGniGeneralProver::firstMessage(
   auto aut0 = graph::allAutomorphisms(instance.g0);
   auto aut1 = graph::allAutomorphisms(instance.g1);
 
-  lastFound_.assign(k, std::nullopt);
+  lastFound_ = searchGsPreimages(instance, params_.gsHash, std::span(rootChallenges).first(k),
+                                 aut0, aut1);
   std::vector<std::uint8_t> claimed(k, 0);
-  for (std::size_t j = 0; j < k; ++j) {
-    auto hit = searchGeneralPreimage(instance, params_.gsHash, n,
-                                     rootChallenges[j].seed, rootChallenges[j].y, aut0,
-                                     aut1);
-    if (hit) {
-      claimed[j] = 1;
-      lastFound_[j] = Found{std::move(hit->sigma), std::move(hit->alpha), hit->b};
-    }
-  }
+  for (std::size_t j = 0; j < k; ++j) claimed[j] = lastFound_[j].has_value() ? 1 : 0;
 
   net::SpanningTreeAdvice tree = net::buildBfsTree(instance.g0, 0);
   GniGenFirstMessage first;
@@ -573,7 +473,7 @@ GniGenFirstMessage HonestGniGeneralProver::firstMessage(
     m1.aClaims.resize(k);
     for (std::size_t j = 0; j < k; ++j) {
       if (!lastFound_[j]) continue;
-      const Found& found = *lastFound_[j];
+      const GsPreimage& found = *lastFound_[j];
       m1.b[j] = found.b;
       m1.s[j] = found.sigma[v];
       m1.a[j] = found.alpha[found.sigma[v]];
@@ -617,7 +517,7 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
 
   for (std::size_t j = 0; j < k; ++j) {
     if (!lastFound_[j]) continue;
-    const Found& found = *lastFound_[j];
+    const GsPreimage& found = *lastFound_[j];
     const graph::Graph& gb = (found.b == 0) ? instance.g0 : instance.g1;
     const GniChallenge& challenge = challenges[0][j];
 

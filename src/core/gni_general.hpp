@@ -26,10 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/gni_amam.hpp"  // GniInstance, GniChallenge, AcceptanceStats.
+#include "core/gni_search.hpp"
 #include "core/result.hpp"
 #include "hash/eps_api.hpp"
 #include "hash/linear_hash.hpp"
@@ -159,13 +159,8 @@ class HonestGniGeneralProver : public GniGeneralProver {
       const std::vector<util::BigUInt>& checkChallenges) override;
 
  private:
-  struct Found {
-    graph::Permutation sigma;
-    graph::Permutation alpha;
-    std::uint8_t b = 0;
-  };
   const GniGeneralParams& params_;
-  std::vector<std::optional<Found>> lastFound_;
+  GsSearchResult lastFound_;
 };
 
 // Instance generators for the general protocol's distinguishing feature:
