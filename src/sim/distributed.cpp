@@ -111,6 +111,27 @@ struct DistributedRunner::Impl {
       parentFds.push_back(sv[0]);
       workers.push_back(std::make_unique<Worker>(i, pid, rpc::FrameChannel(sv[0])));
     }
+    awaitHandshakes();
+  }
+
+  // Gives every worker one heartbeat window to say HELLO before the first
+  // ASSIGN goes out, so the whole fleet shares the first run's ranges
+  // instead of the quickest worker draining a small batch alone. A worker
+  // still silent at the deadline joins whenever its HELLO arrives.
+  void awaitHandshakes() {
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(dist.timeoutMillis);
+    for (;;) {
+      bool waiting = false;
+      for (const auto& w : workers) {
+        if (w->alive && !w->ready) waiting = true;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - Clock::now())
+                            .count();
+      if (!waiting || left <= 0) return;
+      pollOnce(nullptr, nullptr, static_cast<int>(left));
+    }
   }
 
   void armDeadline(Worker& w) {
