@@ -7,6 +7,7 @@
 #include "core/gni_wire.hpp"
 #include "core/sym_input_wire.hpp"
 #include "sim/trial.hpp"
+#include "util/arena.hpp"
 #include "util/bitio.hpp"
 
 namespace dip::adv {
@@ -426,11 +427,21 @@ class GniGenSecondSurface final : public FieldSurface {
   const std::vector<std::uint8_t>& claimedFlags_;
 };
 
+// Per-thread scratch for the challenge encodings below: each encoding is
+// folded and dropped at once, so a digest rewinds the arena and reuses its
+// storage instead of allocating one heap buffer per challenge.
+util::Arena& digestArena() {
+  thread_local util::Arena arena;
+  arena.reset();
+  return arena;
+}
+
 std::uint64_t digestLinearChallenges(const std::vector<util::BigUInt>& challenges,
                                      const hash::LinearHashFamily& family) {
+  util::Arena& arena = digestArena();
   std::uint64_t digest = 0x1ce5'0000'0000'0001ULL;
   for (const util::BigUInt& challenge : challenges) {
-    digest = foldPayload(digest, core::wire::encodeChallenge(challenge, family));
+    digest = foldPayload(digest, core::wire::encodeChallenge(challenge, family, &arena));
   }
   return digest;
 }
@@ -438,9 +449,11 @@ std::uint64_t digestLinearChallenges(const std::vector<util::BigUInt>& challenge
 std::uint64_t digestGniChallenges(
     const std::vector<std::vector<core::GniChallenge>>& challenges,
     const hash::EpsApiHash& gsHash, std::size_t ell) {
+  util::Arena& arena = digestArena();
   std::uint64_t digest = 0x1ce5'0000'0000'0002ULL;
   for (const std::vector<core::GniChallenge>& perNode : challenges) {
-    digest = foldPayload(digest, core::wire::encodeGniChallenges(perNode, gsHash, ell));
+    digest = foldPayload(digest,
+                         core::wire::encodeGniChallenges(perNode, gsHash, ell, &arena));
   }
   return digest;
 }

@@ -7,32 +7,6 @@
 namespace dip::adv {
 namespace {
 
-std::vector<bool> payloadBits(const util::BitWriter& payload) {
-  util::BitReader reader(payload);
-  std::vector<bool> bits(payload.bitCount());
-  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = reader.readBit();
-  return bits;
-}
-
-util::BitWriter payloadFromBits(const std::vector<bool>& bits) {
-  util::BitWriter writer;
-  for (bool bit : bits) writer.writeBit(bit);
-  return writer;
-}
-
-// BitWriter exposes no mutable bit access, so edits rebuild the payload.
-void flipPayloadBit(util::BitWriter& payload, std::size_t position) {
-  std::vector<bool> bits = payloadBits(payload);
-  bits.at(position) = !bits.at(position);
-  payload = payloadFromBits(bits);
-}
-
-void truncatePayload(util::BitWriter& payload, std::size_t keepBits) {
-  std::vector<bool> bits = payloadBits(payload);
-  bits.resize(keepBits);
-  payload = payloadFromBits(bits);
-}
-
 void flipRandomBit(core::wire::EncodedRound& round, util::Rng& rng) {
   const std::size_t total = totalRoundBits(round);
   if (total == 0) return;
@@ -49,13 +23,13 @@ std::size_t totalRoundBits(const core::wire::EncodedRound& round) {
 
 void flipRoundBit(core::wire::EncodedRound& round, std::size_t position) {
   if (position < round.broadcast.bitCount()) {
-    flipPayloadBit(round.broadcast, position);
+    round.broadcast.flipBit(position);
     return;
   }
   position -= round.broadcast.bitCount();
   for (util::BitWriter& payload : round.unicast) {
     if (position < payload.bitCount()) {
-      flipPayloadBit(payload, position);
+      payload.flipBit(position);
       return;
     }
     position -= payload.bitCount();
@@ -83,7 +57,7 @@ void BroadcastFlipMutator::mutate(core::wire::EncodedRound& round, FieldSurface*
     flipRandomBit(round, rng);
     return;
   }
-  flipPayloadBit(round.broadcast, rng.nextBelow(bits));
+  round.broadcast.flipBit(rng.nextBelow(bits));
 }
 
 void TransplantMutator::mutate(core::wire::EncodedRound& round, FieldSurface*,
@@ -112,13 +86,14 @@ void TruncateMutator::mutate(core::wire::EncodedRound& round, FieldSurface*,
                              const MutationContext&, util::Rng& rng) const {
   // Pick among payloads that have at least one bit to drop.
   std::vector<util::BitWriter*> candidates;
+  candidates.reserve(1 + round.unicast.size());
   if (round.broadcast.bitCount() > 0) candidates.push_back(&round.broadcast);
   for (util::BitWriter& payload : round.unicast) {
     if (payload.bitCount() > 0) candidates.push_back(&payload);
   }
   if (candidates.empty()) return;
   util::BitWriter* target = candidates[rng.nextBelow(candidates.size())];
-  truncatePayload(*target, rng.nextBelow(target->bitCount()));
+  target->truncate(rng.nextBelow(target->bitCount()));
 }
 
 void ParentRewriteMutator::mutate(core::wire::EncodedRound& round, FieldSurface* surface,

@@ -24,9 +24,10 @@ hash::EpsApiHash::Seed readSeed(util::BitReader& reader, std::size_t fieldBits) 
 }  // namespace
 
 util::BitWriter encodeGniChallenges(const std::vector<GniChallenge>& challenges,
-                                    const hash::EpsApiHash& gsHash, std::size_t ell) {
+                                    const hash::EpsApiHash& gsHash, std::size_t ell,
+                                    util::Arena* arena) {
   const std::size_t fieldBits = gsHash.innerValueBits();
-  util::BitWriter writer;
+  util::BitWriter writer = arena ? util::BitWriter(*arena) : util::BitWriter();
   for (const GniChallenge& challenge : challenges) {
     writeSeed(writer, challenge.seed, fieldBits);
     writer.writeBig(challenge.y, ell);

@@ -11,9 +11,11 @@ namespace dip::core::wire {
 
 // One node's A1 challenge block (k repetitions of seed + target). The
 // (gsHash, ell) overloads serve any Goldwasser-Sipser-style parameter set
-// (the rigid dAMAM protocol and the general-graph variant alike).
+// (the rigid dAMAM protocol and the general-graph variant alike). With an
+// arena the block's bytes bump-allocate from it (see core/wire.hpp).
 util::BitWriter encodeGniChallenges(const std::vector<GniChallenge>& challenges,
-                                    const hash::EpsApiHash& gsHash, std::size_t ell);
+                                    const hash::EpsApiHash& gsHash, std::size_t ell,
+                                    util::Arena* arena = nullptr);
 std::vector<GniChallenge> decodeGniChallenges(const util::BitWriter& encoded,
                                               const hash::EpsApiHash& gsHash,
                                               std::size_t ell, std::size_t repetitions);

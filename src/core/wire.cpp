@@ -33,8 +33,10 @@ void requireNonEmpty(std::size_t n) {
 EncodedRound makeRound(std::size_t n, util::Arena* arena) {
   EncodedRound round;
   if (arena != nullptr) {
+    // Emplaced, not copied: a copy of a writer is heap-backed.
     round.broadcast = util::BitWriter(*arena);
-    round.unicast.assign(n, util::BitWriter(*arena));
+    round.unicast.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) round.unicast.emplace_back(*arena);
   } else {
     round.unicast.resize(n);
   }

@@ -5,6 +5,12 @@
 // encoded through BitWriter/BitReader so transcripts report the true
 // encoded size: node identifiers cost ceil(log2 n) bits, a hash value in
 // [p] costs ceil(log2 p) bits, etc.
+//
+// Bits are packed most-significant first into bytes; the unused tail bits
+// of the last byte are always zero (payload digests hash whole bytes).
+// Multi-bit writes and reads move whole chunks: the current partial byte is
+// filled first, then whole bytes follow, so the cost of a field is per
+// byte, not per bit. BigUInt fields go limb by limb over BigUInt::words().
 #pragma once
 
 #include <cstdint>
@@ -22,10 +28,19 @@ namespace dip::util {
 // encoders use this so a trial's wire encodings cost no heap traffic and
 // vanish with the worker's per-trial reset(). An arena-backed writer must
 // not be written to after the arena resets.
+//
+// A copy always owns its bytes: copying any writer yields a heap-backed
+// writer, so in-place edits of one never show through another. Moves keep
+// the source's backend and leave the source empty.
 class BitWriter {
  public:
   BitWriter() = default;
   explicit BitWriter(Arena& arena) : arena_(&arena) {}
+
+  BitWriter(const BitWriter& other);
+  BitWriter& operator=(const BitWriter& other);
+  BitWriter(BitWriter&& other) noexcept;
+  BitWriter& operator=(BitWriter&& other) noexcept;
 
   void writeBit(bool bit);
   // Writes the low `width` bits of value, most-significant bit first.
@@ -36,6 +51,13 @@ class BitWriter {
   // Variable-length unsigned (LEB128-style, 7 data bits + continuation bit).
   void writeVarUInt(std::uint64_t value);
 
+  // In-place edits (the wire-mutation battery). flipBit inverts the bit at
+  // `position` (< bitCount(), else std::out_of_range). truncate keeps the
+  // first keepBits bits (<= bitCount(), else std::out_of_range) and zeroes
+  // the dropped tail bits of the new last byte.
+  void flipBit(std::size_t position);
+  void truncate(std::size_t keepBits);
+
   std::size_t bitCount() const { return bitCount_; }
   std::span<const std::uint8_t> bytes() const {
     return {data(), (bitCount_ + 7) / 8};
@@ -45,8 +67,12 @@ class BitWriter {
   const std::uint8_t* data() const {
     return arena_ ? arenaData_ : heapBytes_.data();
   }
-  // Appends one zero byte, growing the backing storage.
-  void pushZeroByte();
+  std::uint8_t* data() { return arena_ ? arenaData_ : heapBytes_.data(); }
+  // Grows the used byte range to cover `bits` bits; new bytes are zero.
+  void reserveBits(std::size_t bits);
+  // Appends the low `width` (<= 64) bits of value; no range checks.
+  void appendBits(std::uint64_t value, unsigned width);
+  void copyFrom(const BitWriter& other);
 
   std::vector<std::uint8_t> heapBytes_;  // Heap backend (arena_ == nullptr).
   Arena* arena_ = nullptr;               // Arena backend otherwise.
@@ -69,6 +95,11 @@ class BitReader {
   std::size_t bitsRemaining() const { return bitCount_ - position_; }
 
  private:
+  // Throws std::out_of_range unless `width` more bits remain.
+  void require(std::size_t width) const;
+  // Reads `width` (<= 64) bits already known to be in range.
+  std::uint64_t takeBits(unsigned width);
+
   std::span<const std::uint8_t> bytes_;
   std::size_t bitCount_;
   std::size_t position_ = 0;

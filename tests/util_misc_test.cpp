@@ -100,6 +100,9 @@ TEST(BitIo, ValueMustFitWidth) {
   BitWriter writer;
   EXPECT_THROW(writer.writeUInt(4, 2), std::invalid_argument);
   EXPECT_THROW(writer.writeUInt(1, 65), std::invalid_argument);
+  writer.writeUInt(0xFF, 8);
+  BitReader reader(writer);
+  EXPECT_THROW(reader.readUInt(65), std::invalid_argument);
 }
 
 TEST(BitIo, BigRoundTrip) {

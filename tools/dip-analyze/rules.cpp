@@ -189,10 +189,11 @@ void ruleThreadContainment(SourceFile& file, std::vector<Finding>& findings) {
 
 // ---------------------------------------------------------------------------
 // hot-loop-alloc: no per-iteration allocation on the hash/Montgomery hot
-// path or the transcript-encode path (the core wire modules, bitio, and the
-// net audit layer — under DIP_AUDIT these run once per protocol round inside
-// the trial loop, and the audit re-encodings are arena-backed precisely so
-// the rounds stay allocation-free). Three shapes are flagged inside loop
+// path or the transcript-encode path (the core wire modules, bitio, the
+// net audit layer and the adv payload mutators — under DIP_AUDIT, and in
+// every mutated trial, these run once per protocol round inside the trial
+// loop, and the audit re-encodings are arena-backed precisely so the rounds
+// stay allocation-free). Three shapes are flagged inside loop
 // bodies: BigUInt construction (one heap block per iteration), raw operator
 // new, and container growth (push_back/emplace_back) on a receiver that was
 // never reserve()d earlier in the file -- geometric regrowth reallocates

@@ -217,6 +217,20 @@ const SeededCase kCases[] = {
      "  }\n"
      "}\n",
      "hot-loop-alloc"},
+    {"src/adv/mutator.cpp",
+     "void pick(core::wire::EncodedRound& round, std::vector<util::BitWriter*>& out) {\n"
+     "  for (util::BitWriter& payload : round.unicast) {\n"
+     "    out.push_back(&payload);\n"
+     "  }\n"
+     "}\n",
+     "hot-loop-alloc"},
+    {"src/adv/good_stress_growth.cpp",
+     "void pick(core::wire::EncodedRound& round, std::vector<util::BitWriter*>& out) {\n"
+     "  for (util::BitWriter& payload : round.unicast) {\n"
+     "    out.push_back(&payload);\n"
+     "  }\n"
+     "}\n",
+     nullptr},
     {"src/net/bad_traversal_neighbors.cpp",
      "std::size_t scan(const graph::Graph& g, std::size_t n) {\n"
      "  std::size_t acc = 0;\n"

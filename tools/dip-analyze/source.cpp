@@ -110,7 +110,8 @@ bool isHotPath(std::string_view path) {
 }
 
 bool isTranscriptEncodePath(std::string_view path) {
-  if (path == "src/util/bitio.cpp") return true;
+  // The mutators edit encoded payloads in place once per mutated round.
+  if (path == "src/util/bitio.cpp" || path == "src/adv/mutator.cpp") return true;
   if (isTranscriptImpl(path)) return true;
   return path.starts_with("src/core/") && isWireModule(path);
 }

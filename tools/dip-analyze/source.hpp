@@ -49,7 +49,7 @@ bool isWireModule(std::string_view path);     // basename contains "wire"
 bool isTranscriptImpl(std::string_view path); // src/net transcript/audit impl
 bool isSimPath(std::string_view path);        // src/sim
 bool isHotPath(std::string_view path);        // src/hash + montgomery kernel
-bool isTranscriptEncodePath(std::string_view path);  // core wire + bitio + net audit
+bool isTranscriptEncodePath(std::string_view path);  // core wire + bitio + net audit + adv mutator
 bool isTraversalPath(std::string_view path);  // src/net + src/lb neighborhood loops
 bool isAdvPath(std::string_view path);        // src/adv
 std::string_view baseName(std::string_view path);
