@@ -19,7 +19,7 @@ constexpr DLimb kLimbBase = static_cast<DLimb>(1) << kLimbBits;
 
 // Decimal I/O works in the largest power of ten that fits a limb, so each
 // Horner/division pass over the limbs handles a whole chunk of digits.
-constexpr unsigned kDecChunkDigits = (kLimbBits == 64) ? 19 : 9;
+constexpr unsigned kDecChunkDigits = 19;
 
 constexpr Limb pow10Limb(unsigned digits) {
   Limb p = 1;
@@ -177,48 +177,21 @@ void mulRaw(const Limb* a, std::size_t an, const Limb* b, std::size_t bn, Limb* 
 
 }  // namespace
 
-BigUInt::BigUInt(std::uint64_t value) {
-  if (value == 0) return;
-#if defined(DIP_BIGUINT_LIMB32)
-  limbs_.push_back(static_cast<std::uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
-#else
-  limbs_.push_back(value);
-#endif
+void detail::LimbBuffer::grow(std::size_t count) {
+  constexpr std::size_t kMaxLimbs = UINT32_MAX;
+  if (count > kMaxLimbs) throw std::length_error("BigUInt: too many limbs");
+  const std::size_t capacity =
+      std::min(std::max(count, 2 * std::size_t{capacity_}), kMaxLimbs);
+  Limb* block = new Limb[capacity];
+  std::copy(data_, data_ + size_, block);
+  release();
+  data_ = block;
+  capacity_ = static_cast<std::uint32_t>(capacity);
 }
 
-void BigUInt::assignU64(std::uint64_t value) {
-  limbs_.clear();
-  if (value == 0) return;
-#if defined(DIP_BIGUINT_LIMB32)
-  limbs_.push_back(static_cast<std::uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
-#else
-  limbs_.push_back(value);
-#endif
-}
-
-void BigUInt::normalize() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
-}
-
-BigUInt BigUInt::fromWords(std::vector<Limb> words) {
+BigUInt BigUInt::fromWords(std::span<const Limb> words) {
   BigUInt out;
-  out.limbs_ = std::move(words);
-  out.normalize();
-  return out;
-}
-
-BigUInt BigUInt::fromLimbs(const std::vector<std::uint32_t>& limbs) {
-  BigUInt out;
-#if defined(DIP_BIGUINT_LIMB32)
-  out.limbs_ = limbs;
-#else
-  out.limbs_.assign((limbs.size() + 1) / 2, 0);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    out.limbs_[i / 2] |= static_cast<Limb>(limbs[i]) << (32 * (i & 1));
-  }
-#endif
+  out.limbs_.assign(words.data(), words.size());
   out.normalize();
   return out;
 }
@@ -246,7 +219,7 @@ BigUInt BigUInt::fromDecimal(std::string_view text) {
       limb = static_cast<Limb>(cur);
       carry = static_cast<Limb>(cur >> kLimbBits);
     }
-    if (carry) out.limbs_.push_back(carry);
+    if (carry) out.limbs_.pushBack(carry);
     pos += len;
   }
   return out;
@@ -255,7 +228,7 @@ BigUInt BigUInt::fromDecimal(std::string_view text) {
 BigUInt BigUInt::fromHex(std::string_view text) {
   if (text.empty()) throw std::invalid_argument("BigUInt::fromHex: empty string");
   BigUInt out;
-  out.limbs_.assign((4 * text.size() + kLimbBits - 1) / kLimbBits, 0);
+  out.limbs_.resize((4 * text.size() + kLimbBits - 1) / kLimbBits);
   std::size_t bitPos = 0;
   for (std::size_t i = text.size(); i-- > 0;) {
     int digit = hexDigitValue(text[i]);
@@ -282,18 +255,14 @@ bool BigUInt::bit(std::size_t i) const {
 
 std::uint64_t BigUInt::toU64() const {
   if (!fitsU64()) throw std::overflow_error("BigUInt::toU64: value exceeds 64 bits");
-  std::uint64_t value = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    value = (value << (kLimbBits - 1)) << 1 | limbs_[i];
-  }
-  return value;
+  return limbs_.empty() ? 0 : limbs_[0];
 }
 
 double BigUInt::toDouble() const {
   double value = 0.0;
   const double base = std::ldexp(1.0, kLimbBits);
-  for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {
-    value = value * base + static_cast<double>(*it);
+  for (std::size_t i = limbs_.size(); i-- > 0;) {
+    value = value * base + static_cast<double>(limbs_[i]);
     if (!std::isfinite(value)) return std::numeric_limits<double>::infinity();
   }
   return value;
@@ -316,7 +285,7 @@ double BigUInt::log2() const {
 std::string BigUInt::toDecimal() const {
   if (limbs_.empty()) return "0";
   std::string digits;  // Least significant first; reversed at the end.
-  std::vector<Limb> work = limbs_;
+  detail::LimbBuffer work = limbs_;
   while (!work.empty()) {
     // Divide `work` by 10^kDecChunkDigits in place; the remainder yields a
     // whole chunk of digits per pass.
@@ -326,7 +295,7 @@ std::string BigUInt::toDecimal() const {
       work[i] = static_cast<Limb>(cur / kDecChunkBase);
       remainder = cur % kDecChunkBase;
     }
-    while (!work.empty() && work.back() == 0) work.pop_back();
+    while (!work.empty() && work.back() == 0) work.popBack();
     Limb chunk = static_cast<Limb>(remainder);
     if (work.empty()) {
       while (chunk) {
@@ -368,10 +337,10 @@ std::strong_ordering BigUInt::operator<=>(const BigUInt& other) const {
 }
 
 BigUInt& BigUInt::operator+=(const BigUInt& rhs) {
-  if (limbs_.size() < rhs.limbs_.size()) limbs_.resize(rhs.limbs_.size(), 0);
+  if (limbs_.size() < rhs.limbs_.size()) limbs_.resize(rhs.limbs_.size());
   Limb carry = addRaw(limbs_.data(), limbs_.size(), rhs.limbs_.data(),
                       rhs.limbs_.size());
-  if (carry) limbs_.push_back(carry);
+  if (carry) limbs_.pushBack(carry);
   return *this;
 }
 
@@ -419,7 +388,7 @@ BigUInt& BigUInt::operator<<=(std::size_t bits) {
   const std::size_t limbShift = bits / kLimbBits;
   const unsigned bitShift = static_cast<unsigned>(bits % kLimbBits);
   const std::size_t oldSize = limbs_.size();
-  limbs_.resize(oldSize + limbShift + (bitShift ? 1 : 0), 0);
+  limbs_.resize(oldSize + limbShift + (bitShift ? 1 : 0));
   if (bitShift) {
     limbs_[oldSize + limbShift] = limbs_[oldSize - 1] >> (kLimbBits - bitShift);
     for (std::size_t i = oldSize - 1; i-- > 0;) {
@@ -460,30 +429,22 @@ std::uint32_t BigUInt::modU32(std::uint32_t modulus) const {
   if (modulus == 0) throw std::domain_error("BigUInt::modU32: division by zero");
   std::uint64_t remainder = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-#if defined(DIP_BIGUINT_LIMB32)
-    remainder = ((remainder << 32) | limbs_[i]) % modulus;
-#else
     // Split each 64-bit limb into 32-bit halves so the running value stays
     // within a native 64-bit division.
     remainder = ((remainder << 32) | (limbs_[i] >> 32)) % modulus;
     remainder = ((remainder << 32) | (limbs_[i] & 0xFFFFFFFFull)) % modulus;
-#endif
   }
   return static_cast<std::uint32_t>(remainder);
 }
 
 std::uint64_t BigUInt::modU64(std::uint64_t modulus) const {
   if (modulus == 0) throw std::domain_error("BigUInt::modU64: division by zero");
-#if defined(DIP_BIGUINT_LIMB32)
-  return (*this % BigUInt{modulus}).toU64();
-#else
   DLimb remainder = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
     DLimb cur = (remainder << kLimbBits) | limbs_[i];
     remainder = cur % modulus;
   }
   return static_cast<std::uint64_t>(remainder);
-#endif
 }
 
 DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor) {
@@ -494,7 +455,7 @@ DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor) {
   if (divisor.limbs_.size() == 1) {
     Limb d = divisor.limbs_[0];
     BigUInt quotient;
-    quotient.limbs_.assign(dividend.limbs_.size(), 0);
+    quotient.limbs_.resize(dividend.limbs_.size());
     DLimb remainder = 0;
     for (std::size_t i = dividend.limbs_.size(); i-- > 0;) {
       DLimb cur = (remainder << kLimbBits) | dividend.limbs_[i];
@@ -503,7 +464,7 @@ DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor) {
     }
     quotient.normalize();
     BigUInt rem;
-    if (remainder) rem.limbs_.push_back(static_cast<Limb>(remainder));
+    if (remainder) rem.limbs_.pushBack(static_cast<Limb>(remainder));
     return {std::move(quotient), std::move(rem)};
   }
 
@@ -516,10 +477,10 @@ DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor) {
       kLimbBits - std::bit_width(divisor.limbs_.back()));
   BigUInt u = dividend << shift;
   BigUInt v = divisor << shift;
-  u.limbs_.resize(dividend.limbs_.size() + 1, 0);  // Room for u[m + n].
+  u.limbs_.resize(dividend.limbs_.size() + 1);  // Room for u[m + n].
 
   BigUInt quotient;
-  quotient.limbs_.assign(m + 1, 0);
+  quotient.limbs_.resize(m + 1);
 
   const DLimb vTop = v.limbs_[n - 1];
   const DLimb vSecond = v.limbs_[n - 2];

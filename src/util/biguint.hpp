@@ -8,20 +8,26 @@
 // protocols need: comparison, +, -, *, divmod, shifts, bit access, modular
 // exponentiation, and textual I/O.
 //
-// Representation: little-endian vector of 64-bit limbs, always normalized
-// (no trailing zero limbs); zero is the empty vector. Products use
-// unsigned __int128 double-limbs; -DDIP_BIGUINT_LIMB32 falls back to 32-bit
-// limbs with 64-bit intermediates for targets without a 128-bit type.
-// Multiplication is schoolbook below kKaratsubaThresholdLimbs and Karatsuba
-// above it. The frozen seed implementation lives on as BigUIntRef
-// (biguint_ref.hpp), the differential-test oracle for this engine.
+// Representation: little-endian 64-bit limbs, always normalized (no trailing
+// zero limbs); zero has no limbs. The first two limbs live inside the object
+// (detail::LimbBuffer, limb_buffer.hpp), so every value up to 128 bits -- all
+// u64 fields and Protocol 2's 78-bit field at n = 16 -- is built, copied and
+// destroyed without touching the heap; wider values move to one heap block
+// that copy-assignment reuses. sizeof(BigUInt) is 32 bytes. Products use
+// unsigned __int128 double-limbs. Multiplication is schoolbook below
+// kKaratsubaThresholdLimbs and Karatsuba above it. The frozen seed
+// implementation lives on as BigUIntRef in tests/, the differential-test
+// oracle for this engine.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/limb_buffer.hpp"
 
 namespace dip::util {
 
@@ -32,15 +38,9 @@ DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor);
 
 class BigUInt {
  public:
-#if defined(DIP_BIGUINT_LIMB32)
-  using Limb = std::uint32_t;
-  using DLimb = std::uint64_t;
-  static constexpr unsigned kLimbBits = 32;
-#else
-  using Limb = std::uint64_t;
+  using Limb = detail::LimbBuffer::Limb;
   __extension__ using DLimb = unsigned __int128;
   static constexpr unsigned kLimbBits = 64;
-#endif
 
   // Operands with at least this many limbs on both sides go through
   // Karatsuba; below it schoolbook wins (tuned on the 1-CPU bench container;
@@ -48,7 +48,9 @@ class BigUInt {
   static constexpr std::size_t kKaratsubaThresholdLimbs = 24;
 
   BigUInt() = default;
-  BigUInt(std::uint64_t value);  // NOLINT(google-explicit-constructor)
+  BigUInt(std::uint64_t value) {  // NOLINT(google-explicit-constructor)
+    if (value != 0) limbs_.pushBack(value);
+  }
 
   // Parses a non-empty string of decimal digits. Throws std::invalid_argument
   // on any other input.
@@ -64,12 +66,15 @@ class BigUInt {
   // Value of bit i (little-endian); false beyond bitLength().
   bool bit(std::size_t i) const;
 
-  bool fitsU64() const { return limbs_.size() * kLimbBits <= 64; }
+  bool fitsU64() const { return limbs_.size() <= 1; }
   // Requires fitsU64(); throws std::overflow_error otherwise.
   std::uint64_t toU64() const;
-  // *this = value, reusing the existing limb storage (no allocation once the
-  // capacity exists) — the batch evaluator's out-vectors rewrite in place.
-  void assignU64(std::uint64_t value);
+  // *this = value, reusing the existing limb storage (never allocates) -- the
+  // batch evaluator's out-vectors rewrite in place.
+  void assignU64(std::uint64_t value) {
+    limbs_.clear();
+    if (value != 0) limbs_.pushBack(value);
+  }
   // Approximate conversion (for plotting/scaling); +inf if enormous.
   double toDouble() const;
   // Approximate base-2 logarithm; -inf for zero.
@@ -79,7 +84,8 @@ class BigUInt {
   std::string toHex() const;
 
   std::strong_ordering operator<=>(const BigUInt& other) const;
-  bool operator==(const BigUInt& other) const = default;
+  // Compares values: an inline and a heap-backed copy of a number are equal.
+  bool operator==(const BigUInt& other) const { return limbs_ == other.limbs_; }
 
   BigUInt& operator+=(const BigUInt& rhs);
   // Requires *this >= rhs; throws std::underflow_error otherwise.
@@ -89,7 +95,7 @@ class BigUInt {
   BigUInt& operator>>=(std::size_t bits);
 
   // In-place aliases for the hot paths: after warm-up these reuse the limb
-  // vector's capacity, so steady-state Horner chains allocate nothing.
+  // storage's capacity, so steady-state Horner chains allocate nothing.
   BigUInt& addInPlace(const BigUInt& rhs) { return *this += rhs; }
   BigUInt& subInPlace(const BigUInt& rhs) { return *this -= rhs; }
   BigUInt& shiftLeftInPlace(std::size_t bits) { return *this <<= bits; }
@@ -117,21 +123,32 @@ class BigUInt {
   static BigUInt pow(const BigUInt& base, std::uint64_t exponent);
 
   // The native limbs, little-endian (for Montgomery/Barrett kernels).
-  const std::vector<Limb>& words() const { return limbs_; }
-  static BigUInt fromWords(std::vector<Limb> words);
-
-  // Compat: 32-bit little-endian limbs (wire codecs, Rng::nextBigBits keep
-  // their exact historical layout and consumption).
-  static BigUInt fromLimbs(const std::vector<std::uint32_t>& limbs);
+  std::span<const Limb> words() const { return {limbs_.data(), limbs_.size()}; }
+  // The value of little-endian limbs; trailing zero limbs are allowed.
+  static BigUInt fromWords(std::span<const Limb> words);
+  // The value of `count` little-endian limbs that fill(std::span<Limb>) writes
+  // in place over zeros -- no staging buffer, and no heap up to two limbs.
+  template <typename Fill>
+  static BigUInt fromWords(std::size_t count, Fill&& fill) {
+    BigUInt out;
+    out.limbs_.resize(count);
+    fill(std::span<Limb>(out.limbs_.data(), count));
+    out.normalize();
+    return out;
+  }
 
  private:
   friend struct DivModResult;
   friend DivModResult divMod(const BigUInt& dividend, const BigUInt& divisor);
 
-  void normalize();
+  void normalize() {
+    while (!limbs_.empty() && limbs_.back() == 0) limbs_.popBack();
+  }
 
-  std::vector<Limb> limbs_;
+  detail::LimbBuffer limbs_;
 };
+
+static_assert(sizeof(BigUInt) <= 32, "BigUInt is a pointer, two sizes and two limbs");
 
 struct DivModResult {
   BigUInt quotient;

@@ -112,7 +112,7 @@ void BitWriter::writeBig(const BigUInt& value, std::size_t width) {
   if (value.bitLength() > width) {
     throw std::invalid_argument("BitWriter::writeBig: value does not fit width");
   }
-  const std::vector<BigUInt::Limb>& words = value.words();
+  const std::span<const BigUInt::Limb> words = value.words();
   constexpr std::size_t kLimbBits = BigUInt::kLimbBits;
   // Leading zeros above the top limb cost no stores: new bytes are zero.
   const std::size_t limbSpan = words.size() * kLimbBits;
@@ -201,13 +201,14 @@ BigUInt BitReader::readBig(std::size_t width) {
   constexpr std::size_t kLimbBits = BigUInt::kLimbBits;
   // The top limb carries width % kLimbBits bits (or a full limb), then whole
   // limbs follow down to limb 0.
-  std::vector<BigUInt::Limb> words((width + kLimbBits - 1) / kLimbBits);
-  for (std::size_t i = words.size(); i-- > 0;) {
-    const auto limbWidth = static_cast<unsigned>(width - i * kLimbBits);
-    words[i] = static_cast<BigUInt::Limb>(takeBits(limbWidth));
-    width -= limbWidth;
-  }
-  return BigUInt::fromWords(std::move(words));
+  const std::size_t count = (width + kLimbBits - 1) / kLimbBits;
+  return BigUInt::fromWords(count, [&](std::span<BigUInt::Limb> words) {
+    for (std::size_t i = count; i-- > 0;) {
+      const auto limbWidth = static_cast<unsigned>(width - i * kLimbBits);
+      words[i] = takeBits(limbWidth);
+      width -= limbWidth;
+    }
+  });
 }
 
 std::uint64_t BitReader::readVarUInt() {

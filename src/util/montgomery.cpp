@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 
 namespace dip::util {
@@ -28,7 +29,7 @@ Limb inverseModLimbBase(Limb odd) {
 
 std::vector<Limb> paddedWords(const BigUInt& x, std::size_t k) {
   std::vector<Limb> out(k, 0);
-  const auto& words = x.words();
+  const auto words = x.words();
   std::copy(words.begin(), words.end(), out.begin());
   return out;
 }
@@ -183,11 +184,11 @@ const MontgomeryContext::Limb* MontgomeryContext::stagePlain(const BigUInt& x,
   if (scratch.stage.size() < numLimbs_) scratch.stage.resize(numLimbs_);
   std::fill(scratch.stage.begin(), scratch.stage.begin() + numLimbs_, 0);
   if (x < m_) {
-    const auto& words = x.words();
+    const auto words = x.words();
     std::copy(words.begin(), words.end(), scratch.stage.begin());
   } else {
     BigUInt reduced = x % m_;
-    const auto& words = reduced.words();
+    const auto words = reduced.words();
     std::copy(words.begin(), words.end(), scratch.stage.begin());
   }
   return scratch.stage.data();
@@ -215,7 +216,7 @@ BigUInt MontgomeryContext::fromValue(const MontgomeryValue& v) const {
   const std::size_t k = numLimbs_;
   if (t.size() < k + 2) t.resize(k + 2);
   montMulRaw(v.limbs_.data(), plainOne_.data(), t.data());
-  return BigUInt::fromWords(std::vector<Limb>(t.begin(), t.begin() + k));
+  return BigUInt::fromWords(std::span<const Limb>(t.data(), k));
 }
 
 void MontgomeryContext::mulValue(const MontgomeryValue& a, const MontgomeryValue& b,
@@ -301,7 +302,7 @@ BigUInt MontgomeryContext::rawToPlain(const Limb* v) const {
   const std::size_t k = numLimbs_;
   if (t.size() < k + 2) t.resize(k + 2);
   montMulRaw(v, plainOne_.data(), t.data());
-  return BigUInt::fromWords(std::vector<Limb>(t.begin(), t.begin() + k));
+  return BigUInt::fromWords(std::span<const Limb>(t.data(), k));
 }
 
 void MontgomeryContext::buildWindowTable(const Limb* base, unsigned wMax, Limb* table,
@@ -396,8 +397,7 @@ BigUInt MontgomeryContext::mulMod(const BigUInt& a, const BigUInt& b) const {
   const Limb* staged = stagePlain(a, scratch);
   if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
   montMulRaw(staged, bMont.limbs_.data(), scratch.t.data());
-  return BigUInt::fromWords(
-      std::vector<Limb>(scratch.t.begin(), scratch.t.begin() + k));
+  return BigUInt::fromWords(std::span<const Limb>(scratch.t.data(), k));
 }
 
 BigUInt MontgomeryContext::powMod(const BigUInt& base, const BigUInt& exponent) const {
@@ -413,7 +413,7 @@ BigUInt MontgomeryContext::toMontgomery(const BigUInt& x) const {
   thread_local Scratch scratch;
   thread_local MontgomeryValue xMont;
   toValue(x, xMont, scratch);
-  return BigUInt::fromWords(std::vector<Limb>(xMont.limbs_.begin(), xMont.limbs_.end()));
+  return BigUInt::fromWords(xMont.limbs_);
 }
 
 BigUInt MontgomeryContext::fromMontgomery(const BigUInt& x) const {
@@ -422,8 +422,7 @@ BigUInt MontgomeryContext::fromMontgomery(const BigUInt& x) const {
   const Limb* staged = stagePlain(x, scratch);
   if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
   montMulRaw(staged, plainOne_.data(), scratch.t.data());
-  return BigUInt::fromWords(
-      std::vector<Limb>(scratch.t.begin(), scratch.t.begin() + k));
+  return BigUInt::fromWords(std::span<const Limb>(scratch.t.data(), k));
 }
 
 // --- BarrettContext -------------------------------------------------------
@@ -432,9 +431,9 @@ namespace {
 
 // The low n limbs of x (x mod B^n).
 BigUInt lowWords(const BigUInt& x, std::size_t n) {
-  const auto& words = x.words();
+  const auto words = x.words();
   if (words.size() <= n) return x;
-  return BigUInt::fromWords(std::vector<Limb>(words.begin(), words.begin() + n));
+  return BigUInt::fromWords(words.first(n));
 }
 
 }  // namespace
@@ -503,9 +502,18 @@ struct MontgomeryCacheEntry {
   std::shared_ptr<const MontgomeryContext> context;
 };
 
+// Orders key vectors and BigUInt::words() spans alike, so a lookup builds no
+// key; the key vector is made only when a modulus is first seen.
+struct LimbsLess {
+  using is_transparent = void;
+  bool operator()(std::span<const Limb> a, std::span<const Limb> b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
 struct MontgomeryCacheState {
   std::mutex tableLock;
-  std::map<std::vector<Limb>, std::shared_ptr<MontgomeryCacheEntry>> table;
+  std::map<std::vector<Limb>, std::shared_ptr<MontgomeryCacheEntry>, LimbsLess> table;
   std::atomic<std::size_t> builds{0};
 };
 
@@ -527,9 +535,13 @@ std::shared_ptr<const MontgomeryContext> cachedMontgomeryContext(const BigUInt& 
   bool firstUser = false;
   {
     std::lock_guard<std::mutex> guard(state.tableLock);
-    auto [it, inserted] = state.table.try_emplace(modulus.words(), nullptr);
-    if (inserted) {
-      it->second = std::make_shared<MontgomeryCacheEntry>();
+    const std::span<const Limb> key = modulus.words();
+    auto it = state.table.find(key);
+    if (it == state.table.end()) {
+      it = state.table
+               .emplace(std::vector<Limb>(key.begin(), key.end()),
+                        std::make_shared<MontgomeryCacheEntry>())
+               .first;
       firstUser = true;
     }
     entry = it->second;

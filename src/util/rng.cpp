@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <span>
 #include <stdexcept>
 
 namespace dip::util {
@@ -60,13 +61,15 @@ bool Rng::nextChance(double probability) {
 }
 
 BigUInt Rng::nextBigBits(std::size_t bits) {
-  std::vector<std::uint32_t> limbs((bits + 31) / 32, 0);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    limbs[i] = static_cast<std::uint32_t>(nextU64());
-  }
-  unsigned topBits = static_cast<unsigned>(bits % 32);
-  if (topBits != 0) limbs.back() &= (1u << topBits) - 1u;
-  return BigUInt::fromLimbs(std::move(limbs));
+  // One draw per 32-bit half limb, low half first, keeping the draw's low 32
+  // bits: the historical 32-bit limb stream, packed straight into the value.
+  const std::size_t halves = (bits + 31) / 32;
+  return BigUInt::fromWords((halves + 1) / 2, [&](std::span<BigUInt::Limb> words) {
+    for (std::size_t i = 0; i < halves; ++i) {
+      words[i / 2] |= (nextU64() & 0xFFFFFFFFull) << (32 * (i & 1));
+    }
+    if (bits % 64 != 0) words.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
+  });
 }
 
 BigUInt Rng::nextBigBelow(const BigUInt& bound) {

@@ -11,10 +11,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "biguint_ref.hpp"
 #include "util/biguint.hpp"
-#include "util/biguint_ref.hpp"
 #include "util/rng.hpp"
 
 namespace dip::util {
@@ -181,6 +182,176 @@ TEST(biguint_diff, ToDecimal4096BitLength) {
   // padding between the most significant chunk and the tail.
   BigUInt sparse = (BigUInt{1} << 4095) + BigUInt{7};
   EXPECT_EQ(BigUInt::fromDecimal(sparse.toDecimal()).toHex(), sparse.toHex());
+}
+
+// ---- Inline/heap storage boundary ----
+//
+// Values of up to two limbs live inside the BigUInt; wider ones move to a
+// heap block. Every operation must give the same value on both sides of that
+// line, and a heap-backed value equals the inline value of the same number.
+
+constexpr BigUInt::Limb kAllOnes = ~BigUInt::Limb{0};
+
+// A value with exactly `limbs` limbs: every limb all ones.
+BigUInt allOnes(std::size_t limbs) {
+  return BigUInt::fromWords(std::vector<BigUInt::Limb>(limbs, kAllOnes));
+}
+
+TEST(biguint_diff, ValuesOfZeroToThreeLimbsMatchOracle) {
+  Rng rng(0xD1FF00Bull);
+  for (std::size_t limbs = 0; limbs <= 3; ++limbs) {
+    SCOPED_TRACE(limbs);
+    const BigUInt ones = allOnes(limbs);
+    EXPECT_EQ(ones.words().size(), limbs);
+    EXPECT_EQ(ones.bitLength(), 64 * limbs);
+    EXPECT_EQ(ones.toHex(), limbs == 0 ? "0" : std::string(16 * limbs, 'f'));
+    for (int i = 0; i < 200; ++i) {
+      BigUIntRef a = randomRefWithLimbs64(rng, limbs);
+      BigUIntRef b = randomRef(rng, 64 * limbs);
+      const BigUInt x = toNew(a);
+      const BigUInt y = toNew(b);
+      EXPECT_EQ(x.words().size(), limbs);
+      expectMatch(x + y, a + b, "+ (boundary)");
+      expectMatch(x * y, a * b, "* (boundary)");
+      expectMatch(x << 64, a << 64, "<< (boundary)");
+      expectMatch(x >> 64, a >> 64, ">> (boundary)");
+      if (b <= a) expectMatch(x - y, a - b, "- (boundary)");
+      if (!b.isZero()) {
+        DivModResult got = divMod(x, y);
+        DivModResultRef want = refDivMod(a, b);
+        expectMatch(got.quotient, want.quotient, "/ (boundary)");
+        expectMatch(got.remainder, want.remainder, "% (boundary)");
+      }
+    }
+  }
+}
+
+TEST(biguint_diff, CarryOutOfTwoLimbsAndShrinkBack) {
+  // 2^128 - 1 is the widest inline value; + 1 carries into a third limb.
+  BigUInt x = allOnes(2);
+  x += BigUInt{1};
+  EXPECT_EQ(x.words().size(), 3u);
+  EXPECT_EQ(x, BigUInt{1} << 128);
+  EXPECT_EQ(x.toHex(), "1" + std::string(32, '0'));
+
+  // Back under the line: the heap-backed value equals the inline one.
+  x -= BigUInt{1};
+  EXPECT_EQ(x.words().size(), 2u);
+  EXPECT_EQ(x, allOnes(2));
+  x -= allOnes(2) - BigUInt{4};
+  EXPECT_EQ(x, BigUInt{4});
+  EXPECT_EQ(x.words().size(), 1u);
+  x -= BigUInt{4};
+  EXPECT_TRUE(x.isZero());
+  EXPECT_EQ(x, BigUInt{});
+
+  // Grows again from a heap block that kept its capacity.
+  x += allOnes(3);
+  EXPECT_EQ(x, allOnes(3));
+  x += BigUInt{1};
+  EXPECT_EQ(x, BigUInt{1} << 192);
+}
+
+TEST(biguint_diff, AliasedOperandsMatchOracle) {
+  Rng rng(0xD1FF00Cull);
+  for (std::size_t limbs = 1; limbs <= 3; ++limbs) {
+    SCOPED_TRACE(limbs);
+    for (int i = 0; i < 50; ++i) {
+      // The top bit is set, so x += x always carries into a new limb: at two
+      // limbs that is the inline-to-heap move with rhs aliasing *this.
+      BigUIntRef a = randomRefWithLimbs64(rng, limbs);
+      BigUInt doubled = toNew(a);
+      doubled += doubled;
+      expectMatch(doubled, a + a, "x += x");
+      BigUInt zeroed = toNew(a);
+      zeroed -= zeroed;
+      EXPECT_TRUE(zeroed.isZero());
+      EXPECT_EQ(zeroed, BigUInt{});
+      BigUInt squared = toNew(a);
+      std::vector<BigUInt::Limb> scratch;
+      BigUInt::mulInto(squared, squared, squared, scratch);
+      expectMatch(squared, a * a, "mulInto(x, x, x)");
+    }
+  }
+  // mulInto into an inline out: products that stay inline and ones that
+  // force it onto the heap.
+  std::vector<BigUInt::Limb> scratch;
+  BigUInt out{7};
+  for (std::size_t an = 0; an <= 3; ++an) {
+    for (std::size_t bn = 0; bn <= 3; ++bn) {
+      BigUIntRef a = randomRefWithLimbs64(rng, an);
+      BigUIntRef b = randomRefWithLimbs64(rng, bn);
+      BigUInt inlineOut{9};
+      BigUInt::mulInto(toNew(a), toNew(b), inlineOut, scratch);
+      expectMatch(inlineOut, a * b, "mulInto (inline out)");
+      BigUInt::mulInto(toNew(a), toNew(b), out, scratch);
+      expectMatch(out, a * b, "mulInto (reused out)");
+    }
+  }
+}
+
+TEST(biguint_diff, CopyMoveAndSelfAssignKeepValues) {
+  const BigUInt small = BigUInt{0x1234};
+  const BigUInt pair = allOnes(2);
+  const BigUInt wide = allOnes(3) - BigUInt{5};
+  for (const BigUInt* source : {&small, &pair, &wide}) {
+    SCOPED_TRACE(source->toHex());
+    BigUInt copy = *source;
+    EXPECT_EQ(copy, *source);
+    BigUInt moved = std::move(copy);
+    EXPECT_EQ(moved, *source);
+    copy = BigUInt{3};  // A moved-from value is reusable.
+    EXPECT_EQ(copy, BigUInt{3});
+
+    BigUInt& alias = moved;
+    moved = alias;
+    EXPECT_EQ(moved, *source);
+    moved = std::move(alias);
+    EXPECT_EQ(moved, *source);
+
+    // Copy- and move-assign over inline and heap-backed destinations.
+    for (const BigUInt* target : {&small, &pair, &wide}) {
+      BigUInt dst = *target;
+      dst = *source;
+      EXPECT_EQ(dst, *source);
+      BigUInt tmp = *source;
+      BigUInt dst2 = *target;
+      dst2 = std::move(tmp);
+      EXPECT_EQ(dst2, *source);
+      dst2 += BigUInt{1};
+      EXPECT_EQ(dst2, *source + BigUInt{1});
+    }
+  }
+}
+
+TEST(biguint_diff, AssignU64OnHeapBackedValue) {
+  BigUInt x = allOnes(4);
+  x.assignU64(42);
+  EXPECT_EQ(x, BigUInt{42});
+  EXPECT_EQ(x.words().size(), 1u);
+  EXPECT_EQ(x.toU64(), 42u);
+  x.assignU64(0);
+  EXPECT_TRUE(x.isZero());
+  EXPECT_EQ(x, BigUInt{});
+  x.assignU64(kAllOnes);
+  x += x;
+  EXPECT_EQ(x, (BigUInt{kAllOnes} << 1));
+}
+
+TEST(biguint_diff, FromWordsDropsTrailingZeroLimbs) {
+  using Words = std::vector<BigUInt::Limb>;
+  EXPECT_EQ(BigUInt::fromWords(Words{}), BigUInt{});
+  EXPECT_EQ(BigUInt::fromWords(Words{0, 0, 0}), BigUInt{});
+  EXPECT_TRUE(BigUInt::fromWords(Words{0, 0, 0}).words().empty());
+  const BigUInt five = BigUInt::fromWords(Words{5, 0, 0, 0});
+  EXPECT_EQ(five, BigUInt{5});
+  EXPECT_EQ(five.words().size(), 1u);
+  const BigUInt two = BigUInt::fromWords(Words{1, 2, 0});
+  EXPECT_EQ(two, (BigUInt{2} << 64) + BigUInt{1});
+  EXPECT_EQ(two.words().size(), 2u);
+  const BigUInt three = BigUInt::fromWords(Words{1, 0, 3, 0, 0});
+  EXPECT_EQ(three, (BigUInt{3} << 128) + BigUInt{1});
+  EXPECT_EQ(three.words().size(), 3u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "fuzz_seed.hpp"
+#include "limbs32.hpp"
 #include "util/arena.hpp"
 #include "util/bitio.hpp"
 #include "util/rng.hpp"
@@ -83,7 +84,7 @@ class RefReader {
     for (std::size_t i = fullLimbs; i-- > 0;) {
       limbs[i] = static_cast<std::uint32_t>(readUInt(32));
     }
-    return BigUInt::fromLimbs(limbs);
+    return testutil::fromLimbs32(limbs);
   }
   std::uint64_t readVarUInt() {
     std::uint64_t value = 0;

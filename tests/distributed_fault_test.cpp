@@ -18,6 +18,8 @@
 //           exactly-once gate drops the duplicate (lastDuplicates > 0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -33,12 +35,42 @@ namespace {
 
 constexpr std::uint64_t kFaultSeed = 0xFA017B01ull;
 constexpr char kCell[] = "sym_dmam_p1";
-// Small batch for the kill/hang scenarios; the delay scenario needs a batch
-// long enough (hundreds of milliseconds of wall time) that the suspected
-// worker's late completion is guaranteed to arrive while the run is still
-// in flight, forcing the dedup path inside the live fold.
+// Small batch for the kill/hang scenarios.
 constexpr std::size_t kTrials = 48;
-constexpr std::size_t kDelayTrials = 9000;
+constexpr unsigned kWorkers = 2;
+// The delay scenario's injected stall is kDelayMinMillis plus up to
+// kDelaySpreadMillis.
+constexpr unsigned kDelayMinMillis = 250;
+constexpr unsigned kDelaySpreadMillis = 70;
+
+TrialConfig oneThread() {
+  TrialConfig config;
+  config.threads = 1;
+  return config;
+}
+
+// The delay scenario needs a batch still in flight when the suspected
+// worker's late completion arrives, forcing the dedup path inside the live
+// fold, on a machine of any speed. A timed 1-thread probe gives this
+// machine's cost per trial, and the batch is sized so that, split over the
+// workers, it lasts kDelaysPerBatch times the longest injected stall (the
+// rpc cost the probe leaves out only makes it longer). Never fewer than
+// kMinDelayTrials.
+constexpr std::size_t kProbeTrials = 2000;
+constexpr double kDelaysPerBatch = 3.0;
+constexpr std::size_t kMinDelayTrials = 9000;
+
+std::size_t delayTrials() {
+  static const std::size_t trials = [] {
+    const TrialStats probe = workload::makeCell(kCell)->run(oneThread(), kProbeTrials);
+    const double secondsPerTrial = probe.wallSeconds / kProbeTrials;
+    const double longestDelaySeconds = (kDelayMinMillis + kDelaySpreadMillis) / 1000.0;
+    const double batchSeconds = kDelaysPerBatch * longestDelaySeconds * kWorkers;
+    return std::max(kMinDelayTrials,
+                    static_cast<std::size_t>(std::ceil(batchSeconds / secondsPerTrial)));
+  }();
+  return trials;
+}
 
 struct Reference {
   TrialStats stats;
@@ -48,14 +80,13 @@ struct Reference {
 const Reference& reference(std::size_t trials) {
   auto make = [](std::size_t n) {
     Reference r;
-    TrialConfig config;
-    config.threads = 1;
-    r.stats = workload::makeCell(kCell)->run(config, n, &r.outcomes);
+    r.stats = workload::makeCell(kCell)->run(oneThread(), n, &r.outcomes);
     return r;
   };
   static const Reference small = make(kTrials);
-  static const Reference large = make(kDelayTrials);
-  return trials == kTrials ? small : large;
+  if (trials == kTrials) return small;
+  static const Reference large = make(delayTrials());
+  return large;
 }
 
 // The faulty fleet shape: 2 workers, small grain and beacon interval so a
@@ -65,7 +96,7 @@ const Reference& reference(std::size_t trials) {
 // kept off the grain boundary so it interrupts a range.
 DistributedConfig faultyConfig(FaultPlan::Kind kind, util::Rng& rng) {
   DistributedConfig dist;
-  dist.workers = 2;
+  dist.workers = kWorkers;
   dist.threadsPerWorker = 1;
   dist.maxOutstanding = 2;
   dist.graceMillis = 400;
@@ -78,7 +109,8 @@ DistributedConfig faultyConfig(FaultPlan::Kind kind, util::Rng& rng) {
     dist.fault.afterTrials = 1 + rng.nextBelow(60);
     // Longer than the heartbeat timeout (suspicion + re-issue happen), far
     // shorter than the batch's wall time (the late completion lands in-run).
-    dist.fault.delayMillis = 250 + static_cast<unsigned>(rng.nextBelow(70));
+    dist.fault.delayMillis =
+        kDelayMinMillis + static_cast<unsigned>(rng.nextBelow(kDelaySpreadMillis));
   } else {
     dist.grain = 8;
     dist.beaconTrials = 4;
@@ -159,8 +191,8 @@ TEST(distributed_fault, DelayedWorkerTriggersDedupNotDoubleFold) {
   for (std::uint64_t trial : {6u, 7u}) {
     SCOPED_TRACE(testutil::seedLine(kFaultSeed, trial));
     const ScenarioResult result =
-        runScenario(FaultPlan::Kind::kDelay, trial, kDelayTrials);
-    expectByteIdentical(result, kDelayTrials);
+        runScenario(FaultPlan::Kind::kDelay, trial, delayTrials());
+    expectByteIdentical(result, delayTrials());
     EXPECT_EQ(result.liveAfter, 2u);   // Rehabilitated, not killed.
     EXPECT_GE(result.reissues, 1u);
     EXPECT_GE(result.duplicates, 1u);  // The late completion was deduped.

@@ -5,16 +5,22 @@ Compares a fresh --json run against its committed baseline. The document's
 "benchmark" field selects the rule set:
 
 bench_throughput (BENCH_throughput.json)
-    Absolute trials/sec are machine-dependent, so the gate compares the
-    batch/scalar *speedup ratio* per protocol — a dimensionless number that
-    survives moving between CI runners. A cell regresses when its current
-    speedup falls more than TOLERANCE below the baseline speedup.
+    Absolute trials/sec are machine-dependent, so the gate compares each
+    cell's batch trials/sec divided by the rate of a fixed u64 calibration
+    kernel timed in the same run ("batch_per_calib"). A cell regresses when
+    that value falls more than TOLERANCE below the baseline row's
+    "min_batch_per_calib" floor (the minimum over several recorded runs, with
+    the machine context in the baseline's "recorded_on"). Normalising by the
+    kernel instead of by the scalar path keeps a faster scalar path from
+    reading as a slower batch engine, while a slower batch engine still
+    fails. Both runs must use the same --threads (the "threads" field); a
+    mismatched pairing is refused.
 
-    Independently of the baseline comparison, any cell whose current speedup
-    is below 1.0 fails outright: a no-win cell must either be fixed or
-    pinned to the scalar path via the no-win list in sim/throughput.cpp, in
-    which case its "engine" field reads "scalar-fallback" and the sub-1.0
-    ratio is exempt.
+    The batch/scalar speedup is printed next to the baseline's for
+    reference, and any cell whose current speedup is below 1.0 fails
+    outright: a no-win cell must either be fixed or pinned to the scalar
+    path via the no-win list in sim/throughput.cpp, in which case its
+    "engine" field reads "scalar-fallback" and the sub-1.0 ratio is exempt.
 
 bench_e16_distributed (BENCH_distributed.json)
     Rows are keyed by (protocol, workers). Digests are machine-independent
@@ -57,18 +63,19 @@ def load_cells(doc):
 
 
 def check_throughput(key, base, cur, failed):
-    base_speedup = float(base["speedup"])
+    recorded = float(base["min_batch_per_calib"])
+    floor = recorded * (1.0 - TOLERANCE)
+    value = float(cur["batch_per_calib"])
     cur_speedup = float(cur["speedup"])
-    floor = base_speedup * (1.0 - TOLERANCE)
-    status = "ok" if cur_speedup >= floor else "REGRESSED"
+    status = "ok" if value >= floor else "REGRESSED"
     print(
-        f"{key_str(key):18s}  baseline {base_speedup:5.2f}x  "
-        f"current {cur_speedup:5.2f}x  floor {floor:5.2f}x  {status}"
+        f"{key_str(key):18s}  batch/calib {value:9.3f}  floor {floor:9.3f}  "
+        f"speedup {cur_speedup:6.2f}x (baseline {float(base['speedup']):6.2f}x)  {status}"
     )
-    if cur_speedup < floor:
+    if value < floor:
         failed.append(
-            f"{key_str(key)}: speedup {cur_speedup:.3f} below floor {floor:.3f} "
-            f"(baseline {base_speedup:.3f}, tolerance {TOLERANCE:.0%})"
+            f"{key_str(key)}: batch/calib {value:.3f} below floor {floor:.3f} "
+            f"(recorded minimum {recorded:.3f}, tolerance {TOLERANCE:.0%})"
         )
     if cur_speedup < 1.0 and cur.get("engine") != "scalar-fallback":
         failed.append(
@@ -112,6 +119,13 @@ def main(argv):
         print(
             f"baseline is {kind} but current run is "
             f"{cur_doc.get('benchmark')!r} — wrong file pairing",
+            file=sys.stderr,
+        )
+        return 2
+    if kind == "bench_throughput" and base_doc.get("threads") != cur_doc.get("threads"):
+        print(
+            f"baseline was recorded at --threads {base_doc.get('threads')} but the "
+            f"current run used --threads {cur_doc.get('threads')} — not comparable",
             file=sys.stderr,
         )
         return 2
