@@ -20,7 +20,7 @@ util::BigUInt mappedMatrixFingerprint(const graph::Graph& g,
     // pinned index: the batch evaluator's shared power tables make each
     // fingerprint popcount adds plus one multiply per row (the scalar walk
     // below pays ~n multiplies per row).
-    thread_local hash::BatchLinearHashEvaluator batch;
+    hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
     thread_local std::vector<std::uint64_t> rowIndices;
     thread_local std::vector<util::DynBitset> rows;
     batch.rebind(family.prime(), family.dimension(), index);
@@ -192,7 +192,10 @@ RunResult SymDamProtocol::run(const graph::Graph& g, SymDamProver& prover,
       if (rho[v] >= n) uniform = false;
     }
     if (uniform) {
-      thread_local hash::BatchLinearHashEvaluator batch;
+      // An honest prover pinned this index on this thread moments ago, so
+      // the rebind below reuses its power tables; the row hashes themselves
+      // are recomputed here.
+      hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
       thread_local std::vector<std::uint64_t> aIdx;
       thread_local std::vector<std::uint64_t> bIdx;
       thread_local std::vector<util::DynBitset> aRows;

@@ -48,7 +48,7 @@ ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily&
     // Per-vertex row hashes depend only on v, not on tree order: evaluate
     // all 2n of them in two batch calls over the shared power tables, then
     // run the bottom-up fold on the precomputed values.
-    thread_local hash::BatchLinearHashEvaluator batch;
+    hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
     thread_local std::vector<std::uint64_t> aIdx;
     thread_local std::vector<std::uint64_t> bIdx;
     thread_local std::vector<util::DynBitset> aRows;
@@ -252,7 +252,10 @@ RunResult SymDmamProtocol::run(const graph::Graph& g, SymDmamProver& prover,
       if (first.rho[v] >= n) uniform = false;
     }
     if (uniform) {
-      thread_local hash::BatchLinearHashEvaluator batch;
+      // An honest prover pinned this index on this thread moments ago, so
+      // the rebind below reuses its power tables; the row hashes themselves
+      // are recomputed here.
+      hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
       thread_local std::vector<std::uint64_t> aIdx;
       thread_local std::vector<std::uint64_t> bIdx;
       thread_local std::vector<util::DynBitset> aRows;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -154,6 +155,137 @@ std::uint64_t bitsResidueSum(const util::DynBitset& bits, const std::uint64_t* t
   return sum;
 }
 
+// ---- Montgomery backend loops ---------------------------------------------
+//
+// Each runs inside one util::mont::dispatch, so K is the kernel width for the
+// whole span and the adds and multiplies inline. Working spans are stack
+// arrays for fixed K and slices of the evaluator's spare span for K == 0.
+
+namespace mont = util::mont;
+using Limb = mont::Limb;
+
+struct MontTables {
+  mont::Modulus mod;
+  const Limb* colPow;   // Mont(a^(w+1)).
+  const Limb* rowBase;  // a^(r*n), plain.
+  Limb* spare;          // 3k + 2 limbs.
+  bool lazy;            // Row sums stay below R unreduced.
+};
+
+// sum = Mont(sum over set bits w of a^(w+1)), possibly unreduced (< R).
+template <std::size_t K>
+inline void montRowSum(const MontTables& t, const util::DynBitset& bits, Limb* sum) {
+  const std::size_t k = mont::width<K>(t.mod);
+  std::fill_n(sum, k, Limb{0});
+  if (t.lazy) {
+    bits.forEachSet(
+        [&](std::size_t w) { mont::addLazy<K>(t.mod, sum, t.colPow + w * k); });
+  } else {
+    bits.forEachSet(
+        [&](std::size_t w) { mont::add<K>(t.mod, sum, t.colPow + w * k, sum); });
+  }
+}
+
+// acc[0..k) = the plain row hash: Mont(s) * a^(r*n) * R^-1 = s * a^(r*n).
+template <std::size_t K>
+inline void montRowHash(const MontTables& t, std::uint64_t rowIndex,
+                        const util::DynBitset& bits, Limb* sum, Limb* acc) {
+  montRowSum<K>(t, bits, sum);
+  mont::mul<K>(t.mod, sum, t.rowBase + rowIndex * mont::width<K>(t.mod), acc);
+}
+
+template <std::size_t K>
+void montHashRows(const MontTables& t, std::span<const std::uint64_t> rowIndices,
+                  std::span<const util::DynBitset> rows, std::vector<util::BigUInt>& out) {
+  const std::size_t k = mont::width<K>(t.mod);
+  mont::Buffer<K, 0> sum(t.spare);
+  mont::Buffer<K, 2> acc(t.spare + k);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    montRowHash<K>(t, rowIndices[i], rows[i], sum.data(), acc.data());
+    out[i] = util::BigUInt::fromWords(std::span<const Limb>(acc.data(), k));
+  }
+}
+
+template <std::size_t K>
+util::BigUInt montAccumulateRows(const MontTables& t,
+                                 std::span<const std::uint64_t> rowIndices,
+                                 std::span<const util::DynBitset> rows) {
+  const std::size_t k = mont::width<K>(t.mod);
+  mont::Buffer<K, 0> sum(t.spare);
+  mont::Buffer<K, 2> acc(t.spare + k);
+  mont::Buffer<K, 0> total(t.spare + 2 * k + 2);
+  std::fill_n(total.data(), k, Limb{0});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    montRowHash<K>(t, rowIndices[i], rows[i], sum.data(), acc.data());
+    mont::add<K>(t.mod, total.data(), acc.data(), total.data());
+  }
+  return util::BigUInt::fromWords(std::span<const Limb>(total.data(), k));
+}
+
+template <std::size_t K>
+util::BigUInt montAccumulateEntries(const MontTables& t,
+                                    std::span<const std::uint64_t> rowIndices,
+                                    std::span<const std::uint64_t> colIndices) {
+  const std::size_t k = mont::width<K>(t.mod);
+  mont::Buffer<K, 2> acc(t.spare);
+  mont::Buffer<K, 0> total(t.spare + k + 2);
+  std::fill_n(total.data(), k, Limb{0});
+  for (std::size_t i = 0; i < rowIndices.size(); ++i) {
+    // a^(r*n) * Mont(a^(c+1)) * R^-1 = a^(r*n + c + 1), plain.
+    mont::mul<K>(t.mod, t.rowBase + rowIndices[i] * k, t.colPow + colIndices[i] * k,
+                 acc.data());
+    mont::add<K>(t.mod, total.data(), acc.data(), total.data());
+  }
+  return util::BigUInt::fromWords(std::span<const Limb>(total.data(), k));
+}
+
+template <std::size_t K>
+void montHashBits(const MontTables& t, std::span<const util::DynBitset> inputs,
+                  std::vector<util::BigUInt>& out) {
+  const std::size_t k = mont::width<K>(t.mod);
+  mont::Buffer<K, 0> sum(t.spare);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    montRowSum<K>(t, inputs[i], sum.data());
+    out[i] = util::BigUInt::fromWords(
+        k, [&](std::span<Limb> limbs) { mont::redc<K>(t.mod, sum.data(), limbs.data()); });
+  }
+}
+
+// Column powers Mont(a^(w+1)) for w in [0, cols), and/or row bases a^(r*n)
+// for r in [0, n) (plain: B[0] = 1, B[r] = B[r-1] * Mont(a^n) * R^-1).
+template <std::size_t K>
+void montBuildTables(const mont::Modulus& mod, const Limb* aM, Limb* spare, Limb* colPow,
+                     std::size_t cols, Limb* rowBase, std::uint64_t n) {
+  const std::size_t k = mont::width<K>(mod);
+  mont::Buffer<K, 2> t(spare);
+  if (colPow != nullptr) {
+    std::copy_n(aM, k, colPow);
+    for (std::size_t w = 1; w < cols; ++w) {
+      mont::mul<K>(mod, colPow + (w - 1) * k, aM, t.data());
+      std::copy_n(t.data(), k, colPow + w * k);
+    }
+  }
+  if (rowBase != nullptr) {
+    // Mont(a^n) by a left-to-right binary ladder from Mont(a).
+    mont::Buffer<K, 0> step(spare + k + 2);
+    std::copy_n(aM, k, step.data());
+    for (int bit = static_cast<int>(std::bit_width(n)) - 1; bit-- > 0;) {
+      mont::mul<K>(mod, step.data(), step.data(), t.data());
+      std::copy_n(t.data(), k, step.data());
+      if ((n >> bit) & 1) {
+        mont::mul<K>(mod, step.data(), aM, t.data());
+        std::copy_n(t.data(), k, step.data());
+      }
+    }
+    std::fill_n(rowBase, k, Limb{0});
+    rowBase[0] = 1;
+    for (std::uint64_t r = 1; r < n; ++r) {
+      mont::mul<K>(mod, rowBase + (r - 1) * k, step.data(), t.data());
+      std::copy_n(t.data(), k, rowBase + r * k);
+    }
+  }
+}
+
 }  // namespace
 
 bool batchEnabled() { return batchFlag().load(std::memory_order_relaxed); }
@@ -194,19 +326,6 @@ void BatchLinearHashEvaluator::rebind(const util::BigUInt& p, std::uint64_t dime
   }
   m_ = dimension;
   aBound_ = a;
-  switch (backend_) {
-    case Backend::kU64:
-      a64_ = a.modU64(p64_);
-      break;
-    case Backend::kMontgomery:
-      ctx_->toValue(a, aV_, scratch_);
-      break;
-    case Backend::kPlain:
-      aPlain_ = a % p_;
-      break;
-    case Backend::kUnbound:
-      break;
-  }
   // Invalidate the tables: the arena rewind poisons the old slices under
   // ASan, so a caller holding a stale table pointer across rebind faults
   // loudly instead of reading the previous index's powers.
@@ -214,9 +333,27 @@ void BatchLinearHashEvaluator::rebind(const util::BigUInt& p, std::uint64_t dime
   colCount_ = 0;
   rowBaseN_ = 0;
   colPow64_ = rowBase64_ = nullptr;
-  colPowM_ = rowBaseM_ = rowSumM_ = accM_ = nullptr;
+  colPowM_ = rowBaseM_ = nullptr;
   colPowP_.clear();
   rowBaseP_.clear();
+  switch (backend_) {
+    case Backend::kU64:
+      a64_ = a.modU64(p64_);
+      break;
+    case Backend::kMontgomery: {
+      const std::size_t k = ctx_->numLimbs();
+      headroomBits_ = mont::kLimbBits * k - p_.bitLength();
+      aM_ = arena_.allocateArray<Limb>(k);
+      spareM_ = arena_.allocateArray<Limb>(3 * k + 2);
+      ctx_->toRaw(a, aM_);
+      break;
+    }
+    case Backend::kPlain:
+      aPlain_ = a % p_;
+      break;
+    case Backend::kUnbound:
+      break;
+  }
 }
 
 void BatchLinearHashEvaluator::prepareTables(std::size_t count, std::uint64_t n) {
@@ -252,29 +389,18 @@ void BatchLinearHashEvaluator::prepareTables(std::size_t count, std::uint64_t n)
     }
     case Backend::kMontgomery: {
       const std::size_t k = ctx_->numLimbs();
-      if (rowSumM_ == nullptr) {
-        rowSumM_ = arena_.allocateArray<util::MontgomeryContext::Limb>(k);
-        accM_ = arena_.allocateArray<util::MontgomeryContext::Limb>(k);
-      }
+      Limb* newCols = needCols ? arena_.allocateArray<Limb>(cols * k) : nullptr;
+      Limb* newRows = needRows ? arena_.allocateArray<Limb>(n * k) : nullptr;
+      mont::dispatch(k, [&](auto width) {
+        montBuildTables<decltype(width)::value>(ctx_->kernelModulus(), aM_, spareM_,
+                                                newCols, cols, newRows, n);
+      });
       if (needCols) {
-        colPowM_ = arena_.allocateArray<util::MontgomeryContext::Limb>(cols * k);
-        if (cols > 0) {
-          ctx_->valueToRaw(aV_, colPowM_);
-          for (std::size_t w = 1; w < cols; ++w) {
-            ctx_->mulRaw(colPowM_ + (w - 1) * k, colPowM_, colPowM_ + w * k,
-                         scratch_);
-          }
-        }
+        colPowM_ = newCols;
         colCount_ = cols;
       }
       if (needRows) {
-        rowBaseM_ = arena_.allocateArray<util::MontgomeryContext::Limb>(n * k);
-        ctx_->powValue(aV_, util::BigUInt{n}, stageV_, scratch_);  // Mont(a^n).
-        ctx_->valueToRaw(ctx_->oneValue(), rowBaseM_);
-        for (std::uint64_t r = 1; r < n; ++r) {
-          ctx_->mulRaw(rowBaseM_ + (r - 1) * k, stageV_.limbs().data(),
-                       rowBaseM_ + r * k, scratch_);
-        }
+        rowBaseM_ = newRows;
         rowBaseN_ = n;
       }
       break;
@@ -313,6 +439,16 @@ void BatchLinearHashEvaluator::checkRow(std::uint64_t rowIndex,
   }
 }
 
+void BatchLinearHashEvaluator::checkRows(std::span<const std::uint64_t> rowIndices,
+                                         std::span<const util::DynBitset> rows,
+                                         std::uint64_t n) const {
+  for (std::size_t i = 0; i < rows.size(); ++i) checkRow(rowIndices[i], rows[i], n);
+}
+
+bool BatchLinearHashEvaluator::lazySums(std::uint64_t terms) const {
+  return static_cast<std::size_t>(std::bit_width(terms)) <= headroomBits_;
+}
+
 void BatchLinearHashEvaluator::hashMatrixRows(std::span<const std::uint64_t> rowIndices,
                                               std::span<const util::DynBitset> rows,
                                               std::uint64_t n,
@@ -321,35 +457,29 @@ void BatchLinearHashEvaluator::hashMatrixRows(std::span<const std::uint64_t> row
     throw std::invalid_argument("hashMatrixRows: index/row count mismatch");
   }
   prepareTables(n, n);
+  checkRows(rowIndices, rows, n);
   // Rewrite out in place: resize keeps the elements' limb buffers alive, so
   // a steady-state caller (the per-trial verifier loops) allocates nothing.
   out.resize(rows.size());
   switch (backend_) {
     case Backend::kU64: {
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
         const std::uint64_t sum = bitsResidueSum(rows[i], colPow64_, p64_);
         out[i].assignU64(mulModU64(rowBase64_[rowIndices[i]], sum, p64_));
       }
       break;
     }
     case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
-        std::fill(rowSumM_, rowSumM_ + k, 0);
-        rows[i].forEachSet([&](std::size_t w) {
-          ctx_->addRaw(rowSumM_, colPowM_ + w * k, rowSumM_);
-        });
-        ctx_->mulRaw(rowSumM_, rowBaseM_ + rowIndices[i] * k, rowSumM_, scratch_);
-        out[i] = ctx_->rawToPlain(rowSumM_);
-      }
+      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                            lazySums(n)};
+      mont::dispatch(view.mod.k, [&](auto width) {
+        montHashRows<decltype(width)::value>(view, rowIndices, rows, out);
+      });
       break;
     }
     default: {
       util::BigUInt row;
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
         row = util::BigUInt{};
         rows[i].forEachSet([&](std::size_t w) {
           row = util::addMod(row, colPowP_[w], p_);
@@ -368,35 +498,27 @@ util::BigUInt BatchLinearHashEvaluator::accumulateMatrixRows(
     throw std::invalid_argument("accumulateMatrixRows: index/row count mismatch");
   }
   prepareTables(n, n);
+  checkRows(rowIndices, rows, n);
   switch (backend_) {
     case Backend::kU64: {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
         const std::uint64_t sum = bitsResidueSum(rows[i], colPow64_, p64_);
         acc = addModTrick(acc, mulModU64(rowBase64_[rowIndices[i]], sum, p64_), p64_);
       }
       return util::BigUInt{acc};
     }
     case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      std::fill(accM_, accM_ + k, 0);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
-        std::fill(rowSumM_, rowSumM_ + k, 0);
-        rows[i].forEachSet([&](std::size_t w) {
-          ctx_->addRaw(rowSumM_, colPowM_ + w * k, rowSumM_);
-        });
-        ctx_->mulRaw(rowSumM_, rowBaseM_ + rowIndices[i] * k, rowSumM_, scratch_);
-        ctx_->addRaw(accM_, rowSumM_, accM_);
-      }
-      return ctx_->rawToPlain(accM_);
+      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                            lazySums(n)};
+      return mont::dispatch(view.mod.k, [&](auto width) {
+        return montAccumulateRows<decltype(width)::value>(view, rowIndices, rows);
+      });
     }
     default: {
       util::BigUInt acc;
       util::BigUInt row;
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        checkRow(rowIndices[i], rows[i], n);
         row = util::BigUInt{};
         rows[i].forEachSet([&](std::size_t w) {
           row = util::addMod(row, colPowP_[w], p_);
@@ -420,30 +542,9 @@ void BatchLinearHashEvaluator::checkEntry(std::uint64_t rowIndex,
 util::BigUInt BatchLinearHashEvaluator::hashMatrixRow(std::uint64_t rowIndex,
                                                       const util::DynBitset& columnBits,
                                                       std::uint64_t n) {
-  prepareTables(n, n);
-  checkRow(rowIndex, columnBits, n);
-  switch (backend_) {
-    case Backend::kU64: {
-      const std::uint64_t sum = bitsResidueSum(columnBits, colPow64_, p64_);
-      return util::BigUInt{mulModU64(rowBase64_[rowIndex], sum, p64_)};
-    }
-    case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      std::fill(rowSumM_, rowSumM_ + k, 0);
-      columnBits.forEachSet([&](std::size_t w) {
-        ctx_->addRaw(rowSumM_, colPowM_ + w * k, rowSumM_);
-      });
-      ctx_->mulRaw(rowSumM_, rowBaseM_ + rowIndex * k, rowSumM_, scratch_);
-      return ctx_->rawToPlain(rowSumM_);
-    }
-    default: {
-      util::BigUInt row;
-      columnBits.forEachSet([&](std::size_t w) {
-        row = util::addMod(row, colPowP_[w], p_);
-      });
-      return util::mulMod(row, rowBaseP_[rowIndex], p_);
-    }
-  }
+  // A row hash is a canonical residue, so it is its own one-row sum.
+  return accumulateMatrixRows(std::span<const std::uint64_t>(&rowIndex, 1),
+                              std::span<const util::DynBitset>(&columnBits, 1), n);
 }
 
 util::BigUInt BatchLinearHashEvaluator::hashMatrixEntry(std::uint64_t rowIndex,
@@ -459,14 +560,17 @@ util::BigUInt BatchLinearHashEvaluator::hashMatrixEntry(std::uint64_t rowIndex,
       return util::BigUInt{mulModU64(term, coefficient % p64_, p64_)};
     }
     case Backend::kMontgomery: {
+      // Plain row base times Montgomery column power: a plain term, and a
+      // plain term times Mont(coefficient) stays plain.
       const std::size_t k = ctx_->numLimbs();
-      ctx_->mulRaw(rowBaseM_ + rowIndex * k, colPowM_ + colIndex * k, rowSumM_,
-                   scratch_);
+      Limb* term = spareM_;
+      ctx_->mulRaw(rowBaseM_ + rowIndex * k, colPowM_ + colIndex * k, term);
       if (coefficient != 1) {
-        ctx_->toValue(util::BigUInt{coefficient}, stageV_, scratch_);
-        ctx_->mulRaw(rowSumM_, stageV_.limbs().data(), rowSumM_, scratch_);
+        Limb* coefficientM = spareM_ + k;
+        ctx_->toRaw(util::BigUInt{coefficient}, coefficientM);
+        ctx_->mulRaw(term, coefficientM, term);
       }
-      return ctx_->rawToPlain(rowSumM_);
+      return util::BigUInt::fromWords(std::span<const Limb>(term, k));
     }
     default: {
       util::BigUInt term = util::mulMod(rowBaseP_[rowIndex], colPowP_[colIndex], p_);
@@ -482,11 +586,13 @@ util::BigUInt BatchLinearHashEvaluator::accumulateMatrixEntries(
     throw std::invalid_argument("accumulateMatrixEntries: index count mismatch");
   }
   prepareTables(n, n);
+  for (std::size_t i = 0; i < rowIndices.size(); ++i) {
+    checkEntry(rowIndices[i], colIndices[i], n);
+  }
   switch (backend_) {
     case Backend::kU64: {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < rowIndices.size(); ++i) {
-        checkEntry(rowIndices[i], colIndices[i], n);
         acc = addModTrick(
             acc, mulModU64(rowBase64_[rowIndices[i]], colPow64_[colIndices[i]], p64_),
             p64_);
@@ -494,20 +600,15 @@ util::BigUInt BatchLinearHashEvaluator::accumulateMatrixEntries(
       return util::BigUInt{acc};
     }
     case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      std::fill(accM_, accM_ + k, 0);
-      for (std::size_t i = 0; i < rowIndices.size(); ++i) {
-        checkEntry(rowIndices[i], colIndices[i], n);
-        ctx_->mulRaw(rowBaseM_ + rowIndices[i] * k, colPowM_ + colIndices[i] * k,
-                     rowSumM_, scratch_);
-        ctx_->addRaw(accM_, rowSumM_, accM_);
-      }
-      return ctx_->rawToPlain(accM_);
+      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                            lazySums(n)};
+      return mont::dispatch(view.mod.k, [&](auto width) {
+        return montAccumulateEntries<decltype(width)::value>(view, rowIndices, colIndices);
+      });
     }
     default: {
       util::BigUInt acc;
       for (std::size_t i = 0; i < rowIndices.size(); ++i) {
-        checkEntry(rowIndices[i], colIndices[i], n);
         acc = util::addMod(
             acc, util::mulMod(rowBaseP_[rowIndices[i]], colPowP_[colIndices[i]], p_),
             p_);
@@ -534,14 +635,11 @@ void BatchLinearHashEvaluator::hashBitsMany(std::span<const util::DynBitset> inp
       break;
     }
     case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        std::fill(rowSumM_, rowSumM_ + k, 0);
-        inputs[i].forEachSet([&](std::size_t w) {
-          ctx_->addRaw(rowSumM_, colPowM_ + w * k, rowSumM_);
-        });
-        out[i] = ctx_->rawToPlain(rowSumM_);
-      }
+      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                            lazySums(maxSize)};
+      mont::dispatch(view.mod.k, [&](auto width) {
+        montHashBits<decltype(width)::value>(view, inputs, out);
+      });
       break;
     }
     default: {
@@ -615,6 +713,11 @@ void BatchLinearHashEvaluator::hashBitsManySeeds(const util::BigUInt& p,
       out[base + j].assignU64(rowL[j]);
     }
   }
+}
+
+BatchLinearHashEvaluator& threadChainEvaluator() {
+  thread_local BatchLinearHashEvaluator evaluator;
+  return evaluator;
 }
 
 }  // namespace dip::hash

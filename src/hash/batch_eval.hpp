@@ -20,18 +20,22 @@
 //     add-with-conditional-subtract (no multiply), one 128-bit product per
 //     row. The many-seeds entry point runs kLanes parallel power chains so
 //     independent Horner walks overlap in the pipeline.
-//   - kMontgomery (p odd, wider): tables are flat raw-limb Montgomery
-//     residues driven through PR 4's fixed-k CIOS kernels
-//     (MontgomeryContext::mulRaw/addRaw) with one caller-owned Scratch;
-//     one convert-out per hash value (or per batch, for accumulation).
+//   - kMontgomery (p odd, wider): tables are flat raw-limb residues run
+//     through the flat-limb kernels (util/mont_kernels.hpp). Each span call
+//     picks the kernel width once and runs a templated loop in which the
+//     per-bit add and the per-row multiply inline. Column powers are in
+//     Montgomery form and row bases plain, so the one CIOS product per row
+//     (Mont(s) * b * R^-1 = s * b) is also its convert-out. Row sums skip
+//     the per-add reduction whenever n of them cannot reach R
+//     (bitLength(p) + bitWidth(n) <= 64k, a property of (p, n)).
 //   - kPlain (p even, wider — placeholder fields only): BigUInt tables.
 //
 // All table storage lives in a private util::Arena, reset on every rebind:
 // the hot loops allocate nothing, and a stale table pointer after rebind is
 // an ASan-diagnosable error rather than silent reuse. Not thread-safe; use
-// one batch evaluator per thread (the call sites keep thread_local
-// instances — the "per-protocol arenas", since each protocol family pins
-// its own evaluator shape).
+// one batch evaluator per thread. The call sites keep thread_local
+// instances; the Sym chain sites share one (threadChainEvaluator), so a
+// trial's prover and verifier build an index's tables once.
 //
 // The process-wide batch toggle exists so bench_throughput can measure the
 // scalar path on identical workloads (DIP_BATCH=0, or setBatchEnabled).
@@ -46,6 +50,7 @@
 #include "util/arena.hpp"
 #include "util/biguint.hpp"
 #include "util/bitset.hpp"
+#include "util/mont_kernels.hpp"
 #include "util/montgomery.hpp"
 
 namespace dip::hash {
@@ -132,6 +137,11 @@ class BatchLinearHashEvaluator {
   void prepareTables(std::size_t count, std::uint64_t n);
   void checkRow(std::uint64_t rowIndex, const util::DynBitset& bits,
                 std::uint64_t n) const;
+  void checkRows(std::span<const std::uint64_t> rowIndices,
+                 std::span<const util::DynBitset> rows, std::uint64_t n) const;
+  // Whether a sum of `terms` Montgomery residues stays below R unreduced:
+  // bitLength(p) + bitWidth(terms) <= 64k.
+  bool lazySums(std::uint64_t terms) const;
   void checkEntry(std::uint64_t rowIndex, std::uint64_t colIndex,
                   std::uint64_t n) const;
 
@@ -147,19 +157,26 @@ class BatchLinearHashEvaluator {
   std::uint64_t a64_ = 0;
   std::uint64_t* colPow64_ = nullptr;
   std::uint64_t* rowBase64_ = nullptr;
-  // kMontgomery backend: flat k-limb residues, colPowM_[w*k], rowBaseM_[r*k].
+  // kMontgomery backend: flat k-limb residues in the arena. colPowM_[w*k]
+  // = Mont(a^(w+1)); rowBaseM_[r*k] = a^(r*n), plain.
   std::shared_ptr<const util::MontgomeryContext> ctx_;
-  util::MontgomeryContext::Scratch scratch_;
-  util::MontgomeryContext::Limb* colPowM_ = nullptr;
-  util::MontgomeryContext::Limb* rowBaseM_ = nullptr;
-  util::MontgomeryContext::Limb* rowSumM_ = nullptr;  // k-limb staging slices.
-  util::MontgomeryContext::Limb* accM_ = nullptr;
-  util::MontgomeryValue aV_;
-  util::MontgomeryValue stageV_;
+  std::size_t headroomBits_ = 0;  // 64k - bitLength(p).
+  util::mont::Limb* aM_ = nullptr;  // Mont(a).
+  util::mont::Limb* colPowM_ = nullptr;
+  util::mont::Limb* rowBaseM_ = nullptr;
+  util::mont::Limb* spareM_ = nullptr;  // 3k + 2 limbs of kernel working space.
   // kPlain backend.
   util::BigUInt aPlain_;
   std::vector<util::BigUInt> colPowP_;
   std::vector<util::BigUInt> rowBaseP_;
 };
+
+// The calling thread's evaluator for the Sym chain call sites: the honest
+// provers' aggregateChains, SymDamProtocol::run and SymDmamProtocol::run,
+// and mappedMatrixFingerprint. Within a trial the prover and the verifier
+// pin the same (p, m, a), so the second rebind is a no-op and the public
+// power tables are built once. Only those tables are shared: every caller
+// still computes its own row hashes.
+BatchLinearHashEvaluator& threadChainEvaluator();
 
 }  // namespace dip::hash

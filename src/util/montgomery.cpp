@@ -34,113 +34,21 @@ std::vector<Limb> paddedWords(const BigUInt& x, std::size_t k) {
   return out;
 }
 
-// a <=> b over exactly k limbs.
-int compareRaw(const Limb* a, const Limb* b, std::size_t k) {
-  for (std::size_t i = k; i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+// The runtime-k product: a stack accumulator up to kStackLimbs limbs (8192
+// bits), the heap beyond (no protocol field comes near).
+constexpr std::size_t kStackLimbs = 128;
+
+void mulRuntimeWidth(const mont::Modulus& mod, const Limb* a, const Limb* b, Limb* out) {
+  if (mod.k <= kStackLimbs) {
+    Limb t[kStackLimbs + 2];
+    std::fill_n(t, mod.k + 2, Limb{0});
+    mont::mul<0>(mod, a, b, t);
+    std::copy_n(t, mod.k, out);
+    return;
   }
-  return 0;
-}
-
-// dst -= m over exactly k limbs (any final borrow is absorbed by the
-// caller's carry limb).
-void subModulusRaw(Limb* dst, const Limb* m, std::size_t k) {
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    Limb t1 = dst[i] - m[i];
-    Limb b1 = t1 > dst[i];
-    Limb t2 = t1 - borrow;
-    Limb b2 = t2 > t1;
-    dst[i] = t2;
-    borrow = b1 | b2;
-  }
-}
-
-// CIOS (coarsely integrated operand scanning) Montgomery multiply, base
-// 2^kLimbBits: t <- a * b * B^-k mod m, with t left in [0, 2m) before the
-// final conditional subtract. Two things this shape buys that measurably
-// matter on the baseline container:
-//  - The __restrict qualifiers: t is a caller-provided scratch that never
-//    aliases the operands or the modulus, so the compiler can hoist the
-//    b[j]/m[j] loads out of the carry chains.
-//  - kFixed: when nonzero it is the compile-time limb count, and the hot
-//    modulus widths (dispatched in montMulRaw) get fully static trip counts
-//    and addressing -- worth ~20% over the runtime-k form at 16 limbs.
-//    kFixed == 0 falls back to the runtime count in kRuntime.
-// The i = 0 row is peeled: t starts at zero, so the first product row needs
-// no accumulator loads, which also replaces the explicit zero-fill.
-// (A BMI2/mulx target_clones variant and a fused FIOS pass were both tried
-// and measured slower than this plain unrolled form, so the kernel stays
-// single-version and two-pass.)
-template <std::size_t kFixed>
-void ciosKernelImpl(const Limb* __restrict a, const Limb* __restrict b,
-                    Limb* __restrict t, const Limb* __restrict m,
-                    const Limb mPrime, const std::size_t kRuntime) {
-  const std::size_t k = kFixed != 0 ? kFixed : kRuntime;
-
-  // Row i = 0: t = a_0 * b, then one reduction pass.
-  {
-    const Limb a0 = a[0];
-    Limb carry = 0;
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < k; ++j) {
-      DLimb cur = static_cast<DLimb>(a0) * b[j] + carry;
-      t[j] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> kLimbBits);
-    }
-    t[k] = carry;
-
-    const Limb u = t[0] * mPrime;
-    DLimb cur0 = static_cast<DLimb>(t[0]) + static_cast<DLimb>(u) * m[0];
-    carry = static_cast<Limb>(cur0 >> kLimbBits);  // Low word is zero by construction.
-#pragma GCC unroll 8
-    for (std::size_t j = 1; j < k; ++j) {
-      DLimb cur = static_cast<DLimb>(t[j]) + static_cast<DLimb>(u) * m[j] + carry;
-      t[j - 1] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> kLimbBits);
-    }
-    DLimb tail = static_cast<DLimb>(t[k]) + carry;
-    t[k - 1] = static_cast<Limb>(tail);
-    t[k] = static_cast<Limb>(tail >> kLimbBits);
-    t[k + 1] = 0;
-  }
-
-  for (std::size_t i = 1; i < k; ++i) {
-    const Limb ai = a[i];
-
-    // t += a_i * b.
-    Limb carry = 0;
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < k; ++j) {
-      DLimb cur = static_cast<DLimb>(t[j]) + static_cast<DLimb>(ai) * b[j] + carry;
-      t[j] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> kLimbBits);
-    }
-    DLimb top = static_cast<DLimb>(t[k]) + carry;
-    t[k] = static_cast<Limb>(top);
-    t[k + 1] = static_cast<Limb>(top >> kLimbBits);
-
-    // u = t[0] * mPrime mod B; t += u * m; then shift one limb down.
-    const Limb u = t[0] * mPrime;
-    DLimb cur0 = static_cast<DLimb>(t[0]) + static_cast<DLimb>(u) * m[0];
-    carry = static_cast<Limb>(cur0 >> kLimbBits);  // Low word is zero by construction.
-#pragma GCC unroll 8
-    for (std::size_t j = 1; j < k; ++j) {
-      DLimb cur = static_cast<DLimb>(t[j]) + static_cast<DLimb>(u) * m[j] + carry;
-      t[j - 1] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> kLimbBits);
-    }
-    DLimb tail = static_cast<DLimb>(t[k]) + carry;
-    t[k - 1] = static_cast<Limb>(tail);
-    t[k] = t[k + 1] + static_cast<Limb>(tail >> kLimbBits);
-    t[k + 1] = 0;
-  }
-
-  // Result is in t[0..k] with t[k] in {0, 1} and value < 2m.
-  if (t[k] != 0 || compareRaw(t, m, k) >= 0) {
-    subModulusRaw(t, m, k);
-  }
-  t[k] = 0;
+  std::vector<Limb> t(mod.k + 2);
+  mont::mul<0>(mod, a, b, t.data());
+  std::copy_n(t.data(), mod.k, out);
 }
 
 }  // namespace
@@ -157,92 +65,82 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus) : m_(std::move(modulus)) {
   one_.limbs_ = paddedWords(rModM, numLimbs_);
   rSquared_.limbs_ = paddedWords(rSquared, numLimbs_);
   zero_.limbs_.assign(numLimbs_, 0);
-  plainOne_.assign(numLimbs_, 0);
-  plainOne_[0] = 1;
 }
 
-void MontgomeryContext::montMulRaw(const Limb* __restrict a, const Limb* __restrict b,
-                                   Limb* __restrict t) const {
-  // Dispatch the widths the protocols actually hit to fixed-k instances:
-  // k <= 2 covers every n^(n+2) hash prime up to n = 16, k = 4/8/16 the
-  // 256/512/1024-bit Miller-Rabin and benchmark operands. Anything else
-  // (e.g. 4096-bit stress sizes) takes the runtime-k fallback.
-  const Limb* m = m_.words().data();
-  switch (numLimbs_) {
-    case 1:  ciosKernelImpl<1>(a, b, t, m, mPrime_, 1); break;
-    case 2:  ciosKernelImpl<2>(a, b, t, m, mPrime_, 2); break;
-    case 3:  ciosKernelImpl<3>(a, b, t, m, mPrime_, 3); break;
-    case 4:  ciosKernelImpl<4>(a, b, t, m, mPrime_, 4); break;
-    case 8:  ciosKernelImpl<8>(a, b, t, m, mPrime_, 8); break;
-    case 16: ciosKernelImpl<16>(a, b, t, m, mPrime_, 16); break;
-    default: ciosKernelImpl<0>(a, b, t, m, mPrime_, numLimbs_); break;
+void MontgomeryContext::mulRaw(const Limb* a, const Limb* b, Limb* out) const {
+  const mont::Modulus mod = kernelModulus();
+  mont::dispatch(numLimbs_, [&](auto width) {
+    constexpr std::size_t K = decltype(width)::value;
+    if constexpr (K != 0) {
+      Limb t[K + 2] = {};
+      mont::mul<K>(mod, a, b, t);
+      std::copy_n(t, K, out);
+    } else {
+      mulRuntimeWidth(mod, a, b, out);
+    }
+  });
+}
+
+void MontgomeryContext::padReduced(const BigUInt& x, Limb* out) const {
+  std::fill(out, out + numLimbs_, 0);
+  if (x < m_) {
+    const auto words = x.words();
+    std::copy(words.begin(), words.end(), out);
+  } else {
+    BigUInt reduced = x % m_;
+    const auto words = reduced.words();
+    std::copy(words.begin(), words.end(), out);
   }
 }
 
 const MontgomeryContext::Limb* MontgomeryContext::stagePlain(const BigUInt& x,
                                                              Scratch& scratch) const {
   if (scratch.stage.size() < numLimbs_) scratch.stage.resize(numLimbs_);
-  std::fill(scratch.stage.begin(), scratch.stage.begin() + numLimbs_, 0);
-  if (x < m_) {
-    const auto words = x.words();
-    std::copy(words.begin(), words.end(), scratch.stage.begin());
-  } else {
-    BigUInt reduced = x % m_;
-    const auto words = reduced.words();
-    std::copy(words.begin(), words.end(), scratch.stage.begin());
-  }
+  padReduced(x, scratch.stage.data());
   return scratch.stage.data();
 }
 
+void MontgomeryContext::toRaw(const BigUInt& x, Limb* out) const {
+  padReduced(x, out);
+  mulRaw(out, rSquared_.limbs_.data(), out);
+}
+
 void MontgomeryContext::toValue(const BigUInt& x, MontgomeryValue& out,
-                                Scratch& scratch) const {
-  const std::size_t k = numLimbs_;
-  const Limb* staged = stagePlain(x, scratch);
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  montMulRaw(staged, rSquared_.limbs_.data(), scratch.t.data());
-  out.limbs_.resize(k);
-  std::copy(scratch.t.begin(), scratch.t.begin() + k, out.limbs_.begin());
+                                Scratch& /*scratch*/) const {
+  out.limbs_.resize(numLimbs_);
+  toRaw(x, out.limbs_.data());
 }
 
 MontgomeryValue MontgomeryContext::toValue(const BigUInt& x) const {
-  thread_local Scratch scratch;
   MontgomeryValue out;
-  toValue(x, out, scratch);
+  out.limbs_.resize(numLimbs_);
+  toRaw(x, out.limbs_.data());
   return out;
 }
 
+BigUInt MontgomeryContext::rawToPlain(const Limb* v) const {
+  const mont::Modulus mod = kernelModulus();
+  return BigUInt::fromWords(numLimbs_, [&](std::span<Limb> out) {
+    mont::dispatch(numLimbs_, [&](auto width) {
+      mont::redc<decltype(width)::value>(mod, v, out.data());
+    });
+  });
+}
+
 BigUInt MontgomeryContext::fromValue(const MontgomeryValue& v) const {
-  thread_local std::vector<Limb> t;
-  const std::size_t k = numLimbs_;
-  if (t.size() < k + 2) t.resize(k + 2);
-  montMulRaw(v.limbs_.data(), plainOne_.data(), t.data());
-  return BigUInt::fromWords(std::span<const Limb>(t.data(), k));
+  return rawToPlain(v.limbs_.data());
 }
 
 void MontgomeryContext::mulValue(const MontgomeryValue& a, const MontgomeryValue& b,
-                                 MontgomeryValue& out, Scratch& scratch) const {
-  const std::size_t k = numLimbs_;
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  montMulRaw(a.limbs_.data(), b.limbs_.data(), scratch.t.data());
-  out.limbs_.resize(k);
-  std::copy(scratch.t.begin(), scratch.t.begin() + k, out.limbs_.begin());
+                                 MontgomeryValue& out, Scratch& /*scratch*/) const {
+  out.limbs_.resize(numLimbs_);
+  mulRaw(a.limbs_.data(), b.limbs_.data(), out.limbs_.data());
 }
 
 void MontgomeryContext::addValue(const MontgomeryValue& a, const MontgomeryValue& b,
                                  MontgomeryValue& out) const {
-  const std::size_t k = numLimbs_;
-  const Limb* m = m_.words().data();
-  out.limbs_.resize(k);
-  const Limb* ap = a.limbs_.data();
-  const Limb* bp = b.limbs_.data();
-  Limb* op = out.limbs_.data();
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    DLimb cur = static_cast<DLimb>(ap[i]) + bp[i] + carry;
-    op[i] = static_cast<Limb>(cur);
-    carry = static_cast<Limb>(cur >> kLimbBits);
-  }
-  if (carry || compareRaw(op, m, k) >= 0) subModulusRaw(op, m, k);
+  out.limbs_.resize(numLimbs_);
+  addRaw(a.limbs_.data(), b.limbs_.data(), out.limbs_.data());
 }
 
 void MontgomeryContext::subValue(const MontgomeryValue& a, const MontgomeryValue& b,
@@ -273,59 +171,31 @@ void MontgomeryContext::subValue(const MontgomeryValue& a, const MontgomeryValue
   }
 }
 
-void MontgomeryContext::mulRaw(const Limb* a, const Limb* b, Limb* out,
-                               Scratch& scratch) const {
-  const std::size_t k = numLimbs_;
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  montMulRaw(a, b, scratch.t.data());
-  std::copy(scratch.t.begin(), scratch.t.begin() + k, out);
-}
-
 void MontgomeryContext::addRaw(const Limb* a, const Limb* b, Limb* out) const {
-  const std::size_t k = numLimbs_;
-  const Limb* m = m_.words().data();
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    DLimb cur = static_cast<DLimb>(a[i]) + b[i] + carry;
-    out[i] = static_cast<Limb>(cur);
-    carry = static_cast<Limb>(cur >> kLimbBits);
-  }
-  if (carry || compareRaw(out, m, k) >= 0) subModulusRaw(out, m, k);
+  const mont::Modulus mod = kernelModulus();
+  mont::dispatch(numLimbs_, [&](auto width) {
+    mont::add<decltype(width)::value>(mod, a, b, out);
+  });
 }
 
-void MontgomeryContext::valueToRaw(const MontgomeryValue& v, Limb* out) const {
-  std::copy(v.limbs_.begin(), v.limbs_.end(), out);
-}
-
-BigUInt MontgomeryContext::rawToPlain(const Limb* v) const {
-  thread_local std::vector<Limb> t;
-  const std::size_t k = numLimbs_;
-  if (t.size() < k + 2) t.resize(k + 2);
-  montMulRaw(v, plainOne_.data(), t.data());
-  return BigUInt::fromWords(std::span<const Limb>(t.data(), k));
-}
-
-void MontgomeryContext::buildWindowTable(const Limb* base, unsigned wMax, Limb* table,
-                                         Limb* t) const {
+void MontgomeryContext::buildWindowTable(const Limb* base, unsigned wMax,
+                                         Limb* table) const {
   const std::size_t k = numLimbs_;
   std::copy(one_.limbs_.begin(), one_.limbs_.end(), table);
   if (wMax >= 1) std::copy(base, base + k, table + k);
   for (unsigned w = 2; w <= wMax; ++w) {
-    montMulRaw(table + (w - 1) * k, table + k, t);
-    std::copy(t, t + k, table + w * k);
+    mulRaw(table + (w - 1) * k, table + k, table + w * k);
   }
 }
 
 void MontgomeryContext::powWithTable(const Limb* table, const BigUInt& exponent,
-                                     MontgomeryValue& out, Scratch& scratch) const {
+                                     MontgomeryValue& out) const {
   const std::size_t k = numLimbs_;
   const std::size_t bits = exponent.bitLength();
   if (bits == 0) {
     out.limbs_ = one_.limbs_;
     return;
   }
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  Limb* t = scratch.t.data();
 
   auto windowAt = [&](std::size_t w) {
     unsigned value = 0;
@@ -338,18 +208,13 @@ void MontgomeryContext::powWithTable(const Limb* table, const BigUInt& exponent,
 
   const std::size_t nWindows = (bits + 3) / 4;
   out.limbs_.resize(k);
+  Limb* acc = out.limbs_.data();
   const unsigned topWindow = windowAt(nWindows - 1);
-  std::copy(table + topWindow * k, table + (topWindow + 1) * k, out.limbs_.begin());
+  std::copy(table + topWindow * k, table + (topWindow + 1) * k, acc);
   for (std::size_t w = nWindows - 1; w-- > 0;) {
-    for (int square = 0; square < 4; ++square) {
-      montMulRaw(out.limbs_.data(), out.limbs_.data(), t);
-      std::copy(t, t + k, out.limbs_.begin());
-    }
+    for (int square = 0; square < 4; ++square) mulRaw(acc, acc, acc);
     const unsigned value = windowAt(w);
-    if (value) {
-      montMulRaw(out.limbs_.data(), table + value * k, t);
-      std::copy(t, t + k, out.limbs_.begin());
-    }
+    if (value) mulRaw(acc, table + value * k, acc);
   }
 }
 
@@ -361,43 +226,39 @@ void MontgomeryContext::powValue(const MontgomeryValue& base, const BigUInt& exp
     out.limbs_ = one_.limbs_;
     return;
   }
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
   if (scratch.table.size() < 16 * k) scratch.table.resize(16 * k);
   // table[w] = base^w in-domain; small exponents only need a prefix.
   const unsigned wMax = bits >= 4 ? 15u : static_cast<unsigned>((1u << bits) - 1);
-  buildWindowTable(base.limbs_.data(), wMax, scratch.table.data(), scratch.t.data());
-  powWithTable(scratch.table.data(), exponent, out, scratch);
+  buildWindowTable(base.limbs_.data(), wMax, scratch.table.data());
+  powWithTable(scratch.table.data(), exponent, out);
 }
 
 void MontgomeryContext::prepareWindow(const MontgomeryValue& base, PowWindow& window,
-                                      Scratch& scratch) const {
-  const std::size_t k = numLimbs_;
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  window.table.resize(16 * k);
-  buildWindowTable(base.limbs_.data(), 15, window.table.data(), scratch.t.data());
-  window.limbs = k;
+                                      Scratch& /*scratch*/) const {
+  window.table.resize(16 * numLimbs_);
+  buildWindowTable(base.limbs_.data(), 15, window.table.data());
+  window.limbs = numLimbs_;
 }
 
 void MontgomeryContext::powValueWindowed(const PowWindow& window,
                                          const BigUInt& exponent, MontgomeryValue& out,
-                                         Scratch& scratch) const {
+                                         Scratch& /*scratch*/) const {
   if (window.limbs != numLimbs_) {
     throw std::logic_error("powValueWindowed: window not built for this context");
   }
-  powWithTable(window.table.data(), exponent, out, scratch);
+  powWithTable(window.table.data(), exponent, out);
 }
 
 BigUInt MontgomeryContext::mulMod(const BigUInt& a, const BigUInt& b) const {
   thread_local Scratch scratch;
   thread_local MontgomeryValue bMont;
-  const std::size_t k = numLimbs_;
   // a * Mont(b) under one more REDC is a * b * R * R^-1 = a * b mod m: two
   // REDC passes total and no convert-out.
   toValue(b, bMont, scratch);
   const Limb* staged = stagePlain(a, scratch);
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  montMulRaw(staged, bMont.limbs_.data(), scratch.t.data());
-  return BigUInt::fromWords(std::span<const Limb>(scratch.t.data(), k));
+  return BigUInt::fromWords(numLimbs_, [&](std::span<Limb> out) {
+    mulRaw(staged, bMont.limbs_.data(), out.data());
+  });
 }
 
 BigUInt MontgomeryContext::powMod(const BigUInt& base, const BigUInt& exponent) const {
@@ -410,19 +271,12 @@ BigUInt MontgomeryContext::powMod(const BigUInt& base, const BigUInt& exponent) 
 }
 
 BigUInt MontgomeryContext::toMontgomery(const BigUInt& x) const {
-  thread_local Scratch scratch;
-  thread_local MontgomeryValue xMont;
-  toValue(x, xMont, scratch);
-  return BigUInt::fromWords(xMont.limbs_);
+  return BigUInt::fromWords(toValue(x).limbs_);
 }
 
 BigUInt MontgomeryContext::fromMontgomery(const BigUInt& x) const {
   thread_local Scratch scratch;
-  const std::size_t k = numLimbs_;
-  const Limb* staged = stagePlain(x, scratch);
-  if (scratch.t.size() < k + 2) scratch.t.resize(k + 2);
-  montMulRaw(staged, plainOne_.data(), scratch.t.data());
-  return BigUInt::fromWords(std::span<const Limb>(scratch.t.data(), k));
+  return rawToPlain(stagePlain(x, scratch));
 }
 
 // --- BarrettContext -------------------------------------------------------

@@ -16,6 +16,10 @@
 //    the end. Montgomery form is linear, so in-domain add/sub are ordinary
 //    modular add/sub, and equality in-domain is equality of residues.
 //
+// Every product, sum and convert-out runs through the flat-limb kernels of
+// util/mont_kernels.hpp; the context's methods are thin dispatchers that
+// pick the kernel width and stage through stack accumulators.
+//
 // BarrettContext covers fixed moduli of either parity (HAC Algorithm 14.42)
 // for the paths Montgomery cannot serve (even moduli).
 #pragma once
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "util/biguint.hpp"
+#include "util/mont_kernels.hpp"
 
 namespace dip::util {
 
@@ -50,13 +55,13 @@ class MontgomeryContext {
  public:
   using Limb = BigUInt::Limb;
 
-  // Flat caller-provided scratch, lazily sized to the context: t is the
-  // CIOS accumulator (k + 2 limbs), table the fixed-window powMod table
-  // (16 * k limbs), stage the padded plain-operand buffer (k limbs).
+  // Flat caller-provided scratch, lazily sized to the context: table is
+  // the fixed-window powMod table (16 * k limbs), stage the padded
+  // plain-operand buffer (k limbs). CIOS accumulators live on the stack, so
+  // the calls that only multiply take a Scratch without touching it.
   // Reusing one Scratch across a hash chain keeps the steady state
   // allocation-free; a Scratch may serve contexts of any size.
   struct Scratch {
-    std::vector<Limb> t;
     std::vector<Limb> table;
     std::vector<Limb> stage;
   };
@@ -66,6 +71,9 @@ class MontgomeryContext {
 
   const BigUInt& modulus() const { return m_; }
   std::size_t numLimbs() const { return numLimbs_; }
+  // The modulus as the flat-limb kernels take it (valid while the context
+  // lives).
+  mont::Modulus kernelModulus() const { return {m_.words().data(), mPrime_, numLimbs_}; }
 
   // --- In-domain value API -----------------------------------------------
 
@@ -105,21 +113,21 @@ class MontgomeryContext {
   void powValueWindowed(const PowWindow& window, const BigUInt& exponent,
                         MontgomeryValue& out, Scratch& scratch) const;
 
-  // --- Raw-limb batch API --------------------------------------------------
+  // --- Raw-limb API ------------------------------------------------------
   //
-  // The batch hash engine keeps its power tables as flat numLimbs()-limb
-  // little-endian residues in caller-owned storage (an arena), not as
-  // MontgomeryValue heap vectors. These entry points run the same CIOS
-  // kernels on such slices. Every pointer addresses exactly numLimbs()
-  // limbs holding an in-domain residue < m; out may alias a or b (products
-  // stage through scratch.t, adds are limb-parallel).
+  // One-off calls on flat numLimbs()-limb little-endian residues in
+  // caller-owned storage; each dispatches to its kernel width per call.
+  // (Loops over many residues call the mont:: kernels directly, inside one
+  // mont::dispatch.) Every pointer addresses exactly numLimbs() limbs
+  // holding an in-domain residue < m; out may alias a or b (products stage
+  // through a stack accumulator, adds are limb-parallel).
 
   // out = a * b in-domain (one REDC).
-  void mulRaw(const Limb* a, const Limb* b, Limb* out, Scratch& scratch) const;
+  void mulRaw(const Limb* a, const Limb* b, Limb* out) const;
   // out = a + b mod m, in-domain.
   void addRaw(const Limb* a, const Limb* b, Limb* out) const;
-  // Copies a value's limbs into a raw slice / reads them back out.
-  void valueToRaw(const MontgomeryValue& v, Limb* out) const;
+  // out = x * R mod m (reduces x mod m first if needed).
+  void toRaw(const BigUInt& x, Limb* out) const;
   BigUInt rawToPlain(const Limb* v) const;  // Convert-out (one REDC).
 
   // --- Plain-domain compat API -------------------------------------------
@@ -135,26 +143,19 @@ class MontgomeryContext {
   BigUInt fromMontgomery(const BigUInt& x) const;  // x * R^-1 mod m.
 
  private:
-  // CIOS REDC product into t (k + 2 limbs): t = a * b * R^-1 mod m, with a
-  // and b exactly k limbs. On return t[0..k) holds the reduced result.
-  // t never aliases a, b, or the modulus; a may equal b (squaring) since
-  // both are read-only.
-  void montMulRaw(const Limb* __restrict a, const Limb* __restrict b,
-                  Limb* __restrict t) const;
-  // Fills table[w] = Mont(base^w) for w in [0, wMax]; t is a k + 2 limb
-  // accumulator. The shared ladder below only dereferences entries a window
-  // of the exponent can name, so small exponents get away with a prefix.
-  void buildWindowTable(const Limb* base, unsigned wMax, Limb* table, Limb* t) const;
+  // Fills table[w] = Mont(base^w) for w in [0, wMax]. The shared ladder
+  // below only dereferences entries a window of the exponent can name, so
+  // small exponents get away with a prefix.
+  void buildWindowTable(const Limb* base, unsigned wMax, Limb* table) const;
   // The 4-bit-window ladder over a prepared table (powValue's second half).
-  void powWithTable(const Limb* table, const BigUInt& exponent, MontgomeryValue& out,
-                    Scratch& scratch) const;
-  // Pads a reduced plain value (< m) to k limbs in scratch.stage.
+  void powWithTable(const Limb* table, const BigUInt& exponent, MontgomeryValue& out) const;
+  // x mod m, zero-padded to k limbs, into out / into scratch.stage.
+  void padReduced(const BigUInt& x, Limb* out) const;
   const Limb* stagePlain(const BigUInt& x, Scratch& scratch) const;
 
   BigUInt m_;
   std::size_t numLimbs_ = 0;    // k: limbs of m.
   Limb mPrime_ = 0;             // -m^-1 mod 2^kLimbBits.
-  std::vector<Limb> plainOne_;  // 1, padded to k limbs (for fromValue).
   MontgomeryValue one_;         // R mod m (Montgomery form of 1).
   MontgomeryValue zero_;
   MontgomeryValue rSquared_;    // R^2 mod m (raw limbs; toValue multiplier).

@@ -14,6 +14,9 @@
 // different allocation profile by design) and under a sanitizer runtime
 // (which replaces operator new itself and allocates for its own
 // bookkeeping).
+//
+// The Montgomery batch entry points are held to zero: after warm-up,
+// hashing rows on a multi-limb field must not touch the heap at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,9 +26,11 @@
 #include <new>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/sym_dam.hpp"
 #include "graph/generators.hpp"
+#include "hash/batch_eval.hpp"
 #include "hash/linear_hash.hpp"
 #include "sim/acceptance.hpp"
 #include "sim/trial.hpp"
@@ -131,6 +136,35 @@ TEST(AllocBudget, Protocol2AtSixteenNodesWithinCeiling) {
   });
   RecordProperty("allocations_per_trial", std::to_string(perTrial));
   EXPECT_LE(perTrial, kMeasured * kHeadroom);
+}
+
+TEST(AllocBudget, MontgomeryBatchRowsAllocateNothingWhenWarm) {
+  if (kSkipReason != nullptr) GTEST_SKIP() << kSkipReason;
+  // Protocol 2's n = 16 field (78 bits, two Montgomery limbs), rebinding
+  // between two indices the way consecutive trials do.
+  constexpr std::size_t kN = 16;
+  const hash::LinearHashFamily family = hash::makeProtocol2FamilyCached(kN);
+  ASSERT_FALSE(family.prime().fitsU64());
+  util::Rng rng(4100 + kN);
+  const graph::Graph graph = graph::randomSymmetricConnected(kN, rng);
+  std::vector<std::uint64_t> rowIndices;
+  std::vector<util::DynBitset> rows;
+  for (graph::Vertex v = 0; v < kN; ++v) {
+    rowIndices.push_back(v);
+    rows.push_back(graph.closedRow(v));
+  }
+  const util::BigUInt indices[2] = {family.randomIndex(rng), family.randomIndex(rng)};
+  hash::BatchLinearHashEvaluator evaluator;
+  std::vector<util::BigUInt> out;
+  util::BigUInt total;
+  const double perRound = allocationsPerTrial([&](std::size_t rounds) {
+    for (std::size_t i = 0; i < rounds; ++i) {
+      evaluator.rebind(family, indices[i % 2]);
+      evaluator.hashMatrixRows(rowIndices, rows, kN, out);
+      total = evaluator.accumulateMatrixRows(rowIndices, rows, kN);
+    }
+  });
+  EXPECT_EQ(perRound, 0.0);
 }
 
 }  // namespace

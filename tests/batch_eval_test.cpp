@@ -4,8 +4,9 @@
 // engines and demands bit-identical results, across all three backends:
 //   - kU64: random moduli anywhere below 2^64 (k = 1 limb);
 //   - kMontgomery: random ODD wider moduli at k = 2, 3, 4, 8 and 16 limbs —
-//     the fixed-k CIOS kernel widths (the context does not require
-//     primality, so no prime search in the hot test loop);
+//     the fixed-k CIOS kernel widths — and at 5 and 17, which run the
+//     runtime-k instance (the context does not require primality, so no
+//     prime search in the hot test loop);
 //   - kPlain: random EVEN wider moduli (the placeholder-field backend).
 // The many-seeds path additionally sweeps every lane remainder around
 // kLanes so partial final blocks are exercised, not just full ones.
@@ -16,25 +17,39 @@
 // 10^4-case sweep, and the u64 backend's AVX2 residue lanes are pinned
 // against the portable kernel at every gather-tail remainder.
 //
+// The Montgomery backend's flat-limb loops get their own edge suite: dense
+// all-ones rows up to n = 64, moduli whose top limb is all ones (no
+// headroom, so row sums must reduce per add) and a prime exactly at the
+// lazy-sum boundary bitLength(p) + bitWidth(n) = 64k.
+// The shared per-thread chain evaluator is checked across the rebind
+// pattern of one trial (prover, adversary, verifier).
+//
 // CI runs this suite under ASan/UBSan (full ctest) and TSan (the sanitizer
 // preset's regex includes batch_eval).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
+#include "core/sym_dam.hpp"
+#include "core/sym_dmam.hpp"
+#include "graph/generators.hpp"
+#include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "hash/linear_hash.hpp"
+#include "net/spanning.hpp"
 #include "util/biguint.hpp"
 #include "util/bitset.hpp"
+#include "util/primes.hpp"
 #include "util/rng.hpp"
 
 namespace dip::hash {
 namespace {
 
 // Total (seed, input) matrices per differential test; the Montgomery sweep
-// splits its budget evenly across the five kernel widths.
+// splits its budget evenly across its limb widths.
 constexpr int kMatrixCases = 10000;
 
 util::DynBitset randomBits(util::Rng& rng, std::size_t size) {
@@ -121,11 +136,12 @@ TEST(batch_eval, MontgomeryMatrixRowsMatchScalarAllKernelWidths) {
   util::Rng rng(0xBA7C4002ull);
   BatchLinearHashEvaluator batch;
   LinearHashEvaluator scalar;
-  const std::size_t kernelWidths[] = {2, 3, 4, 8, 16};
+  const std::size_t kernelWidths[] = {2, 3, 4, 5, 8, 16, 17};
   // A handful of moduli per width (context construction is the expensive
   // part), many (seed, input) matrices per modulus.
   const int modsPerWidth = 20;
-  const int casesPerMod = kMatrixCases / (5 * modsPerWidth);
+  const int casesPerMod =
+      kMatrixCases / (static_cast<int>(std::size(kernelWidths)) * modsPerWidth);
   for (std::size_t k : kernelWidths) {
     for (int m = 0; m < modsPerWidth; ++m) {
       const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/true);
@@ -421,6 +437,155 @@ TEST(batch_eval, ToggleChangesStrategyNotValues) {
   setBatchEnabled(true);
   runMatrixCase(rng, util::BigUInt{100003}, util::BigUInt{54321}, batch, scalar);
   setBatchEnabled(saved);
+}
+
+// ---- Montgomery flat-limb loops: widths, density and the lazy boundary ----
+
+// Every row of an n x n matrix, all ones: each row sum has exactly n terms,
+// the most a row can carry.
+void runDenseRows(const util::BigUInt& p, const util::BigUInt& a, std::uint64_t n,
+                  BatchLinearHashEvaluator& batch, LinearHashEvaluator& scalar) {
+  batch.rebind(p, n * n, a);
+  scalar.rebind(p, n * n, a);
+  std::vector<std::uint64_t> rowIndices;
+  std::vector<util::DynBitset> rows;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    rowIndices.push_back(r);
+    util::DynBitset row(n);
+    for (std::uint64_t w = 0; w < n; ++w) row.set(w);
+    rows.push_back(std::move(row));
+  }
+  std::vector<util::BigUInt> got;
+  batch.hashMatrixRows(rowIndices, rows, n, got);
+  util::BigUInt sum;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    const util::BigUInt want = scalar.hashMatrixRow(r, rows[r], n);
+    ASSERT_EQ(got[r].toHex(), want.toHex()) << "p=" << p.toHex() << " n=" << n << " row " << r;
+    ASSERT_EQ(batch.hashMatrixRow(r, rows[r], n).toHex(), want.toHex());
+    sum = util::addMod(sum, want, p);
+  }
+  ASSERT_EQ(batch.accumulateMatrixRows(rowIndices, rows, n).toHex(), sum.toHex())
+      << "p=" << p.toHex() << " n=" << n;
+  std::vector<util::BigUInt> bitsGot;
+  batch.hashBitsMany(rows, bitsGot);
+  ASSERT_EQ(bitsGot[0].toHex(), scalar.hashBits(rows[0]).toHex()) << "n=" << n;
+}
+
+TEST(batch_eval, MontgomeryDenseRowsMatchScalarUpToSixtyFour) {
+  util::Rng rng(0xBA7C400Dull);
+  BatchLinearHashEvaluator batch;
+  LinearHashEvaluator scalar;
+  for (std::size_t k : {2u, 3u, 4u, 5u, 8u, 16u}) {
+    const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/true);
+    for (std::uint64_t n = 1; n <= 64; ++n) {
+      runDenseRows(p, randomBelow(rng, p, k), n, batch, scalar);
+    }
+  }
+}
+
+TEST(batch_eval, MontgomeryTopLimbAllOnesReducesEveryAdd) {
+  // bitLength(p) = 64k leaves no headroom: a lazy row sum of two residues
+  // near R would wrap, so the engine must take the per-add reduction. Dense
+  // rows make the wrap certain if it did not.
+  util::Rng rng(0xBA7C400Eull);
+  BatchLinearHashEvaluator batch;
+  LinearHashEvaluator scalar;
+  for (std::size_t k : {2u, 3u, 4u, 5u, 8u, 16u}) {
+    for (int m = 0; m < 3; ++m) {
+      std::vector<std::uint64_t> words(k);
+      for (auto& word : words) word = rng.nextU64();
+      words.back() = ~std::uint64_t{0};
+      words.front() |= 1;
+      const util::BigUInt p = util::BigUInt::fromWords(words);
+      for (std::uint64_t n : {2u, 3u, 16u, 33u, 64u}) {
+        runDenseRows(p, randomBelow(rng, p, k), n, batch, scalar);
+      }
+      for (int c = 0; c < 20; ++c) runMatrixCase(rng, p, randomBelow(rng, p, k), batch, scalar);
+    }
+  }
+}
+
+TEST(batch_eval, MontgomeryLazyBoundaryPrime) {
+  // A 123-bit prime just below 2^123: bitLength(p) + bitWidth(n) = 128 for
+  // n in [16, 31], the widest rows whose unreduced sums still fit two limbs;
+  // n = 32 crosses the boundary and must reduce per add.
+  util::Rng rng(0xBA7C400Full);
+  const util::BigUInt hi = (util::BigUInt{1} << 123) - util::BigUInt{1};
+  const util::BigUInt lo = hi - (util::BigUInt{1} << 40);
+  const util::BigUInt p = util::findPrimeInRange(lo, hi, rng);
+  ASSERT_EQ(p.bitLength(), 123u);
+  BatchLinearHashEvaluator batch;
+  LinearHashEvaluator scalar;
+  for (std::uint64_t n : {15u, 16u, 31u, 32u, 33u}) {
+    for (int c = 0; c < 8; ++c) runDenseRows(p, randomBelow(rng, p, 2), n, batch, scalar);
+  }
+  // The largest index gives the largest column powers' spread.
+  runDenseRows(p, p - util::BigUInt{1}, 31, batch, scalar);
+}
+
+TEST(batch_eval, SharedChainEvaluatorSurvivesInterleavedRebinds) {
+  // One trial's rebind pattern on the shared per-thread evaluator: the
+  // prover hashes under index a, an adversary fingerprints candidate maps
+  // under a' (mappedMatrixFingerprint), then the verifier hashes under a
+  // again. Every value must equal a fresh evaluator's, so a table left over
+  // from a' (or a rebind that wrongly short-circuits) fails here.
+  for (const std::size_t n : {6u, 16u}) {
+    const LinearHashFamily family = n == 16 ? makeProtocol2FamilyCached(n)
+                                            : makeProtocol1FamilyCached(n);
+    util::Rng rng(0xBA7C4010ull + n);
+    const graph::Graph g = graph::randomSymmetricConnected(n, rng);
+    const auto rho = graph::findNontrivialAutomorphism(g);
+    ASSERT_TRUE(rho.has_value());
+    const net::SpanningTreeAdvice tree = net::buildBfsTree(g, 0);
+    std::vector<std::uint64_t> rowIndices;
+    std::vector<util::DynBitset> rows;
+    for (graph::Vertex v = 0; v < n; ++v) {
+      rowIndices.push_back((*rho)[v]);
+      rows.push_back(graph::Graph::imageOf(g.closedRow(v), *rho));
+    }
+    BatchLinearHashEvaluator& shared = threadChainEvaluator();
+    for (int round = 0; round < 20; ++round) {
+      const util::BigUInt a = family.randomIndex(rng);
+      const util::BigUInt aPrime = family.randomIndex(rng);
+      std::vector<graph::Vertex> sigma(n);
+      for (auto& s : sigma) s = static_cast<graph::Vertex>(rng.nextBelow(n));
+
+      const core::ChainValues chains = core::aggregateChains(g, family, a, *rho, tree);
+      const util::BigUInt fingerprint = core::mappedMatrixFingerprint(g, family, aPrime, sigma);
+      shared.rebind(family, a);
+      std::vector<util::BigUInt> verifierRows;
+      shared.hashMatrixRows(rowIndices, rows, n, verifierRows);
+
+      BatchLinearHashEvaluator fresh;
+      fresh.rebind(family, a);
+      std::vector<util::BigUInt> wantRows;
+      fresh.hashMatrixRows(rowIndices, rows, n, wantRows);
+      ASSERT_EQ(verifierRows, wantRows) << "n=" << n << " round " << round;
+
+      // The prover's chains: subtree sums of the same row hashes.
+      BatchLinearHashEvaluator freshChains;
+      freshChains.rebind(family, a);
+      std::vector<util::BigUInt> wantB;
+      freshChains.hashMatrixRows(rowIndices, rows, n, wantB);
+      for (graph::Vertex v : net::bottomUpOrder(tree)) {
+        net::forEachChild(g, tree, v, [&](graph::Vertex child) {
+          util::addModInPlace(wantB[v], wantB[child], family.prime());
+        });
+      }
+      ASSERT_EQ(chains.b, wantB) << "n=" << n << " round " << round;
+
+      BatchLinearHashEvaluator freshAdversary;
+      freshAdversary.rebind(family, aPrime);
+      std::vector<std::uint64_t> sigmaIndices;
+      std::vector<util::DynBitset> sigmaRows;
+      for (graph::Vertex v = 0; v < n; ++v) {
+        sigmaIndices.push_back(sigma[v]);
+        sigmaRows.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
+      }
+      ASSERT_EQ(fingerprint, freshAdversary.accumulateMatrixRows(sigmaIndices, sigmaRows, n))
+          << "n=" << n << " round " << round;
+    }
+  }
 }
 
 }  // namespace

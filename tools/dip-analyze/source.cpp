@@ -106,7 +106,8 @@ bool isTranscriptImpl(std::string_view path) {
 bool isSimPath(std::string_view path) { return path.starts_with("src/sim/"); }
 
 bool isHotPath(std::string_view path) {
-  return path.starts_with("src/hash/") || path == "src/util/montgomery.cpp";
+  return path.starts_with("src/hash/") || path == "src/util/montgomery.cpp" ||
+         path == "src/util/mont_kernels.hpp";
 }
 
 bool isTranscriptEncodePath(std::string_view path) {
