@@ -21,14 +21,6 @@ DSymDamProtocol::DSymDamProtocol(graph::DSymLayout layout, hash::LinearHashFamil
 bool DSymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
                                    const DSymMessage& msg,
                                    const util::BigUInt& ownChallenge) const {
-  return nodeDecisionAt(g, v, msg, ownChallenge, nullptr, nullptr);
-}
-
-bool DSymDamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
-                                     const DSymMessage& msg,
-                                     const util::BigUInt& ownChallenge,
-                                     const util::BigUInt* expectABase,
-                                     const util::BigUInt* expectBBase) const {
   const std::size_t n = g.numVertices();
   const util::BigUInt& p = family_.prime();
   if (n != layout_.numVertices) return false;
@@ -56,16 +48,16 @@ bool DSymDamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Chain verification with the FIXED sigma (locally computable from the
-  // public layout; precomputed once at protocol construction).
+  // public layout; precomputed once at protocol construction). The node's
+  // two own rows hash over the calling thread's shared power tables (see
+  // sym_dam).
   const graph::Permutation& sigma = sigma_;
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  batch.rebind(p, family_.dimension(), index);
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
-  expectA = expectABase ? expectABase[v]
-                        : family_.hashMatrixRow(index, v, g.closedRow(v), n);
-  expectB = expectBBase
-                ? expectBBase[v]
-                : family_.hashMatrixRow(index, sigma[v],
-                                        graph::Graph::imageOf(g.closedRow(v), sigma), n);
+  expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
+  expectB = batch.hashMatrixRow(sigma[v], graph::Graph::imageOf(g.closedRow(v), sigma), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;
@@ -135,52 +127,10 @@ RunResult DSymDamProtocol::run(const graph::Graph& g, DSymProver& prover,
                          [&] { return wire::encodeDSym(msg, n, family_, &net::roundArena()); });
 #endif
 
-  // Decisions. sigma is fixed by the public layout, so when the index
-  // broadcast is uniform (the honest/common case) all 2n verifier row
-  // hashes share one seed and batch over shared power tables; otherwise
-  // each node falls back to its scalar recomputation. Values are identical
-  // either way, only the evaluation strategy differs.
-  thread_local std::vector<util::BigUInt> baseA;
-  thread_local std::vector<util::BigUInt> baseB;
-  const util::BigUInt* preA = nullptr;
-  const util::BigUInt* preB = nullptr;
-  if (hash::batchEnabled()) {
-    const util::BigUInt& index = msg.indexPerNode[0];
-    bool uniform = index < family_.prime();
-    for (graph::Vertex v = 1; uniform && v < n; ++v) {
-      if (!(msg.indexPerNode[v] == index)) uniform = false;
-    }
-    if (uniform) {
-      const graph::Permutation& sigma = sigma_;
-      thread_local hash::BatchLinearHashEvaluator batch;
-      thread_local std::vector<std::uint64_t> aIdx;
-      thread_local std::vector<std::uint64_t> bIdx;
-      thread_local std::vector<util::DynBitset> aRows;
-      thread_local std::vector<util::DynBitset> bRows;
-      batch.rebind(family_.prime(), family_.dimension(), index);
-      aIdx.clear();
-      bIdx.clear();
-      aRows.clear();
-      bRows.clear();
-      aIdx.reserve(n);
-      bIdx.reserve(n);
-      aRows.reserve(n);
-      bRows.reserve(n);
-      for (graph::Vertex v = 0; v < n; ++v) {
-        aIdx.push_back(v);
-        aRows.push_back(g.closedRow(v));
-        bIdx.push_back(sigma[v]);
-        bRows.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
-      }
-      batch.hashMatrixRows(aIdx, aRows, n, baseA);
-      batch.hashMatrixRows(bIdx, bRows, n, baseB);
-      preA = baseA.data();
-      preB = baseB.data();
-    }
-  }
+  // Decisions: every node runs its own local check.
   result.accepted = true;
   for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecisionAt(g, v, msg, challenges[v], preA, preB)) {
+    if (!nodeDecision(g, v, msg, challenges[v])) {
       result.accepted = false;
       break;
     }

@@ -73,15 +73,6 @@ class DSymDamProtocol {
                     const util::BigUInt& ownChallenge) const;
 
  private:
-  // nodeDecision with optionally precomputed per-node row hashes (the
-  // expectA/expectB bases before child sums); run() supplies them from the
-  // batch engine when the index broadcast is uniform. Non-null pointers
-  // must hold exactly the values the scalar recomputation would produce.
-  bool nodeDecisionAt(const graph::Graph& g, graph::Vertex v, const DSymMessage& msg,
-                      const util::BigUInt& ownChallenge,
-                      const util::BigUInt* expectABase,
-                      const util::BigUInt* expectBBase) const;
-
   graph::DSymLayout layout_;
   hash::LinearHashFamily family_;
   // dsymSigma(layout_), fixed for the protocol's lifetime — the per-node

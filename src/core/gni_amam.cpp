@@ -144,11 +144,10 @@ bool GniAmamProtocol::nodeDecision(const GniInstance& instance, graph::Vertex v,
   // check-family pieces batch into table lookups. The GS piece stays on the
   // scalar evaluator: its seed changes every repetition, so shared tables
   // would rebuild per call.
-  const bool useBatch = hash::batchEnabled();
   thread_local hash::BatchLinearHashEvaluator checkBatch;
   thread_local std::vector<std::uint64_t> consRows;
   thread_local std::vector<std::uint64_t> consCols;
-  if (useBatch) checkBatch.rebind(params_.checkFamily, m2.checkSeed);
+  checkBatch.rebind(params_.checkFamily, m2.checkSeed);
 
   std::size_t claimedCount = 0;
   for (std::size_t j = 0; j < k; ++j) {
@@ -210,42 +209,23 @@ bool GniAmamProtocol::nodeDecision(const GniInstance& instance, graph::Vertex v,
     if (!chainOk(gsPiece, &GniM2PerNode::h, bigP)) return false;
 
     // (ii) Permutation check: identity side vs sigma side.
-    util::BigUInt permIPiece =
-        useBatch ? checkBatch.hashMatrixEntry(v, v, 1, n)
-                 : params_.checkFamily.hashMatrixEntry(m2.checkSeed, v, v, 1, n);
-    util::BigUInt permSPiece =
-        useBatch ? checkBatch.hashMatrixEntry(sv, sv, 1, n)
-                 : params_.checkFamily.hashMatrixEntry(m2.checkSeed, sv, sv, 1, n);
+    util::BigUInt permIPiece = checkBatch.hashMatrixEntry(v, v, 1, n);
+    util::BigUInt permSPiece = checkBatch.hashMatrixEntry(sv, sv, 1, n);
     if (!chainOk(permIPiece, &GniM2PerNode::permI, checkP)) return false;
     if (!chainOk(permSPiece, &GniM2PerNode::permS, checkP)) return false;
 
     // (iii) Claimed-image consistency (b = 1 only).
     if (m1.b[j] == 1) {
       if (m2.consC[j] >= checkP || m2.consT[j] >= checkP) return false;
-      util::BigUInt consCPiece;
-      if (useBatch) {
-        consRows.clear();
-        consCols.clear();
-        for (std::size_t i = 0; i < closed1.size(); ++i) {
-          consRows.push_back(closed1[i]);
-          consCols.push_back(m1.claims[j][i]);
-        }
-        consCPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
-      } else {
-        for (std::size_t i = 0; i < closed1.size(); ++i) {
-          consCPiece = util::addMod(
-              consCPiece,
-              params_.checkFamily.hashMatrixEntry(m2.checkSeed, closed1[i],
-                                                  m1.claims[j][i], 1, n),
-              checkP);
-        }
+      consRows.clear();
+      consCols.clear();
+      for (std::size_t i = 0; i < closed1.size(); ++i) {
+        consRows.push_back(closed1[i]);
+        consCols.push_back(m1.claims[j][i]);
       }
+      util::BigUInt consCPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
       util::BigUInt consTPiece =
-          useBatch
-              ? checkBatch.hashMatrixEntry(v, sv,
-                                           static_cast<std::uint64_t>(closed1.size()), n)
-              : params_.checkFamily.hashMatrixEntry(
-                    m2.checkSeed, v, sv, static_cast<std::uint64_t>(closed1.size()), n);
+          checkBatch.hashMatrixEntry(v, sv, static_cast<std::uint64_t>(closed1.size()), n);
       if (!chainOk(consCPiece, &GniM2PerNode::consC, checkP)) return false;
       if (!chainOk(consTPiece, &GniM2PerNode::consT, checkP)) return false;
     }
@@ -494,65 +474,36 @@ GniSecondMessage HonestGniProver::secondMessage(
 
     std::vector<util::BigUInt> gsPieces(n), permIPieces(n), permSPieces(n);
     std::vector<util::BigUInt> consCPieces(n), consTPieces(n);
-    const bool useBatch = hash::batchEnabled();
-    hash::EpsApiHash::RowHasher rowHasher(params_.gsHash, challenge.seed);
     thread_local hash::BatchLinearHashEvaluator gsBatch;
     thread_local hash::BatchLinearHashEvaluator checkBatch;
     thread_local std::vector<std::uint64_t> gsIdx;
     thread_local std::vector<util::DynBitset> gsRows;
     thread_local std::vector<std::uint64_t> consRows;
     thread_local std::vector<std::uint64_t> consCols;
-    if (useBatch) {
-      // The GS seed is pinned for the whole repetition and checkSeed for the
-      // whole message: all row and entry hashes become table lookups.
-      gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
-      checkBatch.rebind(params_.checkFamily, checkSeed);
-      gsIdx.clear();
-      gsRows.clear();
-    }
+    // The GS seed is pinned for the whole repetition and checkSeed for the
+    // whole message: all row and entry hashes become table lookups.
+    gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
+    checkBatch.rebind(params_.checkFamily, checkSeed);
+    gsIdx.clear();
+    gsRows.clear();
     for (graph::Vertex v = 0; v < n; ++v) {
-      util::DynBitset image = graph::Graph::imageOf(gb.closedRow(v), found.sigma);
-      if (useBatch) {
-        gsIdx.push_back(found.sigma[v]);
-        gsRows.push_back(std::move(image));
-        permIPieces[v] = checkBatch.hashMatrixEntry(v, v, 1, n);
-        permSPieces[v] =
-            checkBatch.hashMatrixEntry(found.sigma[v], found.sigma[v], 1, n);
-      } else {
-        gsPieces[v] = rowHasher.innerRow(found.sigma[v], image);
-        permIPieces[v] = params_.checkFamily.hashMatrixEntry(checkSeed, v, v, 1, n);
-        permSPieces[v] = params_.checkFamily.hashMatrixEntry(checkSeed, found.sigma[v],
-                                                             found.sigma[v], 1, n);
-      }
+      gsIdx.push_back(found.sigma[v]);
+      gsRows.push_back(graph::Graph::imageOf(gb.closedRow(v), found.sigma));
+      permIPieces[v] = checkBatch.hashMatrixEntry(v, v, 1, n);
+      permSPieces[v] = checkBatch.hashMatrixEntry(found.sigma[v], found.sigma[v], 1, n);
       if (found.b == 1) {
         const std::size_t closedCount = instance.g1.degree(v) + 1;
-        if (useBatch) {
-          consRows.clear();
-          consCols.clear();
-          instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
-            consRows.push_back(u);
-            consCols.push_back(found.sigma[u]);
-          });
-          consCPieces[v] = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
-          consTPieces[v] = checkBatch.hashMatrixEntry(v, found.sigma[v],
-                                                      closedCount, n);
-        } else {
-          util::BigUInt acc;
-          instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
-            acc = util::addMod(acc,
-                               params_.checkFamily.hashMatrixEntry(
-                                   checkSeed, u, found.sigma[u], 1, n),
-                               checkP);
-          });
-          consCPieces[v] = acc;
-          consTPieces[v] = params_.checkFamily.hashMatrixEntry(
-              checkSeed, v, found.sigma[v], closedCount, n);
-        }
+        consRows.clear();
+        consCols.clear();
+        instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
+          consRows.push_back(u);
+          consCols.push_back(found.sigma[u]);
+        });
+        consCPieces[v] = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
+        consTPieces[v] = checkBatch.hashMatrixEntry(v, found.sigma[v], closedCount, n);
       }
     }
-    if (useBatch) {
-      gsBatch.hashMatrixRows(gsIdx, gsRows, n, gsPieces);
-    }
+    gsBatch.hashMatrixRows(gsIdx, gsRows, n, gsPieces);
 
     auto gsSums = subtreeSums(instance.g0, tree, gsPieces, bigP);
     auto permISums = subtreeSums(instance.g0, tree, permIPieces, checkP);

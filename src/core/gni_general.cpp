@@ -136,11 +136,10 @@ bool GniGeneralProtocol::nodeDecision(const GniInstance& instance, graph::Vertex
   // checkSeed is pinned across every repetition of this decision, so the
   // nine check-family pieces batch into table lookups (the GS piece's seed
   // changes per repetition and stays scalar).
-  const bool useBatch = hash::batchEnabled();
   thread_local hash::BatchLinearHashEvaluator checkBatch;
   thread_local std::vector<std::uint64_t> consRows;
   thread_local std::vector<std::uint64_t> consCols;
-  if (useBatch) checkBatch.rebind(params_.checkFamily, m2.checkSeed);
+  checkBatch.rebind(params_.checkFamily, m2.checkSeed);
 
   std::size_t claimedCount = 0;
   for (std::size_t j = 0; j < k; ++j) {
@@ -208,20 +207,11 @@ bool GniGeneralProtocol::nodeDecision(const GniInstance& instance, graph::Vertex
         return (second.perNode[u].*field)[j];
       };
     };
-    const auto& cf = params_.checkFamily;
-    util::BigUInt idPiece = useBatch ? checkBatch.hashMatrixEntry(v, v, 1, n)
-                                     : cf.hashMatrixEntry(m2.checkSeed, v, v, 1, n);
-    util::BigUInt permSPiece = useBatch
-                                   ? checkBatch.hashMatrixEntry(sv, sv, 1, n)
-                                   : cf.hashMatrixEntry(m2.checkSeed, sv, sv, 1, n);
-    util::BigUInt permAPiece = useBatch
-                                   ? checkBatch.hashMatrixEntry(av, av, 1, n)
-                                   : cf.hashMatrixEntry(m2.checkSeed, av, av, 1, n);
-    util::BigUInt autLPiece = useBatch ? checkBatch.hashMatrixRow(sv, hRow, n)
-                                       : cf.hashMatrixRow(m2.checkSeed, sv, hRow, n);
-    util::BigUInt autRPiece = useBatch
-                                  ? checkBatch.hashMatrixRow(av, alphaHRow, n)
-                                  : cf.hashMatrixRow(m2.checkSeed, av, alphaHRow, n);
+    util::BigUInt idPiece = checkBatch.hashMatrixEntry(v, v, 1, n);
+    util::BigUInt permSPiece = checkBatch.hashMatrixEntry(sv, sv, 1, n);
+    util::BigUInt permAPiece = checkBatch.hashMatrixEntry(av, av, 1, n);
+    util::BigUInt autLPiece = checkBatch.hashMatrixRow(sv, hRow, n);
+    util::BigUInt autRPiece = checkBatch.hashMatrixRow(av, alphaHRow, n);
     if (!chainLinkHoldsAt(idPiece, children, entry(&GniGenM2PerNode::identity), v, checkP) ||
         !chainLinkHoldsAt(permSPiece, children, entry(&GniGenM2PerNode::permS), v, checkP) ||
         !chainLinkHoldsAt(permAPiece, children, entry(&GniGenM2PerNode::permA), v, checkP) ||
@@ -231,36 +221,20 @@ bool GniGeneralProtocol::nodeDecision(const GniInstance& instance, graph::Vertex
     }
 
     if (m1.b[j] == 1) {
-      util::BigUInt consSCPiece, consACPiece;
-      if (useBatch) {
-        consRows.clear();
-        consCols.clear();
-        for (std::size_t i = 0; i < closed1.size(); ++i) {
-          consRows.push_back(closed1[i]);
-          consCols.push_back(m1.sClaims[j][i]);
-        }
-        consSCPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
-        consCols.clear();
-        for (std::size_t i = 0; i < closed1.size(); ++i) {
-          consCols.push_back(m1.aClaims[j][i]);
-        }
-        consACPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
-      } else {
-        for (std::size_t i = 0; i < closed1.size(); ++i) {
-          consSCPiece = util::addMod(
-              consSCPiece, cf.hashMatrixEntry(m2.checkSeed, closed1[i], m1.sClaims[j][i], 1, n),
-              checkP);
-          consACPiece = util::addMod(
-              consACPiece, cf.hashMatrixEntry(m2.checkSeed, closed1[i], m1.aClaims[j][i], 1, n),
-              checkP);
-        }
+      consRows.clear();
+      consCols.clear();
+      for (std::size_t i = 0; i < closed1.size(); ++i) {
+        consRows.push_back(closed1[i]);
+        consCols.push_back(m1.sClaims[j][i]);
       }
-      util::BigUInt consSTPiece =
-          useBatch ? checkBatch.hashMatrixEntry(v, sv, closed1.size(), n)
-                   : cf.hashMatrixEntry(m2.checkSeed, v, sv, closed1.size(), n);
-      util::BigUInt consATPiece =
-          useBatch ? checkBatch.hashMatrixEntry(v, av, closed1.size(), n)
-                   : cf.hashMatrixEntry(m2.checkSeed, v, av, closed1.size(), n);
+      util::BigUInt consSCPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
+      consCols.clear();
+      for (std::size_t i = 0; i < closed1.size(); ++i) {
+        consCols.push_back(m1.aClaims[j][i]);
+      }
+      util::BigUInt consACPiece = checkBatch.accumulateMatrixEntries(consRows, consCols, n);
+      util::BigUInt consSTPiece = checkBatch.hashMatrixEntry(v, sv, closed1.size(), n);
+      util::BigUInt consATPiece = checkBatch.hashMatrixEntry(v, av, closed1.size(), n);
       if (!chainLinkHoldsAt(consSCPiece, children, entry(&GniGenM2PerNode::consSC), v, checkP) ||
           !chainLinkHoldsAt(consSTPiece, children, entry(&GniGenM2PerNode::consST), v, checkP) ||
           !chainLinkHoldsAt(consACPiece, children, entry(&GniGenM2PerNode::consAC), v, checkP) ||
@@ -526,7 +500,6 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
         consATPieces(n);
     std::vector<std::uint64_t> lIdx, rIdx;
     std::vector<util::DynBitset> lRows, rRows;
-    const bool useBatch = hash::batchEnabled();
     thread_local hash::BatchLinearHashEvaluator batch;
     thread_local hash::BatchLinearHashEvaluator gsBatch;
     thread_local std::vector<std::uint64_t> gsIdx;
@@ -534,20 +507,18 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
     thread_local std::vector<std::uint64_t> consRows;
     thread_local std::vector<std::uint64_t> consCols;
     std::vector<graph::Vertex> avList(n);
-    if (useBatch) {
-      lIdx.reserve(n);
-      rIdx.reserve(n);
-      lRows.reserve(n);
-      rRows.reserve(n);
-      gsIdx.clear();
-      gsRows.clear();
-      // checkSeed is pinned for the whole message and the GS seed for the
-      // whole repetition: rows and entries on both families become table
-      // lookups (the batch evaluators' rebind short-circuits across j for
-      // the check family).
-      batch.rebind(cf.prime(), cf.dimension(), checkSeed);
-      gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
-    }
+    lIdx.reserve(n);
+    rIdx.reserve(n);
+    lRows.reserve(n);
+    rRows.reserve(n);
+    gsIdx.clear();
+    gsRows.clear();
+    // checkSeed is pinned for the whole message and the GS seed for the
+    // whole repetition: rows and entries on both families become table
+    // lookups (the batch evaluators' rebind short-circuits across j for the
+    // check family).
+    batch.rebind(cf.prime(), cf.dimension(), checkSeed);
+    gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
     const std::size_t width = 2 * n;
     for (graph::Vertex v = 0; v < n; ++v) {
       graph::Vertex sv = found.sigma[v];
@@ -556,72 +527,45 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
       util::DynBitset hRow = graph::Graph::imageOf(gb.closedRow(v), found.sigma);
       util::DynBitset alphaHRow = graph::Graph::imageOf(hRow, found.alpha);
 
-      if (useBatch) {
-        gsIdx.push_back(sv);
-        gsRows.push_back(padRow(hRow, width));
-        idPieces[v] = batch.hashMatrixEntry(v, v, 1, n);
-        permSPieces[v] = batch.hashMatrixEntry(sv, sv, 1, n);
-        permAPieces[v] = batch.hashMatrixEntry(av, av, 1, n);
-        // The 2n automorphism-check row hashes all share checkSeed: defer
-        // them into two batch calls over one set of power tables.
-        lIdx.push_back(sv);
-        lRows.push_back(std::move(hRow));
-        rIdx.push_back(av);
-        rRows.push_back(std::move(alphaHRow));
-      } else {
-        gsPieces[v] = gsPairPiece(params_.gsHash, n, challenge.seed, sv, av, hRow);
-        idPieces[v] = cf.hashMatrixEntry(checkSeed, v, v, 1, n);
-        permSPieces[v] = cf.hashMatrixEntry(checkSeed, sv, sv, 1, n);
-        permAPieces[v] = cf.hashMatrixEntry(checkSeed, av, av, 1, n);
-        autLPieces[v] = cf.hashMatrixRow(checkSeed, sv, hRow, n);
-        autRPieces[v] = cf.hashMatrixRow(checkSeed, av, alphaHRow, n);
-      }
+      gsIdx.push_back(sv);
+      gsRows.push_back(padRow(hRow, width));
+      idPieces[v] = batch.hashMatrixEntry(v, v, 1, n);
+      permSPieces[v] = batch.hashMatrixEntry(sv, sv, 1, n);
+      permAPieces[v] = batch.hashMatrixEntry(av, av, 1, n);
+      // The 2n automorphism-check row hashes all share checkSeed: defer them
+      // into two batch calls over one set of power tables.
+      lIdx.push_back(sv);
+      lRows.push_back(std::move(hRow));
+      rIdx.push_back(av);
+      rRows.push_back(std::move(alphaHRow));
       if (found.b == 1) {
         const std::size_t closedCount = instance.g1.degree(v) + 1;
-        if (useBatch) {
-          consRows.clear();
-          consCols.clear();
-          instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
-            consRows.push_back(u);
-            consCols.push_back(found.sigma[u]);
-          });
-          consSCPieces[v] = batch.accumulateMatrixEntries(consRows, consCols, n);
-          consCols.clear();
-          instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
-            consCols.push_back(found.alpha[found.sigma[u]]);
-          });
-          consACPieces[v] = batch.accumulateMatrixEntries(consRows, consCols, n);
-          consSTPieces[v] = batch.hashMatrixEntry(v, sv, closedCount, n);
-          consATPieces[v] = batch.hashMatrixEntry(v, av, closedCount, n);
-        } else {
-          util::BigUInt accS, accA;
-          instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
-            accS = util::addMod(
-                accS, cf.hashMatrixEntry(checkSeed, u, found.sigma[u], 1, n), checkP);
-            accA = util::addMod(
-                accA, cf.hashMatrixEntry(checkSeed, u, found.alpha[found.sigma[u]], 1, n),
-                checkP);
-          });
-          consSCPieces[v] = accS;
-          consACPieces[v] = accA;
-          consSTPieces[v] = cf.hashMatrixEntry(checkSeed, v, sv, closedCount, n);
-          consATPieces[v] = cf.hashMatrixEntry(checkSeed, v, av, closedCount, n);
-        }
+        consRows.clear();
+        consCols.clear();
+        instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
+          consRows.push_back(u);
+          consCols.push_back(found.sigma[u]);
+        });
+        consSCPieces[v] = batch.accumulateMatrixEntries(consRows, consCols, n);
+        consCols.clear();
+        instance.g1.forEachClosedNeighbor(v, [&](graph::Vertex u) {
+          consCols.push_back(found.alpha[found.sigma[u]]);
+        });
+        consACPieces[v] = batch.accumulateMatrixEntries(consRows, consCols, n);
+        consSTPieces[v] = batch.hashMatrixEntry(v, sv, closedCount, n);
+        consATPieces[v] = batch.hashMatrixEntry(v, av, closedCount, n);
       }
     }
-    if (useBatch) {
-      // gsPairPiece(sv, av, hRow) = innerRow(sv, pad(hRow)) +
-      // innerRow(n + sv, one-hot av) — the one-hot row is a single matrix
-      // entry of the 2n x 2n inner hash.
-      gsBatch.hashMatrixRows(gsIdx, gsRows, width, gsPieces);
-      for (graph::Vertex v = 0; v < n; ++v) {
-        gsPieces[v] = params_.gsHash.combine(
-            gsPieces[v],
-            gsBatch.hashMatrixEntry(n + gsIdx[v], avList[v], 1, width));
-      }
-      batch.hashMatrixRows(lIdx, lRows, n, autLPieces);
-      batch.hashMatrixRows(rIdx, rRows, n, autRPieces);
+    // gsPairPiece(sv, av, hRow) = innerRow(sv, pad(hRow)) +
+    // innerRow(n + sv, one-hot av) — the one-hot row is a single matrix
+    // entry of the 2n x 2n inner hash.
+    gsBatch.hashMatrixRows(gsIdx, gsRows, width, gsPieces);
+    for (graph::Vertex v = 0; v < n; ++v) {
+      gsPieces[v] = params_.gsHash.combine(
+          gsPieces[v], gsBatch.hashMatrixEntry(n + gsIdx[v], avList[v], 1, width));
     }
+    batch.hashMatrixRows(lIdx, lRows, n, autLPieces);
+    batch.hashMatrixRows(rIdx, rRows, n, autRPieces);
 
     auto assign = [&](std::vector<util::BigUInt> GniGenM2PerNode::* field,
                       const std::vector<util::BigUInt>& pieces, const util::BigUInt& prime) {

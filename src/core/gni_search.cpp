@@ -443,8 +443,10 @@ std::optional<GsPreimage> searchOneBig(const Space& space, const hash::EpsApiHas
   return std::nullopt;
 }
 
+// The lane walk whenever laneWalkSupports() holds and `perRepetition` is
+// false; the BigUInt per-repetition loop otherwise.
 GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
-                      std::span<const GniChallenge> targets) {
+                      std::span<const GniChallenge> targets, bool perRepetition) {
   const std::size_t n = space.g[0]->numVertices();
   if (space.g[1]->numVertices() != n || gsHash.n() != (space.general() ? 2 * n : n)) {
     throw std::invalid_argument("searchGsPreimages: graph and hash sizes disagree");
@@ -457,7 +459,7 @@ GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
     }
   }
   if (targets.empty()) return {};
-  if (hash::batchEnabled() && laneWalkSupports(gsHash, n)) {
+  if (!perRepetition && laneWalkSupports(gsHash, n)) {
     return LaneWalk(space, gsHash, targets).run();
   }
   GsSearchResult out;
@@ -476,14 +478,30 @@ bool laneWalkSupports(const hash::EpsApiHash& gsHash, std::size_t n) {
 
 GsSearchResult searchGsPreimages(const GniInstance& instance, const hash::EpsApiHash& gsHash,
                                  std::span<const GniChallenge> targets) {
-  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets);
+  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets,
+                false);
 }
 
 GsSearchResult searchGsPreimages(const GniInstance& instance, const hash::EpsApiHash& gsHash,
                                  std::span<const GniChallenge> targets,
                                  const std::vector<graph::Permutation>& aut0,
                                  const std::vector<graph::Permutation>& aut1) {
-  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets);
+  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets, false);
+}
+
+GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
+                                              const hash::EpsApiHash& gsHash,
+                                              std::span<const GniChallenge> targets) {
+  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets,
+                true);
+}
+
+GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
+                                              const hash::EpsApiHash& gsHash,
+                                              std::span<const GniChallenge> targets,
+                                              const std::vector<graph::Permutation>& aut0,
+                                              const std::vector<graph::Permutation>& aut1) {
+  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets, true);
 }
 
 }  // namespace dip::core

@@ -16,9 +16,9 @@
 //     over sigma[0..n-1]; each repetition is a lane with its own table of
 //     alpha-folded powers, and each DFS node adds its new matrix entries to
 //     every lane at once (docs/PERFORMANCE.md, "Goldwasser-Sipser preimage
-//     walk"). Runs when hash::batchEnabled() and laneWalkSupports();
-//   * the BigUInt per-repetition loop — DIP_BATCH=0, and the fallback for
-//     fields the lane walk cannot hold.
+//     walk"). Runs whenever laneWalkSupports();
+//   * the BigUInt per-repetition loop — the path for fields the lane walk
+//     cannot hold (P >= 2^63, ell >= 64 or n > 32).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,18 @@ GsSearchResult searchGsPreimages(const GniInstance& instance,
                                  std::span<const GniChallenge> targets,
                                  const std::vector<graph::Permutation>& aut0,
                                  const std::vector<graph::Permutation>& aut1);
+
+// The BigUInt per-repetition loop alone, on any field: the path the
+// searches above take when laneWalkSupports() is false, exposed so the
+// lane walk can be checked against it. Same arguments, same answers.
+GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
+                                              const hash::EpsApiHash& gsHash,
+                                              std::span<const GniChallenge> targets);
+GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
+                                              const hash::EpsApiHash& gsHash,
+                                              std::span<const GniChallenge> targets,
+                                              const std::vector<graph::Permutation>& aut0,
+                                              const std::vector<graph::Permutation>& aut1);
 
 // Whether the lane walk can run a search of `gsHash` over n-vertex graphs:
 // it adds two canonical residues in a u64 without a carry check (P < 2^63),

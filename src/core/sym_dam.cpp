@@ -15,34 +15,22 @@ util::BigUInt mappedMatrixFingerprint(const graph::Graph& g,
                                       const util::BigUInt& index,
                                       const std::vector<graph::Vertex>& sigma) {
   const std::size_t n = g.numVertices();
-  if (hash::batchEnabled()) {
-    // The collision search evaluates thousands of candidate sigmas under one
-    // pinned index: the batch evaluator's shared power tables make each
-    // fingerprint popcount adds plus one multiply per row (the scalar walk
-    // below pays ~n multiplies per row).
-    hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-    thread_local std::vector<std::uint64_t> rowIndices;
-    thread_local std::vector<util::DynBitset> rows;
-    batch.rebind(family.prime(), family.dimension(), index);
-    rowIndices.clear();
-    rows.clear();
-    rowIndices.reserve(n);
-    rows.reserve(n);
-    for (graph::Vertex v = 0; v < n; ++v) {
-      rowIndices.push_back(sigma[v]);
-      rows.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
-    }
-    return batch.accumulateMatrixRows(rowIndices, rows, n);
-  }
-  // Scalar path (DIP_BATCH=0): rebind short-circuits and the rows accumulate
-  // in the evaluator's backend domain, converting out once per fingerprint.
-  thread_local hash::LinearHashEvaluator evaluator;
-  evaluator.rebind(family.prime(), family.dimension(), index);
-  evaluator.resetAccumulator();
+  // The collision search evaluates thousands of candidate sigmas under one
+  // pinned index: the batch evaluator's shared power tables make each
+  // fingerprint popcount adds plus one multiply per row.
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  thread_local std::vector<std::uint64_t> rowIndices;
+  thread_local std::vector<util::DynBitset> rows;
+  batch.rebind(family.prime(), family.dimension(), index);
+  rowIndices.clear();
+  rows.clear();
+  rowIndices.reserve(n);
+  rows.reserve(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    evaluator.accumulateMatrixRow(sigma[v], graph::Graph::imageOf(g.closedRow(v), sigma), n);
+    rowIndices.push_back(sigma[v]);
+    rows.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
   }
-  return evaluator.accumulatedValue();
+  return batch.accumulateMatrixRows(rowIndices, rows, n);
 }
 
 SymDamProtocol::SymDamProtocol(hash::LinearHashFamily family)
@@ -51,14 +39,6 @@ SymDamProtocol::SymDamProtocol(hash::LinearHashFamily family)
 bool SymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
                                   const SymDamMessage& msg,
                                   const util::BigUInt& ownChallenge) const {
-  return nodeDecisionAt(g, v, msg, ownChallenge, nullptr, nullptr);
-}
-
-bool SymDamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
-                                    const SymDamMessage& msg,
-                                    const util::BigUInt& ownChallenge,
-                                    const util::BigUInt* expectABase,
-                                    const util::BigUInt* expectBBase) const {
   const std::size_t n = g.numVertices();
   const util::BigUInt& p = family_.prime();
 
@@ -89,15 +69,16 @@ bool SymDamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Lines 2-3: chain verification. rho is fully known here, so the node
-  // evaluates rho(N(v)) itself. Thread-local accumulators keep the fold's
-  // limb storage alive across the n decisions.
+  // evaluates rho(N(v)) itself. Its two own rows hash over the calling
+  // thread's shared power tables: in an honest trial the prover pinned this
+  // index moments ago, so the rebind is a no-op. Thread-local accumulators
+  // keep the fold's limb storage alive across the n decisions.
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  batch.rebind(p, family_.dimension(), index);
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
-  expectA = expectABase ? expectABase[v]
-                        : family_.hashMatrixRow(index, v, g.closedRow(v), n);
-  expectB = expectBBase ? expectBBase[v]
-                        : family_.hashMatrixRow(
-                              index, rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n);
+  expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
+  expectB = batch.hashMatrixRow(rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;
@@ -170,60 +151,10 @@ RunResult SymDamProtocol::run(const graph::Graph& g, SymDamProver& prover,
                          [&] { return wire::encodeSymDam(msg, n, family_, &net::roundArena()); });
 #endif
 
-  // Decisions. Under the honest uniform broadcast (one index, one rho copy
-  // at every node, entries in range) the 2n per-node row hashes all share a
-  // seed, so they batch over shared power tables; any trial failing the
-  // precondition falls back to per-node scalar recomputation with identical
-  // values.
-  thread_local std::vector<util::BigUInt> baseA;
-  thread_local std::vector<util::BigUInt> baseB;
-  const util::BigUInt* preA = nullptr;
-  const util::BigUInt* preB = nullptr;
-  if (hash::batchEnabled() && n > 0) {
-    const util::BigUInt& index = msg.indexPerNode[0];
-    const std::vector<graph::Vertex>& rho = msg.rhoPerNode[0];
-    bool uniform = index < family_.prime() && rho.size() == n;
-    for (graph::Vertex v = 1; uniform && v < n; ++v) {
-      if (!(msg.indexPerNode[v] == index) || msg.rhoPerNode[v] != rho) {
-        uniform = false;
-      }
-    }
-    for (graph::Vertex v = 0; uniform && v < n; ++v) {
-      if (rho[v] >= n) uniform = false;
-    }
-    if (uniform) {
-      // An honest prover pinned this index on this thread moments ago, so
-      // the rebind below reuses its power tables; the row hashes themselves
-      // are recomputed here.
-      hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-      thread_local std::vector<std::uint64_t> aIdx;
-      thread_local std::vector<std::uint64_t> bIdx;
-      thread_local std::vector<util::DynBitset> aRows;
-      thread_local std::vector<util::DynBitset> bRows;
-      batch.rebind(family_.prime(), family_.dimension(), index);
-      aIdx.clear();
-      bIdx.clear();
-      aRows.clear();
-      bRows.clear();
-      aIdx.reserve(n);
-      bIdx.reserve(n);
-      aRows.reserve(n);
-      bRows.reserve(n);
-      for (graph::Vertex v = 0; v < n; ++v) {
-        aIdx.push_back(v);
-        aRows.push_back(g.closedRow(v));
-        bIdx.push_back(rho[v]);
-        bRows.push_back(graph::Graph::imageOf(g.closedRow(v), rho));
-      }
-      batch.hashMatrixRows(aIdx, aRows, n, baseA);
-      batch.hashMatrixRows(bIdx, bRows, n, baseB);
-      preA = baseA.data();
-      preB = baseB.data();
-    }
-  }
+  // Decisions: every node runs its own local check.
   result.accepted = true;
   for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecisionAt(g, v, msg, challenges[v], preA, preB)) {
+    if (!nodeDecision(g, v, msg, challenges[v])) {
       result.accepted = false;
       break;
     }

@@ -84,15 +84,6 @@ class SymDamProtocol {
                     const util::BigUInt& ownChallenge) const;
 
  private:
-  // nodeDecision with optional precomputed chain bases: expectABase[v] /
-  // expectBBase[v] are the node's own-row hashes under the uniform broadcast
-  // index (null = compute per node). run() batches them when the broadcast
-  // is uniform; values are identical either way.
-  bool nodeDecisionAt(const graph::Graph& g, graph::Vertex v, const SymDamMessage& msg,
-                      const util::BigUInt& ownChallenge,
-                      const util::BigUInt* expectABase,
-                      const util::BigUInt* expectBBase) const;
-
   hash::LinearHashFamily family_;
 };
 

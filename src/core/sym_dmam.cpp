@@ -42,60 +42,38 @@ ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily&
                             const net::SpanningTreeAdvice& tree) {
   const std::size_t n = g.numVertices();
   ChainValues values;
-  values.a.assign(n, util::BigUInt{});
-  values.b.assign(n, util::BigUInt{});
-  if (hash::batchEnabled()) {
-    // Per-vertex row hashes depend only on v, not on tree order: evaluate
-    // all 2n of them in two batch calls over the shared power tables, then
-    // run the bottom-up fold on the precomputed values.
-    hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-    thread_local std::vector<std::uint64_t> aIdx;
-    thread_local std::vector<std::uint64_t> bIdx;
-    thread_local std::vector<util::DynBitset> aRows;
-    thread_local std::vector<util::DynBitset> bRows;
-    batch.rebind(family.prime(), family.dimension(), index);
-    aIdx.clear();
-    bIdx.clear();
-    aRows.clear();
-    bRows.clear();
-    aIdx.reserve(n);
-    bIdx.reserve(n);
-    aRows.reserve(n);
-    bRows.reserve(n);
-    for (graph::Vertex v = 0; v < n; ++v) {
-      aIdx.push_back(v);
-      aRows.push_back(g.closedRow(v));
-      bIdx.push_back(rho[v]);
-      bRows.push_back(localImageOfClosedRow(g, v, rho));
-    }
-    batch.hashMatrixRows(aIdx, aRows, n, values.a);
-    batch.hashMatrixRows(bIdx, bRows, n, values.b);
-    thread_local std::vector<graph::Vertex> order;
-    net::bottomUpOrderInto(tree, order);
-    for (graph::Vertex v : order) {
-      net::forEachChild(g, tree, v, [&](graph::Vertex child) {
-        util::addModInPlace(values.a[v], values.a[child], family.prime());
-        util::addModInPlace(values.b[v], values.b[child], family.prime());
-      });
-    }
-    return values;
+  // Per-vertex row hashes depend only on v, not on tree order: evaluate all
+  // 2n of them in two batch calls over the shared power tables, then run the
+  // bottom-up fold on the precomputed values.
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  thread_local std::vector<std::uint64_t> aIdx;
+  thread_local std::vector<std::uint64_t> bIdx;
+  thread_local std::vector<util::DynBitset> aRows;
+  thread_local std::vector<util::DynBitset> bRows;
+  batch.rebind(family.prime(), family.dimension(), index);
+  aIdx.clear();
+  bIdx.clear();
+  aRows.clear();
+  bRows.clear();
+  aIdx.reserve(n);
+  bIdx.reserve(n);
+  aRows.reserve(n);
+  bRows.reserve(n);
+  for (graph::Vertex v = 0; v < n; ++v) {
+    aIdx.push_back(v);
+    aRows.push_back(g.closedRow(v));
+    bIdx.push_back(rho[v]);
+    bRows.push_back(localImageOfClosedRow(g, v, rho));
   }
-  // Scalar path (DIP_BATCH=0): one evaluator for the whole bottom-up pass —
-  // the index is fixed, so every row hash reuses the pinned backend state.
-  thread_local hash::LinearHashEvaluator evaluator;
-  evaluator.rebind(family.prime(), family.dimension(), index);
+  batch.hashMatrixRows(aIdx, aRows, n, values.a);
+  batch.hashMatrixRows(bIdx, bRows, n, values.b);
   thread_local std::vector<graph::Vertex> order;
   net::bottomUpOrderInto(tree, order);
   for (graph::Vertex v : order) {
-    util::BigUInt a = evaluator.hashMatrixRow(v, g.closedRow(v), n);
-    util::BigUInt b = evaluator.hashMatrixRow(rho[v],
-                                              localImageOfClosedRow(g, v, rho), n);
     net::forEachChild(g, tree, v, [&](graph::Vertex child) {
-      util::addModInPlace(a, values.a[child], family.prime());
-      util::addModInPlace(b, values.b[child], family.prime());
+      util::addModInPlace(values.a[v], values.a[child], family.prime());
+      util::addModInPlace(values.b[v], values.b[child], family.prime());
     });
-    values.a[v] = a;
-    values.b[v] = b;
   }
   return values;
 }
@@ -107,15 +85,6 @@ bool SymDmamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
                                    const SymDmamFirstMessage& first,
                                    const util::BigUInt& ownChallenge,
                                    const SymDmamSecondMessage& second) const {
-  return nodeDecisionAt(g, v, first, ownChallenge, second, nullptr, nullptr);
-}
-
-bool SymDmamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
-                                     const SymDmamFirstMessage& first,
-                                     const util::BigUInt& ownChallenge,
-                                     const SymDmamSecondMessage& second,
-                                     const util::BigUInt* expectABase,
-                                     const util::BigUInt* expectBBase) const {
   const std::size_t n = g.numVertices();
   const util::BigUInt& p = family_.prime();
 
@@ -141,13 +110,16 @@ bool SymDmamProtocol::nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
 
   // Lines 2-3: chain verification.
   if (!rhoInRange(g, v, first.rho)) return false;
+  // The node's own two rows, over the calling thread's shared power tables:
+  // in an honest trial the prover pinned this index moments ago, so the
+  // rebind is a no-op. Only the public tables keyed by (p, m, index) are
+  // shared; the row hashes are recomputed here.
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  batch.rebind(p, family_.dimension(), index);
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
-  expectA = expectABase ? expectABase[v]
-                        : family_.hashMatrixRow(index, v, g.closedRow(v), n);
-  expectB = expectBBase ? expectBBase[v]
-                        : family_.hashMatrixRow(index, first.rho[v],
-                                                localImageOfClosedRow(g, v, first.rho), n);
+  expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
+  expectB = batch.hashMatrixRow(first.rho[v], localImageOfClosedRow(g, v, first.rho), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;
@@ -232,58 +204,10 @@ RunResult SymDmamProtocol::run(const graph::Graph& g, SymDmamProver& prover,
   });
 #endif
 
-  // Decisions. The verifier side hashes the same 2n rows the prover did; in
-  // the common case (index broadcast uniform, rho in range) all of them
-  // share one seed, so the batch engine computes them over shared power
-  // tables instead of 2n scalar walks. Any node whose precondition fails
-  // falls back to the per-node scalar recomputation — values are identical
-  // either way, only the evaluation strategy differs.
-  thread_local std::vector<util::BigUInt> baseA;
-  thread_local std::vector<util::BigUInt> baseB;
-  const util::BigUInt* preA = nullptr;
-  const util::BigUInt* preB = nullptr;
-  if (hash::batchEnabled()) {
-    const util::BigUInt& index = second.indexPerNode[0];
-    bool uniform = index < family_.prime();
-    for (graph::Vertex v = 1; uniform && v < n; ++v) {
-      if (!(second.indexPerNode[v] == index)) uniform = false;
-    }
-    for (graph::Vertex v = 0; uniform && v < n; ++v) {
-      if (first.rho[v] >= n) uniform = false;
-    }
-    if (uniform) {
-      // An honest prover pinned this index on this thread moments ago, so
-      // the rebind below reuses its power tables; the row hashes themselves
-      // are recomputed here.
-      hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-      thread_local std::vector<std::uint64_t> aIdx;
-      thread_local std::vector<std::uint64_t> bIdx;
-      thread_local std::vector<util::DynBitset> aRows;
-      thread_local std::vector<util::DynBitset> bRows;
-      batch.rebind(family_.prime(), family_.dimension(), index);
-      aIdx.clear();
-      bIdx.clear();
-      aRows.clear();
-      bRows.clear();
-      aIdx.reserve(n);
-      bIdx.reserve(n);
-      aRows.reserve(n);
-      bRows.reserve(n);
-      for (graph::Vertex v = 0; v < n; ++v) {
-        aIdx.push_back(v);
-        aRows.push_back(g.closedRow(v));
-        bIdx.push_back(first.rho[v]);
-        bRows.push_back(localImageOfClosedRow(g, v, first.rho));
-      }
-      batch.hashMatrixRows(aIdx, aRows, n, baseA);
-      batch.hashMatrixRows(bIdx, bRows, n, baseB);
-      preA = baseA.data();
-      preB = baseB.data();
-    }
-  }
+  // Decisions: every node runs its own local check.
   result.accepted = true;
   for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecisionAt(g, v, first, challenges[v], second, preA, preB)) {
+    if (!nodeDecision(g, v, first, challenges[v], second)) {
       result.accepted = false;
       break;
     }

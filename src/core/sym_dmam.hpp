@@ -95,18 +95,6 @@ class SymDmamProtocol {
                     const SymDmamSecondMessage& second) const;
 
  private:
-  // nodeDecision with optionally precomputed per-node row hashes (the
-  // expectA/expectB bases before child sums). Non-null pointers must hold,
-  // for every v, exactly the values the scalar recomputation would produce;
-  // run() guarantees this by batching only when the index is a uniform
-  // broadcast and every rho entry is in range.
-  bool nodeDecisionAt(const graph::Graph& g, graph::Vertex v,
-                      const SymDmamFirstMessage& first,
-                      const util::BigUInt& ownChallenge,
-                      const SymDmamSecondMessage& second,
-                      const util::BigUInt* expectABase,
-                      const util::BigUInt* expectBBase) const;
-
   hash::LinearHashFamily family_;
 };
 

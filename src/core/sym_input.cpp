@@ -28,42 +28,29 @@ SymInputPieces piecesFor(const SymInputInstance& instance,
                          graph::Vertex rhoV,
                          const std::vector<graph::Vertex>& claims) {
   const std::size_t n = instance.network.numVertices();
-  const util::BigUInt& p = family.prime();
   std::vector<graph::Vertex> closedH = instance.input.closedNeighbors(v);
 
   SymInputPieces pieces;
   util::DynBitset claimedImages(n);
   for (graph::Vertex image : claims) claimedImages.set(image);
 
-  if (hash::batchEnabled()) {
-    // The index is pinned across every per-node call of a trial (prover loop
-    // and the verifier's uniform echo), so the batch evaluator's rebind
-    // short-circuits and all four pieces become table lookups. Values are
-    // bit-identical to the scalar path below.
-    thread_local hash::BatchLinearHashEvaluator batch;
-    batch.rebind(family, index);
-    pieces.a = batch.hashMatrixRow(v, instance.input.closedRow(v), n);
-    pieces.b = batch.hashMatrixRow(rhoV, claimedImages, n);
-    thread_local std::vector<std::uint64_t> consRows;
-    thread_local std::vector<std::uint64_t> consCols;
-    consRows.clear();
-    consCols.clear();
-    for (std::size_t i = 0; i < closedH.size(); ++i) {
-      consRows.push_back(closedH[i]);
-      consCols.push_back(claims[i]);
-    }
-    pieces.consC = batch.accumulateMatrixEntries(consRows, consCols, n);
-    pieces.consT = batch.hashMatrixEntry(v, rhoV, closedH.size(), n);
-    return pieces;
-  }
-
-  pieces.a = family.hashMatrixRow(index, v, instance.input.closedRow(v), n);
-  pieces.b = family.hashMatrixRow(index, rhoV, claimedImages, n);
+  // The index is pinned across every per-node call of a trial (prover loop
+  // and the verifier's uniform echo), so the batch evaluator's rebind
+  // short-circuits and all four pieces become table lookups.
+  thread_local hash::BatchLinearHashEvaluator batch;
+  batch.rebind(family, index);
+  pieces.a = batch.hashMatrixRow(v, instance.input.closedRow(v), n);
+  pieces.b = batch.hashMatrixRow(rhoV, claimedImages, n);
+  thread_local std::vector<std::uint64_t> consRows;
+  thread_local std::vector<std::uint64_t> consCols;
+  consRows.clear();
+  consCols.clear();
   for (std::size_t i = 0; i < closedH.size(); ++i) {
-    pieces.consC = util::addMod(
-        pieces.consC, family.hashMatrixEntry(index, closedH[i], claims[i], 1, n), p);
+    consRows.push_back(closedH[i]);
+    consCols.push_back(claims[i]);
   }
-  pieces.consT = family.hashMatrixEntry(index, v, rhoV, closedH.size(), n);
+  pieces.consC = batch.accumulateMatrixEntries(consRows, consCols, n);
+  pieces.consT = batch.hashMatrixEntry(v, rhoV, closedH.size(), n);
   return pieces;
 }
 

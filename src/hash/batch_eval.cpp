@@ -43,18 +43,6 @@ inline std::uint64_t addModTrick(std::uint64_t acc, std::uint64_t term,
   return acc;
 }
 
-bool initialBatchEnabled() {
-  if (const char* env = std::getenv("DIP_BATCH")) {
-    if (env[0] == '0' && env[1] == '\0') return false;
-  }
-  return true;
-}
-
-std::atomic<bool>& batchFlag() {
-  static std::atomic<bool> flag{initialBatchEnabled()};
-  return flag;
-}
-
 bool avx2Supported() {
 #if DIP_HAVE_AVX2_KERNEL
   return __builtin_cpu_supports("avx2");
@@ -287,11 +275,6 @@ void montBuildTables(const mont::Modulus& mod, const Limb* aM, Limb* spare, Limb
 }
 
 }  // namespace
-
-bool batchEnabled() { return batchFlag().load(std::memory_order_relaxed); }
-void setBatchEnabled(bool enabled) {
-  batchFlag().store(enabled, std::memory_order_relaxed);
-}
 
 bool avx2Enabled() { return avx2Flag().load(std::memory_order_relaxed); }
 void setAvx2Enabled(bool enabled) {

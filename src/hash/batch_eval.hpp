@@ -37,9 +37,12 @@
 // instances; the Sym chain sites share one (threadChainEvaluator), so a
 // trial's prover and verifier build an index's tables once.
 //
-// The process-wide batch toggle exists so bench_throughput can measure the
-// scalar path on identical workloads (DIP_BATCH=0, or setBatchEnabled).
-// Toggling never changes any result, only the evaluation strategy.
+// This engine is the one hash path of the protocol trials: every call site
+// that hashes many rows or entries under one index goes through it. The
+// scalar LinearHashEvaluator remains the per-call evaluator where the index
+// changes on every call (LinearHashFamily's methods, eps_api's innerRow,
+// distributed_seed's rowPiece, wide-field hashBitsManySeeds) and the
+// differential oracle in tests.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +57,6 @@
 #include "util/montgomery.hpp"
 
 namespace dip::hash {
-
-// Default true; the DIP_BATCH environment variable (read once, "0" disables)
-// sets the initial state and setBatchEnabled overrides it at runtime.
-bool batchEnabled();
-void setBatchEnabled(bool enabled);
 
 // AVX2 residue-lane toggle for the u64 backend's dense-row inner loop.
 // Defaults to on when the build has the kernel, the CPU reports AVX2, and
@@ -172,11 +170,12 @@ class BatchLinearHashEvaluator {
 };
 
 // The calling thread's evaluator for the Sym chain call sites: the honest
-// provers' aggregateChains, SymDamProtocol::run and SymDmamProtocol::run,
-// and mappedMatrixFingerprint. Within a trial the prover and the verifier
-// pin the same (p, m, a), so the second rebind is a no-op and the public
-// power tables are built once. Only those tables are shared: every caller
-// still computes its own row hashes.
+// provers' aggregateChains, the nodeDecision of SymDmamProtocol,
+// SymDamProtocol and DSymDamProtocol, and mappedMatrixFingerprint. Within
+// an honest trial the prover and every node pin the same (p, m, a), so the
+// later rebinds are no-ops and the public power tables are built once; a
+// node that was sent a different index rebinds to it. Only those tables
+// are shared: every caller still computes its own row hashes.
 BatchLinearHashEvaluator& threadChainEvaluator();
 
 }  // namespace dip::hash

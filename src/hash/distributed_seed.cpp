@@ -39,36 +39,28 @@ util::BigUInt DistributedSeedHash::hashRowsWithOwners(
   if (seeds.size() != n_ || rows.size() != n_ || owner.size() != n_) {
     throw std::invalid_argument("DistributedSeedHash: size mismatch");
   }
-  if (batchEnabled()) {
-    // Group rows by owning seed: each owner's rows share one column power
-    // table (sum order regroups, which is exact in Z_p). Row-size checks
-    // stay identical to rowPiece's.
-    for (std::size_t u = 0; u < n_; ++u) {
-      if (rows[u].size() != n_) {
-        throw std::invalid_argument(
-            "DistributedSeedHash::rowPiece: row size mismatch");
-      }
-    }
-    thread_local BatchLinearHashEvaluator batch;
-    thread_local std::vector<util::DynBitset> grouped;
-    thread_local std::vector<util::BigUInt> pieces;
-    util::BigUInt acc;
-    grouped.reserve(n_);
-    for (std::size_t o = 0; o < n_; ++o) {
-      grouped.clear();
-      for (std::size_t u = 0; u < n_; ++u) {
-        if (owner[u] == o) grouped.push_back(rows[u]);
-      }
-      if (grouped.empty()) continue;
-      batch.rebind(p_, n_, seeds[o]);
-      batch.hashBitsMany(grouped, pieces);
-      for (const util::BigUInt& piece : pieces) acc = combine(acc, piece);
-    }
-    return acc;
-  }
-  util::BigUInt acc;
+  // Group rows by owning seed: each owner's rows share one column power
+  // table (sum order regroups, which is exact in Z_p). Row-size checks stay
+  // identical to rowPiece's.
   for (std::size_t u = 0; u < n_; ++u) {
-    acc = combine(acc, rowPiece(seeds[owner[u]], rows[u]));
+    if (rows[u].size() != n_) {
+      throw std::invalid_argument("DistributedSeedHash::rowPiece: row size mismatch");
+    }
+  }
+  thread_local BatchLinearHashEvaluator batch;
+  thread_local std::vector<util::DynBitset> grouped;
+  thread_local std::vector<util::BigUInt> pieces;
+  util::BigUInt acc;
+  grouped.reserve(n_);
+  for (std::size_t o = 0; o < n_; ++o) {
+    grouped.clear();
+    for (std::size_t u = 0; u < n_; ++u) {
+      if (owner[u] == o) grouped.push_back(rows[u]);
+    }
+    if (grouped.empty()) continue;
+    batch.rebind(p_, n_, seeds[o]);
+    batch.hashBitsMany(grouped, pieces);
+    for (const util::BigUInt& piece : pieces) acc = combine(acc, piece);
   }
   return acc;
 }

@@ -74,26 +74,16 @@ util::BigUInt EpsApiHash::outer(const Seed& seed, const util::BigUInt& innerValu
 util::BigUInt EpsApiHash::hashRows(const Seed& seed,
                                    const std::vector<util::DynBitset>& rows) const {
   if (rows.size() != n_) throw std::invalid_argument("hashRows: row count mismatch");
-  if (batchEnabled()) {
-    // Whole-matrix fingerprint over the shared power tables: row u is
-    // rowIndex u, so the index list is just iota.
-    thread_local BatchLinearHashEvaluator batch;
-    thread_local std::vector<std::uint64_t> rowIndices;
-    batch.rebind(inner_, seed.a);
-    if (rowIndices.size() != n_) {
-      rowIndices.resize(n_);
-      std::iota(rowIndices.begin(), rowIndices.end(), 0);
-    }
-    return outer(seed, batch.accumulateMatrixRows(rowIndices, rows, n_));
+  // Whole-matrix fingerprint over the shared power tables: row u is
+  // rowIndex u, so the index list is just iota.
+  thread_local BatchLinearHashEvaluator batch;
+  thread_local std::vector<std::uint64_t> rowIndices;
+  batch.rebind(inner_, seed.a);
+  if (rowIndices.size() != n_) {
+    rowIndices.resize(n_);
+    std::iota(rowIndices.begin(), rowIndices.end(), 0);
   }
-  // Scalar path (DIP_BATCH=0): one evaluator for the whole matrix — rows
-  // accumulate in the backend domain and convert out once.
-  LinearHashEvaluator evaluator(inner_, seed.a);
-  evaluator.resetAccumulator();
-  for (std::size_t u = 0; u < n_; ++u) {
-    evaluator.accumulateMatrixRow(u, rows[u], n_);
-  }
-  return outer(seed, evaluator.accumulatedValue());
+  return outer(seed, batch.accumulateMatrixRows(rowIndices, rows, n_));
 }
 
 EpsApiHash::PowerTable EpsApiHash::preparePowers(const Seed& seed) const {
@@ -101,28 +91,12 @@ EpsApiHash::PowerTable EpsApiHash::preparePowers(const Seed& seed) const {
   const std::size_t count = n_ * n_;
   LinearHashEvaluator evaluator(inner_, seed.a);
   evaluator.powerTable(count, table.powers);
-  if (inner_.prime().fitsU64()) {
-    table.powers64.reserve(count);
-    for (const util::BigUInt& power : table.powers) {
-      table.powers64.push_back(power.toU64());
-    }
-  }
   return table;
 }
 
 util::BigUInt EpsApiHash::innerRowPrepared(const PowerTable& table,
                                            std::uint64_t rowIndex,
                                            const util::DynBitset& rowBits) const {
-  if (!table.powers64.empty()) {
-    const std::uint64_t p = inner_.prime().toU64();
-    std::uint64_t acc = 0;
-    rowBits.forEachSet([&](std::size_t w) {
-      std::uint64_t term = table.powers64[rowIndex * n_ + w];
-      acc += term;
-      if (acc < term || acc >= p) acc -= p;
-    });
-    return util::BigUInt{acc};
-  }
   util::BigUInt acc;
   const util::BigUInt& p = inner_.prime();
   rowBits.forEachSet([&](std::size_t w) {
@@ -133,20 +107,6 @@ util::BigUInt EpsApiHash::innerRowPrepared(const PowerTable& table,
 
 util::BigUInt EpsApiHash::hashRowsPrepared(const Seed& seed, const PowerTable& table,
                                            const std::vector<util::DynBitset>& rows) const {
-  if (!table.powers64.empty()) {
-    // The prover's hot path: the entire candidate matrix accumulates in one
-    // native word, with a single BigUInt materialized for the outer layer.
-    const std::uint64_t p = inner_.prime().toU64();
-    std::uint64_t acc = 0;
-    for (std::size_t u = 0; u < n_; ++u) {
-      rows[u].forEachSet([&](std::size_t w) {
-        std::uint64_t term = table.powers64[u * n_ + w];
-        acc += term;
-        if (acc < term || acc >= p) acc -= p;
-      });
-    }
-    return outer(seed, util::BigUInt{acc});
-  }
   util::BigUInt acc;
   for (std::size_t u = 0; u < n_; ++u) {
     acc = combine(acc, innerRowPrepared(table, u, rows[u]));

@@ -98,15 +98,13 @@ class EpsApiHash {
                          const std::vector<util::DynBitset>& rows) const;
 
   // Precomputed powers a^1 .. a^(n^2) of a seed's evaluation point. The
-  // honest Goldwasser-Sipser prover hashes ~n! candidate matrices per
-  // repetition; with the table each candidate costs only modular additions.
-  // `powers` stays in the plain domain on purpose: prover-side code adds
-  // table entries straight into plain accumulators. When P fits a 64-bit
-  // word, `powers64` mirrors the table so the whole candidate accumulation
-  // runs in native words with no BigUInt traffic.
+  // per-repetition Goldwasser-Sipser search (the path for fields the lane
+  // walk cannot hold) hashes ~n! candidate matrices per repetition; with the
+  // table each candidate costs only modular additions. `powers` stays in the
+  // plain domain on purpose: prover-side code adds table entries straight
+  // into plain accumulators.
   struct PowerTable {
-    std::vector<util::BigUInt> powers;     // powers[j] = a^(j+1) mod P.
-    std::vector<std::uint64_t> powers64;   // Same values; filled iff P < 2^64.
+    std::vector<util::BigUInt> powers;  // powers[j] = a^(j+1) mod P.
   };
   PowerTable preparePowers(const Seed& seed) const;
   util::BigUInt innerRowPrepared(const PowerTable& table, std::uint64_t rowIndex,

@@ -42,65 +42,40 @@ std::vector<bool> SymRpls::verify(const graph::Graph& g,
     throw std::invalid_argument("SymRpls: family dimension too small for labels");
   }
 
-  // Labels re-encoded as bitsets once: the batch path hashes them as
-  // hashBits inputs (coefficient-1 positions, identical residues to
-  // hashSparse over the same set positions).
-  const bool useBatch = hash::batchEnabled();
+  // Labels re-encoded as bitsets once and hashed as hashBits inputs
+  // (coefficient-1 positions).
   std::vector<util::DynBitset> encodedBits;
-  if (useBatch) {
-    encodedBits.reserve(n);
-    for (graph::Vertex v = 0; v < n; ++v) {
-      util::DynBitset bits(encoded[v].size());
-      for (std::size_t i = 0; i < encoded[v].size(); ++i) {
-        if (encoded[v][i]) bits.set(i);
-      }
-      encodedBits.push_back(std::move(bits));
+  encodedBits.reserve(n);
+  for (graph::Vertex v = 0; v < n; ++v) {
+    util::DynBitset bits(encoded[v].size());
+    for (std::size_t i = 0; i < encoded[v].size(); ++i) {
+      if (encoded[v][i]) bits.set(i);
     }
+    encodedBits.push_back(std::move(bits));
   }
   hash::BatchLinearHashEvaluator batch;
   std::vector<util::DynBitset> neighborhood;
   std::vector<util::BigUInt> prints;
 
-  // Evaluator and entry buffer hoisted out of the per-node loop: each node's
-  // seed fingerprints its own label plus every neighbor's, so the rebind
-  // cost amortizes over the neighborhood.
-  hash::LinearHashEvaluator evaluator;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  auto fingerprint = [&](const util::BigUInt& seed, const std::vector<bool>& bits) {
-    entries.clear();
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i]) entries.push_back({i, 1});
-    }
-    evaluator.rebind(family_.prime(), family_.dimension(), seed);
-    return evaluator.hashSparse(entries);
-  };
-
   for (graph::Vertex v = 0; v < n; ++v) {
     // (a) Randomized label comparison: v draws a private seed, fingerprints
     // its own label, and compares against each neighbor's fingerprint under
     // the same seed (v sends the seed + its fingerprint; O(log n) bits).
+    // One seed x the closed neighborhood's labels in a single batch call
+    // over the shared power table (prints[0] is v's own label).
     util::Rng nodeRng = rng.split(v);
     util::BigUInt seed = family_.randomIndex(nodeRng);
+    neighborhood.clear();
+    neighborhood.reserve(n);
+    neighborhood.push_back(encodedBits[v]);
+    g.row(v).forEachSet([&](std::size_t u) {
+      neighborhood.push_back(encodedBits[u]);
+    });
+    batch.rebind(family_.prime(), family_.dimension(), seed);
+    batch.hashBitsMany(neighborhood, prints);
     bool consistent = true;
-    if (useBatch) {
-      // One seed x the closed neighborhood's labels in a single batch call
-      // over the shared power table (prints[0] is v's own label).
-      neighborhood.clear();
-      neighborhood.reserve(n);
-      neighborhood.push_back(encodedBits[v]);
-      g.row(v).forEachSet([&](std::size_t u) {
-        neighborhood.push_back(encodedBits[u]);
-      });
-      batch.rebind(family_.prime(), family_.dimension(), seed);
-      batch.hashBitsMany(neighborhood, prints);
-      for (std::size_t i = 1; i < prints.size(); ++i) {
-        if (!(prints[i] == prints[0])) consistent = false;
-      }
-    } else {
-      util::BigUInt own = fingerprint(seed, encoded[v]);
-      g.row(v).forEachSet([&](std::size_t u) {
-        if (!(fingerprint(seed, encoded[u]) == own)) consistent = false;
-      });
+    for (std::size_t i = 1; i < prints.size(); ++i) {
+      if (!(prints[i] == prints[0])) consistent = false;
     }
     if (!consistent) {
       ok[v] = false;

@@ -7,7 +7,7 @@
 // stable string. Both substrates resolve the same name to the same cell:
 //
 //   - TrialRunner (in-process): Cell::run(config) — the path
-//     sim::runThroughputWorkload and the benches use.
+//     bench_throughput and the other benches use.
 //   - DistributedRunner (multi-process): workers receive (cell name,
 //     master seed, seed-range) in an ASSIGN frame, rebuild the cell locally
 //     via makeCell, and execute Cell::runRange for the global indices.

@@ -425,20 +425,6 @@ TEST(batch_eval, ArgumentChecksMatchScalar) {
                std::invalid_argument);
 }
 
-TEST(batch_eval, ToggleChangesStrategyNotValues) {
-  // The toggle gates call-site strategy, not this engine — but guard the
-  // contract anyway: flipping it never perturbs evaluator output.
-  const bool saved = batchEnabled();
-  util::Rng rng(0xBA7C4008ull);
-  BatchLinearHashEvaluator batch;
-  LinearHashEvaluator scalar;
-  setBatchEnabled(false);
-  runMatrixCase(rng, util::BigUInt{100003}, util::BigUInt{12345}, batch, scalar);
-  setBatchEnabled(true);
-  runMatrixCase(rng, util::BigUInt{100003}, util::BigUInt{54321}, batch, scalar);
-  setBatchEnabled(saved);
-}
-
 // ---- Montgomery flat-limb loops: widths, density and the lazy boundary ----
 
 // Every row of an n x n matrix, all ones: each row sum has exactly n terms,

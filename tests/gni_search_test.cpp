@@ -1,8 +1,8 @@
 // Differential tests for the honest GNI provers' preimage search
 // (core/gni_search): the lane walk must return, lane by lane, the same
 // first hit (sigma, alpha, b) — or the same miss — as the BigUInt
-// per-repetition search that DIP_BATCH=0 runs, for every lane count and
-// both lane kernels.
+// per-repetition search (searchGsPreimagesPerRepetition), for every lane
+// count and both lane kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,19 +18,15 @@ namespace {
 
 using util::Rng;
 
-// Restores the process-wide engine toggles on scope exit.
-class EngineToggles {
+// Restores the process-wide AVX2 toggle on scope exit.
+class Avx2Toggle {
  public:
-  EngineToggles() : batch_(hash::batchEnabled()), avx2_(hash::avx2Enabled()) {}
-  ~EngineToggles() {
-    hash::setBatchEnabled(batch_);
-    hash::setAvx2Enabled(avx2_);
-  }
-  EngineToggles(const EngineToggles&) = delete;
-  EngineToggles& operator=(const EngineToggles&) = delete;
+  Avx2Toggle() : avx2_(hash::avx2Enabled()) {}
+  ~Avx2Toggle() { hash::setAvx2Enabled(avx2_); }
+  Avx2Toggle(const Avx2Toggle&) = delete;
+  Avx2Toggle& operator=(const Avx2Toggle&) = delete;
 
  private:
-  bool batch_;
   bool avx2_;
 };
 
@@ -91,6 +87,14 @@ GsSearchResult runSearch(const GniInstance& instance, const hash::EpsApiHash& gs
                         : searchGsPreimages(instance, gsHash, targets, aut[0], aut[1]);
 }
 
+GsSearchResult runPerRepetition(const GniInstance& instance, const hash::EpsApiHash& gsHash,
+                                std::span<const GniChallenge> targets,
+                                const std::vector<graph::Permutation>* aut) {
+  return aut == nullptr
+             ? searchGsPreimagesPerRepetition(instance, gsHash, targets)
+             : searchGsPreimagesPerRepetition(instance, gsHash, targets, aut[0], aut[1]);
+}
+
 struct Coverage {
   std::size_t hits = 0, misses = 0, side1 = 0;
   std::size_t nontrivialAlpha[2] = {0, 0};  // Per side b.
@@ -103,10 +107,9 @@ void expectWalkMatchesBigUInt(const GniInstance& instance, const hash::EpsApiHas
                               const std::vector<graph::Permutation>* aut,
                               std::initializer_list<std::size_t> laneCounts,
                               Coverage& coverage) {
-  EngineToggles restore;
+  Avx2Toggle restore;
   ASSERT_TRUE(laneWalkSupports(gsHash, instance.g0.numVertices()));
-  hash::setBatchEnabled(false);
-  const GsSearchResult reference = runSearch(instance, gsHash, targets, aut);
+  const GsSearchResult reference = runPerRepetition(instance, gsHash, targets, aut);
   ASSERT_EQ(reference.size(), targets.size());
   for (const auto& hit : reference) {
     if (!hit) {
@@ -121,7 +124,6 @@ void expectWalkMatchesBigUInt(const GniInstance& instance, const hash::EpsApiHas
     }
   }
 
-  hash::setBatchEnabled(true);
   for (const bool avx2 : {false, true}) {
     hash::setAvx2Enabled(avx2);
     for (const std::size_t lanes : laneCounts) {
@@ -229,8 +231,8 @@ TEST(gni_search, WideFieldTakesTheBigUIntPath) {
   Rng setup(808);
   EXPECT_TRUE(laneWalkSupports(GniParams::choose(6, setup).gsHash, 6));
 
-  // With batch on, the wide field still finds exactly the BigUInt answer:
-  // a planted b = 0 candidate early in lex order.
+  // The wide field finds exactly the per-repetition answer: a planted b = 0
+  // candidate early in lex order.
   const GniInstance instance = gniYesInstance(6, rng);
   GniChallenge target;
   target.seed = wide.randomSeed(rng);
@@ -238,16 +240,14 @@ TEST(gni_search, WideFieldTakesTheBigUIntPath) {
   planted.sigma = {0, 1, 2, 5, 3, 4};
   target.y = hashOf(instance, wide, target.seed, planted, nullptr);
 
-  EngineToggles restore;
-  hash::setBatchEnabled(true);
-  const GsSearchResult batched = searchGsPreimages(instance, wide, std::span(&target, 1));
-  hash::setBatchEnabled(false);
-  const GsSearchResult reference = searchGsPreimages(instance, wide, std::span(&target, 1));
-  ASSERT_TRUE(batched.front().has_value());
+  const GsSearchResult found = searchGsPreimages(instance, wide, std::span(&target, 1));
+  const GsSearchResult reference =
+      searchGsPreimagesPerRepetition(instance, wide, std::span(&target, 1));
+  ASSERT_TRUE(found.front().has_value());
   ASSERT_TRUE(reference.front().has_value());
-  EXPECT_EQ(batched.front()->sigma, planted.sigma);
-  EXPECT_EQ(batched.front()->sigma, reference.front()->sigma);
-  EXPECT_EQ(batched.front()->b, 0u);
+  EXPECT_EQ(found.front()->sigma, planted.sigma);
+  EXPECT_EQ(found.front()->sigma, reference.front()->sigma);
+  EXPECT_EQ(found.front()->b, 0u);
 }
 
 TEST(gni_search, RejectsMismatchedInputs) {

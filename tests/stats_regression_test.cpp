@@ -10,10 +10,10 @@
 // makes the cells reproducible byte-for-byte regardless.
 //
 // On top of the statistical thresholds, every cell pins its EXACT golden
-// row (accepts, maxPerNodeBits, digest), captured before the batch hash
-// engine rewired the trial paths. The batch engine changes evaluation
-// strategy, never values, so these rows must not move — under either
-// setting of the DIP_BATCH toggle.
+// row (accepts, maxPerNodeBits, digest), captured from the scalar hash path
+// before the batch hash engine rewired the trial paths. The batch engine,
+// now the only hash path, changes evaluation strategy, never values, so
+// these rows must not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "core/sym_input.hpp"
 #include "graph/builders.hpp"
 #include "graph/generators.hpp"
-#include "hash/batch_eval.hpp"
 #include "hash/linear_hash.hpp"
 #include "sim/acceptance.hpp"
 #include "util/rng.hpp"
@@ -45,27 +44,8 @@ TrialConfig config(std::uint64_t masterSeed) {
   return c;
 }
 
-// Every cell runs twice, batch engine off then on: the golden rows are
-// engine-invariant (the batch engine changes evaluation strategy, never
-// values), so both passes must reproduce the identical pinned rows.
-template <typename Cell>
-void runUnderBothEngines(Cell&& cell) {
-  const bool saved = hash::batchEnabled();
-  hash::setBatchEnabled(false);
-  {
-    SCOPED_TRACE("batch engine off");
-    cell();
-  }
-  hash::setBatchEnabled(true);
-  {
-    SCOPED_TRACE("batch engine on");
-    cell();
-  }
-  hash::setBatchEnabled(saved);
-}
-
 // Pre-batch-rewiring golden row for a cell: accept count, per-node cost
-// and transcript digest are pinned exactly, batch engine on or off.
+// and transcript digest are pinned exactly.
 void expectGolden(const TrialStats& stats, std::size_t accepts,
                   std::size_t maxPerNodeBits, std::uint64_t digest) {
   EXPECT_EQ(stats.accepts, accepts);
@@ -87,27 +67,25 @@ TEST(stats_regression, SymDmamProtocol1) {
   Graph symmetric = graph::randomSymmetricConnected(n, rng);
   Graph rigid = graph::randomRigidConnected(n, rng);
 
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(
-        protocol, symmetric,
-        [&](std::size_t) {
-          return std::make_unique<core::HonestSymDmamProver>(protocol.family());
-        },
-        120, config(50101));
-    TrialStats cheater = estimateAcceptance(
-        protocol, rigid,
-        [&](std::size_t trial) {
-          return std::make_unique<core::CheatingRhoProver>(
-              protocol.family(), core::CheatingRhoProver::Strategy::kRandomPermutation,
-              trial);
-        },
-        120, config(50102));
-    expectSeparation(honest, cheater);
-    // Protocol 1's completeness is perfect; soundness error is <= 1/(10 n).
-    EXPECT_EQ(honest.accepts, honest.trials);
-    expectGolden(honest, 120, 84, 0xdd6dc81783e05d5full);
-    expectGolden(cheater, 0, 84, 0x7a9ab4d2d10ee38dull);
-  });
+  TrialStats honest = estimateAcceptance(
+      protocol, symmetric,
+      [&](std::size_t) {
+        return std::make_unique<core::HonestSymDmamProver>(protocol.family());
+      },
+      120, config(50101));
+  TrialStats cheater = estimateAcceptance(
+      protocol, rigid,
+      [&](std::size_t trial) {
+        return std::make_unique<core::CheatingRhoProver>(
+            protocol.family(), core::CheatingRhoProver::Strategy::kRandomPermutation,
+            trial);
+      },
+      120, config(50102));
+  expectSeparation(honest, cheater);
+  // Protocol 1's completeness is perfect; soundness error is <= 1/(10 n).
+  EXPECT_EQ(honest.accepts, honest.trials);
+  expectGolden(honest, 120, 84, 0xdd6dc81783e05d5full);
+  expectGolden(cheater, 0, 84, 0x7a9ab4d2d10ee38dull);
 }
 
 TEST(stats_regression, SymDamProtocol2) {
@@ -117,26 +95,24 @@ TEST(stats_regression, SymDamProtocol2) {
   Graph symmetric = graph::randomSymmetricConnected(n, rng);
   Graph rigid = graph::randomRigidConnected(n, rng);
 
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(
-        protocol, symmetric,
-        [&](std::size_t) {
-          return std::make_unique<core::HonestSymDamProver>(protocol.family());
-        },
-        60, config(50201));
-    // The committed cheater for dAM: an adaptive searcher with budget 1 is
-    // morally a committed prover (it cannot retry against the seen seed).
-    TrialStats cheater = estimateAcceptance(
-        protocol, rigid,
-        [&](std::size_t trial) {
-          return std::make_unique<core::AdaptiveCollisionProver>(protocol.family(), 1,
-                                                                 trial);
-        },
-        60, config(50202));
-    expectSeparation(honest, cheater);
-    expectGolden(honest, 60, 139, 0x22ec98eaf93de960ull);
-    expectGolden(cheater, 0, 139, 0x1b95d4a2e75b2e07ull);
-  });
+  TrialStats honest = estimateAcceptance(
+      protocol, symmetric,
+      [&](std::size_t) {
+        return std::make_unique<core::HonestSymDamProver>(protocol.family());
+      },
+      60, config(50201));
+  // The committed cheater for dAM: an adaptive searcher with budget 1 is
+  // morally a committed prover (it cannot retry against the seen seed).
+  TrialStats cheater = estimateAcceptance(
+      protocol, rigid,
+      [&](std::size_t trial) {
+        return std::make_unique<core::AdaptiveCollisionProver>(protocol.family(), 1,
+                                                               trial);
+      },
+      60, config(50202));
+  expectSeparation(honest, cheater);
+  expectGolden(honest, 60, 139, 0x22ec98eaf93de960ull);
+  expectGolden(cheater, 0, 139, 0x1b95d4a2e75b2e07ull);
 }
 
 TEST(stats_regression, DSymDam) {
@@ -158,13 +134,11 @@ TEST(stats_regression, DSymDam) {
   auto factory = [&](std::size_t) {
     return std::make_unique<core::HonestDSymProver>(layout, protocol.family());
   };
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(protocol, yes, factory, 60, config(50301));
-    TrialStats cheater = estimateAcceptance(protocol, no, factory, 120, config(50302));
-    expectSeparation(honest, cheater);
-    expectGolden(honest, 60, 84, 0x3a459e457f132b33ull);
-    expectGolden(cheater, 0, 84, 0x68e01786eba41870ull);
-  });
+  TrialStats honest = estimateAcceptance(protocol, yes, factory, 60, config(50301));
+  TrialStats cheater = estimateAcceptance(protocol, no, factory, 120, config(50302));
+  expectSeparation(honest, cheater);
+  expectGolden(honest, 60, 84, 0x3a459e457f132b33ull);
+  expectGolden(cheater, 0, 84, 0x68e01786eba41870ull);
 }
 
 TEST(stats_regression, SymInput) {
@@ -176,25 +150,23 @@ TEST(stats_regression, SymInput) {
   core::SymInputInstance rigid{graph::randomConnected(n, n / 2, rng),
                                graph::randomRigidConnected(n, rng)};
 
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(
-        protocol, symmetric,
-        [&](std::size_t) {
-          return std::make_unique<core::HonestSymInputProver>(protocol.family());
-        },
-        100, config(50401));
-    TrialStats cheater = estimateAcceptance(
-        protocol, rigid,
-        [&](std::size_t trial) {
-          return std::make_unique<core::CheatingSymInputProver>(
-              protocol.family(),
-              core::CheatingSymInputProver::Strategy::kFakeRhoHonestClaims, trial);
-        },
-        120, config(50402));
-    expectSeparation(honest, cheater);
-    expectGolden(honest, 100, 111, 0x6d8c7df5397fbb0bull);
-    expectGolden(cheater, 1, 117, 0xd1f516473d729129ull);
-  });
+  TrialStats honest = estimateAcceptance(
+      protocol, symmetric,
+      [&](std::size_t) {
+        return std::make_unique<core::HonestSymInputProver>(protocol.family());
+      },
+      100, config(50401));
+  TrialStats cheater = estimateAcceptance(
+      protocol, rigid,
+      [&](std::size_t trial) {
+        return std::make_unique<core::CheatingSymInputProver>(
+            protocol.family(),
+            core::CheatingSymInputProver::Strategy::kFakeRhoHonestClaims, trial);
+      },
+      120, config(50402));
+  expectSeparation(honest, cheater);
+  expectGolden(honest, 100, 111, 0x6d8c7df5397fbb0bull);
+  expectGolden(cheater, 1, 117, 0xd1f516473d729129ull);
 }
 
 TEST(stats_regression, GniAmam) {
@@ -210,13 +182,11 @@ TEST(stats_regression, GniAmam) {
   auto factory = [&](std::size_t) {
     return std::make_unique<core::HonestGniProver>(params);
   };
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(protocol, yes, factory, 12, config(50501));
-    TrialStats cheater = estimateAcceptance(protocol, no, factory, 12, config(50502));
-    expectSeparation(honest, cheater);
-    expectGolden(honest, 12, 16041, 0x960f13c90be3c0feull);
-    expectGolden(cheater, 2, 13295, 0x3e78c627342e2eceull);
-  });
+  TrialStats honest = estimateAcceptance(protocol, yes, factory, 12, config(50501));
+  TrialStats cheater = estimateAcceptance(protocol, no, factory, 12, config(50502));
+  expectSeparation(honest, cheater);
+  expectGolden(honest, 12, 16041, 0x960f13c90be3c0feull);
+  expectGolden(cheater, 2, 13295, 0x3e78c627342e2eceull);
 }
 
 TEST(stats_regression, GniGeneral) {
@@ -230,13 +200,11 @@ TEST(stats_regression, GniGeneral) {
   auto factory = [&](std::size_t) {
     return std::make_unique<core::HonestGniGeneralProver>(params);
   };
-  runUnderBothEngines([&] {
-    TrialStats honest = estimateAcceptance(protocol, yes, factory, 10, config(50601));
-    TrialStats cheater = estimateAcceptance(protocol, no, factory, 10, config(50602));
-    expectSeparation(honest, cheater);
-    expectGolden(honest, 10, 19868, 0xa75fd724290064cbull);
-    expectGolden(cheater, 0, 15191, 0x6c43e49b05e1ad00ull);
-  });
+  TrialStats honest = estimateAcceptance(protocol, yes, factory, 10, config(50601));
+  TrialStats cheater = estimateAcceptance(protocol, no, factory, 10, config(50602));
+  expectSeparation(honest, cheater);
+  expectGolden(honest, 10, 19868, 0xa75fd724290064cbull);
+  expectGolden(cheater, 0, 15191, 0x6c43e49b05e1ad00ull);
 }
 
 }  // namespace

@@ -5,22 +5,16 @@ Compares a fresh --json run against its committed baseline. The document's
 "benchmark" field selects the rule set:
 
 bench_throughput (BENCH_throughput.json)
+    Digests are machine-independent and must match the baseline EXACTLY — a
+    digest drift means a cell no longer produces the committed results.
     Absolute trials/sec are machine-dependent, so the gate compares each
-    cell's batch trials/sec divided by the rate of a fixed u64 calibration
-    kernel timed in the same run ("batch_per_calib"). A cell regresses when
-    that value falls more than TOLERANCE below the baseline row's
+    cell's trials/sec divided by the rate of a fixed u64 calibration kernel
+    timed in the same run ("batch_per_calib"). A cell regresses when that
+    value falls more than TOLERANCE below the baseline row's
     "min_batch_per_calib" floor (the minimum over several recorded runs, with
-    the machine context in the baseline's "recorded_on"). Normalising by the
-    kernel instead of by the scalar path keeps a faster scalar path from
-    reading as a slower batch engine, while a slower batch engine still
-    fails. Both runs must use the same --threads (the "threads" field); a
-    mismatched pairing is refused.
-
-    The batch/scalar speedup is printed next to the baseline's for
-    reference, and any cell whose current speedup is below 1.0 fails
-    outright: a no-win cell must either be fixed or pinned to the scalar
-    path via the no-win list in sim/throughput.cpp, in which case its
-    "engine" field reads "scalar-fallback" and the sub-1.0 ratio is exempt.
+    the machine context in the baseline's "recorded_on"). Both runs must use
+    the same --threads (the "threads" field); a mismatched pairing is
+    refused.
 
 bench_e16_distributed (BENCH_distributed.json)
     Rows are keyed by (protocol, workers). Digests are machine-independent
@@ -62,45 +56,44 @@ def load_cells(doc):
     return {row_key(doc, cell): cell for cell in doc["cells"]}
 
 
+def check_digest(key, base, cur, failed):
+    """Exact digest match; returns whether it held."""
+    if cur.get("digest") == base["digest"]:
+        return True
+    failed.append(
+        f"{key_str(key)}: digest {cur.get('digest')} != baseline "
+        f"{base['digest']} — the fold is no longer byte-identical to the "
+        f"committed results"
+    )
+    return False
+
+
 def check_throughput(key, base, cur, failed):
+    digest_ok = check_digest(key, base, cur, failed)
     recorded = float(base["min_batch_per_calib"])
     floor = recorded * (1.0 - TOLERANCE)
     value = float(cur["batch_per_calib"])
-    cur_speedup = float(cur["speedup"])
-    status = "ok" if value >= floor else "REGRESSED"
+    status = "ok" if digest_ok and value >= floor else "REGRESSED"
     print(
-        f"{key_str(key):18s}  batch/calib {value:9.3f}  floor {floor:9.3f}  "
-        f"speedup {cur_speedup:6.2f}x (baseline {float(base['speedup']):6.2f}x)  {status}"
+        f"{key_str(key):18s}  digest {'match' if digest_ok else 'MISMATCH':8s}  "
+        f"batch/calib {value:9.3f}  floor {floor:9.3f}  {status}"
     )
     if value < floor:
         failed.append(
             f"{key_str(key)}: batch/calib {value:.3f} below floor {floor:.3f} "
             f"(recorded minimum {recorded:.3f}, tolerance {TOLERANCE:.0%})"
         )
-    if cur_speedup < 1.0 and cur.get("engine") != "scalar-fallback":
-        failed.append(
-            f"{key_str(key)}: batch engine loses to scalar "
-            f"(speedup {cur_speedup:.3f} < 1.0) and the cell is not pinned "
-            f"to the scalar path — fix it or add it to the no-win list in "
-            f"sim/throughput.cpp"
-        )
 
 
 def check_distributed(key, base, cur, failed):
+    digest_ok = check_digest(key, base, cur, failed)
     floor = float(base["min_scaling"])
     scaling = float(cur["scaling_vs_1"])
-    digest_ok = cur.get("digest") == base["digest"]
     status = "ok" if digest_ok and scaling >= floor else "REGRESSED"
     print(
         f"{key_str(key):18s}  digest {'match' if digest_ok else 'MISMATCH':8s}  "
         f"scaling {scaling:5.2f}x  floor {floor:5.2f}x  {status}"
     )
-    if not digest_ok:
-        failed.append(
-            f"{key_str(key)}: digest {cur.get('digest')} != baseline "
-            f"{base['digest']} — the distributed fold is no longer "
-            f"byte-identical to the committed results"
-        )
     if scaling < floor:
         failed.append(
             f"{key_str(key)}: scaling_vs_1 {scaling:.3f} below committed "
