@@ -17,7 +17,7 @@ namespace dip::core {
 // Honest-prover side: exact subtree sums of `pieces` along the tree, mod
 // prime.
 inline std::vector<util::BigUInt> subtreeSums(const graph::Graph& g,
-                                              const net::SpanningTreeAdvice& tree,
+                                              net::SpanningTreeView tree,
                                               const std::vector<util::BigUInt>& pieces,
                                               const util::BigUInt& prime) {
   std::vector<util::BigUInt> sums(g.numVertices());
@@ -31,22 +31,10 @@ inline std::vector<util::BigUInt> subtreeSums(const graph::Graph& g,
   return sums;
 }
 
-// Verifier side: does `claimed[v]` equal v's own piece plus its children's
-// claimed sums (all values range-checked against the prime)?
-inline bool chainLinkHolds(const util::BigUInt& ownPiece,
-                           const std::vector<graph::Vertex>& children,
-                           const std::vector<util::BigUInt>& claimed, graph::Vertex v,
-                           const util::BigUInt& prime) {
-  util::BigUInt expect = ownPiece;
-  for (graph::Vertex child : children) {
-    if (claimed[child] >= prime) return false;
-    expect = util::addMod(expect, claimed[child], prime);
-  }
-  return claimed[v] == expect;
-}
-
-// Accessor form: reads only the children's entries and the own one, so
-// decision code never materializes a whole-graph column of message values.
+// Verifier side: does claimedAt(v) equal v's own piece plus its children's
+// claimed sums (all values range-checked against the prime)? Reads only the
+// children's entries and the own one, so decision code never materializes a
+// whole-graph column of message values.
 template <typename ClaimedAt>
 bool chainLinkHoldsAt(const util::BigUInt& ownPiece,
                       const std::vector<graph::Vertex>& children,

@@ -34,17 +34,15 @@ bool DSymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   if (root >= n || index >= p) return false;
   bool consistent = true;
   g.row(v).forEachSet([&](std::size_t u) {
-    if (!(msg.indexPerNode[u] == index) || msg.rootPerNode[u] != root) {
+    const auto neighbor = static_cast<graph::Vertex>(u);
+    if (!msg.indexPerNode.agree(neighbor, v) || !msg.rootPerNode.agree(neighbor, v)) {
       consistent = false;
     }
   });
   if (!consistent) return false;
 
-  // Spanning-tree local checks (thread-local advice: see sym_dam).
-  thread_local net::SpanningTreeAdvice tree;
-  tree.root = root;
-  tree.parent = msg.parent;
-  tree.dist = msg.dist;
+  // Spanning-tree local checks, on a view of the message's advice.
+  const net::SpanningTreeView tree{root, msg.parent, msg.dist};
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Chain verification with the FIXED sigma (locally computable from the
@@ -158,16 +156,15 @@ HonestDSymProver::HonestDSymProver(const graph::DSymLayout& layout,
 DSymMessage HonestDSymProver::respond(const graph::Graph& g,
                                       const std::vector<util::BigUInt>& challenges) {
   const std::size_t n = g.numVertices();
-  const graph::Vertex root = 0;
-  net::SpanningTreeAdvice tree = net::buildBfsTree(g, root);
-  const util::BigUInt& index = challenges[root];
-  ChainValues chains =
-      aggregateChains(g, family_, index, graph::dsymSigma(layout_), tree);
+  const graph::Permutation sigma = graph::dsymSigma(layout_);
+  const PreparedSym& prepared = requireTree(preparedSym(g, sigma), "HonestDSymProver");
+  const util::BigUInt& index = challenges[prepared.root];
+  ChainValues chains = aggregateChains(g, family_, index, prepared);
   DSymMessage msg;
   msg.indexPerNode.assign(n, index);
-  msg.rootPerNode.assign(n, root);
-  msg.parent = tree.parent;
-  msg.dist = tree.dist;
+  msg.rootPerNode.assign(n, prepared.root);
+  msg.parent = prepared.tree.parent;
+  msg.dist = prepared.tree.dist;
   msg.a = std::move(chains.a);
   msg.b = std::move(chains.b);
   return msg;

@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "core/broadcast.hpp"
 #include "core/result.hpp"
 #include "core/sym_dmam.hpp"
 #include "graph/builders.hpp"
@@ -28,8 +29,8 @@
 namespace dip::core {
 
 struct DSymMessage {
-  std::vector<util::BigUInt> indexPerNode;  // Broadcast.
-  std::vector<graph::Vertex> rootPerNode;   // Broadcast.
+  Broadcast<util::BigUInt> indexPerNode;    // Broadcast.
+  Broadcast<graph::Vertex> rootPerNode;     // Broadcast.
   std::vector<graph::Vertex> parent;        // Unicast.
   std::vector<std::uint32_t> dist;          // Unicast.
   std::vector<util::BigUInt> a;             // Unicast.
@@ -81,7 +82,8 @@ class DSymDamProtocol {
 };
 
 // Honest prover: nothing to find (sigma is fixed); supplies the tree and
-// the correct chain sums.
+// the correct chain sums. The tree and rows come from the thread's prepared
+// instance for (g, sigma) (core/prepared.hpp).
 class HonestDSymProver : public DSymProver {
  public:
   HonestDSymProver(const graph::DSymLayout& layout, const hash::LinearHashFamily& family);

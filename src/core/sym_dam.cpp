@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/wire.hpp"
-#include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "net/audit.hpp"
 #include "util/bitio.hpp"
@@ -52,20 +51,16 @@ bool SymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   }
   bool consistent = true;
   g.row(v).forEachSet([&](std::size_t u) {
-    if (msg.rhoPerNode[u] != rho || !(msg.indexPerNode[u] == index) ||
-        msg.rootPerNode[u] != root) {
+    const auto neighbor = static_cast<graph::Vertex>(u);
+    if (!msg.rhoPerNode.agree(neighbor, v) || !msg.indexPerNode.agree(neighbor, v) ||
+        !msg.rootPerNode.agree(neighbor, v)) {
       consistent = false;
     }
   });
   if (!consistent) return false;
 
-  // Line 1: spanning-tree local checks. The advice struct is rebuilt per
-  // node from the message fields; copy-assigning into a thread-local keeps
-  // the vector capacity across the n decisions (and across trials).
-  thread_local net::SpanningTreeAdvice tree;
-  tree.root = root;
-  tree.parent = msg.parent;
-  tree.dist = msg.dist;
+  // Line 1: spanning-tree local checks, on a view of the message's advice.
+  const net::SpanningTreeView tree{root, msg.parent, msg.dist};
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Lines 2-3: chain verification. rho is fully known here, so the node
@@ -185,26 +180,17 @@ HonestSymDamProver::HonestSymDamProver(const hash::LinearHashFamily& family)
 
 SymDamMessage HonestSymDamProver::respond(const graph::Graph& g,
                                           const std::vector<util::BigUInt>& challenges) {
-  auto rho = graph::findNontrivialAutomorphism(g);
-  if (!rho) throw std::invalid_argument("HonestSymDamProver: graph is not symmetric");
+  const PreparedSym& prepared = requireTree(preparedSym(g), "HonestSymDamProver");
   const std::size_t n = g.numVertices();
-  graph::Vertex root = 0;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if ((*rho)[v] != v) {
-      root = v;
-      break;
-    }
-  }
-  net::SpanningTreeAdvice tree = net::buildBfsTree(g, root);
-  const util::BigUInt& index = challenges[root];
-  ChainValues chains = aggregateChains(g, family_, index, *rho, tree);
+  const util::BigUInt& index = challenges[prepared.root];
+  ChainValues chains = aggregateChains(g, family_, index, prepared);
 
   SymDamMessage msg;
-  msg.rhoPerNode.assign(n, *rho);
+  msg.rhoPerNode.assign(n, *prepared.rho);
   msg.indexPerNode.assign(n, index);
-  msg.rootPerNode.assign(n, root);
-  msg.parent = tree.parent;
-  msg.dist = tree.dist;
+  msg.rootPerNode.assign(n, prepared.root);
+  msg.parent = prepared.tree.parent;
+  msg.dist = prepared.tree.dist;
   msg.a = std::move(chains.a);
   msg.b = std::move(chains.b);
   return msg;

@@ -26,6 +26,7 @@
 
 #include <vector>
 
+#include "core/broadcast.hpp"
 #include "core/result.hpp"
 #include "core/sym_dmam.hpp"
 #include "graph/graph.hpp"
@@ -36,10 +37,11 @@
 namespace dip::core {
 
 struct SymDamMessage {
-  // Broadcast fields (per-node so cheaters can try inconsistency).
-  std::vector<std::vector<graph::Vertex>> rhoPerNode;  // Full mapping at each node.
-  std::vector<util::BigUInt> indexPerNode;
-  std::vector<graph::Vertex> rootPerNode;
+  // Broadcast fields (per-node overrides so cheaters can try inconsistency;
+  // an honest message holds one rho).
+  Broadcast<std::vector<graph::Vertex>> rhoPerNode;  // The full mapping.
+  Broadcast<util::BigUInt> indexPerNode;
+  Broadcast<graph::Vertex> rootPerNode;
   // Unicast fields.
   std::vector<graph::Vertex> parent;
   std::vector<std::uint32_t> dist;
@@ -87,7 +89,8 @@ class SymDamProtocol {
   hash::LinearHashFamily family_;
 };
 
-// Honest prover: real automorphism, echoes the root's index.
+// Honest prover: real automorphism (from the thread's prepared instance),
+// echoes the root's index.
 class HonestSymDamProver : public SymDamProver {
  public:
   explicit HonestSymDamProver(const hash::LinearHashFamily& family);

@@ -1,10 +1,10 @@
 #include "core/sym_dmam.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "core/wire.hpp"
 #include "graph/generators.hpp"
-#include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "net/audit.hpp"
 #include "util/bitio.hpp"
@@ -34,23 +34,41 @@ bool rhoInRange(const graph::Graph& g, graph::Vertex v,
   return ok;
 }
 
+// Per-vertex row hashes depend only on v, not on tree order: evaluate all 2n
+// of them in two batch calls over the shared power tables, then run the
+// bottom-up fold on the precomputed values.
+ChainValues hashAndFold(const graph::Graph& g, const hash::LinearHashFamily& family,
+                        const util::BigUInt& index, std::span<const std::uint64_t> aIdx,
+                        std::span<const util::DynBitset> aRows,
+                        std::span<const std::uint64_t> bIdx,
+                        std::span<const util::DynBitset> bRows, net::SpanningTreeView tree,
+                        std::span<const graph::Vertex> order) {
+  const std::size_t n = g.numVertices();
+  ChainValues values;
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  batch.rebind(family.prime(), family.dimension(), index);
+  batch.hashMatrixRows(aIdx, aRows, n, values.a);
+  batch.hashMatrixRows(bIdx, bRows, n, values.b);
+  for (graph::Vertex v : order) {
+    net::forEachChild(g, tree, v, [&](graph::Vertex child) {
+      util::addModInPlace(values.a[v], values.a[child], family.prime());
+      util::addModInPlace(values.b[v], values.b[child], family.prime());
+    });
+  }
+  return values;
+}
+
 }  // namespace
 
 ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
                             const util::BigUInt& index,
                             const std::vector<graph::Vertex>& rho,
-                            const net::SpanningTreeAdvice& tree) {
+                            net::SpanningTreeView tree) {
   const std::size_t n = g.numVertices();
-  ChainValues values;
-  // Per-vertex row hashes depend only on v, not on tree order: evaluate all
-  // 2n of them in two batch calls over the shared power tables, then run the
-  // bottom-up fold on the precomputed values.
-  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
   thread_local std::vector<std::uint64_t> aIdx;
   thread_local std::vector<std::uint64_t> bIdx;
   thread_local std::vector<util::DynBitset> aRows;
   thread_local std::vector<util::DynBitset> bRows;
-  batch.rebind(family.prime(), family.dimension(), index);
   aIdx.clear();
   bIdx.clear();
   aRows.clear();
@@ -65,17 +83,16 @@ ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily&
     bIdx.push_back(rho[v]);
     bRows.push_back(localImageOfClosedRow(g, v, rho));
   }
-  batch.hashMatrixRows(aIdx, aRows, n, values.a);
-  batch.hashMatrixRows(bIdx, bRows, n, values.b);
   thread_local std::vector<graph::Vertex> order;
   net::bottomUpOrderInto(tree, order);
-  for (graph::Vertex v : order) {
-    net::forEachChild(g, tree, v, [&](graph::Vertex child) {
-      util::addModInPlace(values.a[v], values.a[child], family.prime());
-      util::addModInPlace(values.b[v], values.b[child], family.prime());
-    });
-  }
-  return values;
+  return hashAndFold(g, family, index, aIdx, aRows, bIdx, bRows, tree, order);
+}
+
+ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
+                            const util::BigUInt& index, const PreparedSym& prepared) {
+  return hashAndFold(g, family, index, prepared.closedIndices, prepared.closedRows,
+                     prepared.imageIndices, prepared.imageRows, prepared.tree,
+                     prepared.order);
 }
 
 SymDmamProtocol::SymDmamProtocol(hash::LinearHashFamily family)
@@ -94,18 +111,16 @@ bool SymDmamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   const util::BigUInt& index = second.indexPerNode[v];
   bool consistent = root < n;
   g.row(v).forEachSet([&](std::size_t u) {
-    if (first.rootPerNode[u] != root || !(second.indexPerNode[u] == index)) {
+    const auto neighbor = static_cast<graph::Vertex>(u);
+    if (!first.rootPerNode.agree(neighbor, v) || !second.indexPerNode.agree(neighbor, v)) {
       consistent = false;
     }
   });
   if (!consistent) return false;
   if (index >= p) return false;
 
-  // Line 1: spanning-tree local checks (thread-local advice: see sym_dam).
-  thread_local net::SpanningTreeAdvice tree;
-  tree.root = root;
-  tree.parent = first.parent;
-  tree.dist = first.dist;
+  // Line 1: spanning-tree local checks, on a view of the message's advice.
+  const net::SpanningTreeView tree{root, first.parent, first.dist};
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Lines 2-3: chain verification.
@@ -235,33 +250,22 @@ HonestSymDmamProver::HonestSymDmamProver(const hash::LinearHashFamily& family)
     : family_(family) {}
 
 SymDmamFirstMessage HonestSymDmamProver::firstMessage(const graph::Graph& g) {
-  auto rho = graph::findNontrivialAutomorphism(g);
-  if (!rho) {
-    throw std::invalid_argument("HonestSymDmamProver: graph is not symmetric");
-  }
-  graph::Vertex root = 0;
-  for (graph::Vertex v = 0; v < g.numVertices(); ++v) {
-    if ((*rho)[v] != v) {
-      root = v;
-      break;
-    }
-  }
-  net::SpanningTreeAdvice tree = net::buildBfsTree(g, root);
+  const PreparedSym& prepared = requireTree(preparedSym(g), "HonestSymDmamProver");
   SymDmamFirstMessage first;
-  first.rootPerNode.assign(g.numVertices(), root);
-  first.rho = *rho;
-  first.parent = tree.parent;
-  first.dist = tree.dist;
+  first.rootPerNode.assign(g.numVertices(), prepared.root);
+  first.rho = *prepared.rho;
+  first.parent = prepared.tree.parent;
+  first.dist = prepared.tree.dist;
   return first;
 }
 
 SymDmamSecondMessage HonestSymDmamProver::secondMessage(
-    const graph::Graph& g, const SymDmamFirstMessage& first,
+    const graph::Graph& g, const SymDmamFirstMessage& /*first*/,
     const std::vector<util::BigUInt>& challenges) {
-  graph::Vertex root = first.rootPerNode[0];
-  net::SpanningTreeAdvice tree{root, first.parent, first.dist};
-  const util::BigUInt& index = challenges[root];
-  ChainValues chains = aggregateChains(g, family_, index, first.rho, tree);
+  // The honest prover answers for the commitment firstMessage made.
+  const PreparedSym& prepared = requireTree(preparedSym(g), "HonestSymDmamProver");
+  const util::BigUInt& index = challenges[prepared.root];
+  ChainValues chains = aggregateChains(g, family_, index, prepared);
   SymDmamSecondMessage second;
   second.indexPerNode.assign(g.numVertices(), index);
   second.a = std::move(chains.a);
@@ -323,9 +327,9 @@ SymDmamSecondMessage CheatingRhoProver::secondMessage(
   // are forced by the local checks, so the only hope is a hash collision at
   // the root.
   graph::Vertex root = first.rootPerNode[0];
-  net::SpanningTreeAdvice tree{root, first.parent, first.dist};
   const util::BigUInt& index = challenges[root];
-  ChainValues chains = aggregateChains(g, family_, index, first.rho, tree);
+  ChainValues chains =
+      aggregateChains(g, family_, index, first.rho, {root, first.parent, first.dist});
   SymDmamSecondMessage second;
   second.indexPerNode.assign(g.numVertices(), index);
   second.a = std::move(chains.a);

@@ -23,6 +23,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/broadcast.hpp"
+#include "core/prepared.hpp"
 #include "core/result.hpp"
 #include "graph/graph.hpp"
 #include "hash/linear_hash.hpp"
@@ -31,11 +33,11 @@
 
 namespace dip::core {
 
-// M1: the prover's commitment. Broadcast fields are per-node so that
-// adversarial provers can attempt inconsistent "broadcasts" (which the
+// M1: the prover's commitment. Broadcast fields carry per-node overrides so
+// that adversarial provers can attempt inconsistent "broadcasts" (which the
 // neighbor-consistency check must catch).
 struct SymDmamFirstMessage {
-  std::vector<graph::Vertex> rootPerNode;   // Broadcast: claimed root.
+  Broadcast<graph::Vertex> rootPerNode;     // Broadcast: claimed root.
   std::vector<graph::Vertex> rho;           // Unicast: claimed image rho_v.
   std::vector<graph::Vertex> parent;        // Unicast: claimed parent t_v.
   std::vector<std::uint32_t> dist;          // Unicast: claimed distance d_v.
@@ -43,7 +45,7 @@ struct SymDmamFirstMessage {
 
 // M2: the prover's response to the challenge.
 struct SymDmamSecondMessage {
-  std::vector<util::BigUInt> indexPerNode;  // Broadcast: claimed root index i.
+  Broadcast<util::BigUInt> indexPerNode;    // Broadcast: claimed root index i.
   std::vector<util::BigUInt> a;             // Unicast: subtree hash of sum [u, N(u)].
   std::vector<util::BigUInt> b;             // Unicast: subtree hash of sum [rho(u), rho(N(u))].
 };
@@ -102,7 +104,10 @@ class SymDmamProtocol {
 
 // The honest prover of Theorem 3.4: finds a non-trivial automorphism, roots
 // a BFS tree at a moved vertex, echoes the root's challenge, and aggregates
-// subtree hashes exactly as equation (1) prescribes.
+// subtree hashes exactly as equation (1) prescribes. The graph-only part
+// comes from the thread's prepared instance (core/prepared.hpp), so
+// secondMessage answers for the first message this prover sends on g and
+// does not read `first`.
 class HonestSymDmamProver : public SymDmamProver {
  public:
   explicit HonestSymDmamProver(const hash::LinearHashFamily& family);
@@ -168,6 +173,10 @@ struct ChainValues {
 ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
                             const util::BigUInt& index,
                             const std::vector<graph::Vertex>& rho,
-                            const net::SpanningTreeAdvice& tree);
+                            net::SpanningTreeView tree);
+// The same values for the prepared instance's rho and tree, hashing its
+// stored rows (prepared must have a tree: see requireTree).
+ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
+                            const util::BigUInt& index, const PreparedSym& prepared);
 
 }  // namespace dip::core

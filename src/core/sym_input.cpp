@@ -1,12 +1,14 @@
 #include "core/sym_input.hpp"
 
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "core/chain_util.hpp"
+#include "core/prepared.hpp"
 #include "core/sym_input_wire.hpp"
 #include "core/wire.hpp"
 #include "graph/generators.hpp"
-#include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "net/audit.hpp"
 #include "net/spanning.hpp"
@@ -25,10 +27,9 @@ struct SymInputPieces {
 SymInputPieces piecesFor(const SymInputInstance& instance,
                          const hash::LinearHashFamily& family,
                          const util::BigUInt& index, graph::Vertex v,
-                         graph::Vertex rhoV,
+                         graph::Vertex rhoV, std::span<const graph::Vertex> closedH,
                          const std::vector<graph::Vertex>& claims) {
   const std::size_t n = instance.network.numVertices();
-  std::vector<graph::Vertex> closedH = instance.input.closedNeighbors(v);
 
   SymInputPieces pieces;
   util::DynBitset claimedImages(n);
@@ -54,6 +55,15 @@ SymInputPieces piecesFor(const SymInputInstance& instance,
   return pieces;
 }
 
+// v's sorted closed H-neighborhood, written into a per-thread buffer.
+std::span<const graph::Vertex> closedInputNeighbors(const SymInputInstance& instance,
+                                                    graph::Vertex v) {
+  thread_local std::vector<graph::Vertex> closedH;
+  closedH.clear();
+  instance.input.forEachClosedNeighbor(v, [&](graph::Vertex u) { closedH.push_back(u); });
+  return closedH;
+}
+
 }  // namespace
 
 SymInputProtocol::SymInputProtocol(hash::LinearHashFamily family)
@@ -72,32 +82,25 @@ bool SymInputProtocol::nodeDecision(const SymInputInstance& instance, graph::Ver
   if (witness >= n || index >= p) return false;
   bool consistent = true;
   instance.network.row(v).forEachSet([&](std::size_t u) {
-    if (first.witnessPerNode[u] != witness ||
-        !(second.indexPerNode[u] == index)) {
+    const auto neighbor = static_cast<graph::Vertex>(u);
+    if (!first.witnessPerNode.agree(neighbor, v) || !second.indexPerNode.agree(neighbor, v)) {
       consistent = false;
     }
   });
   if (!consistent) return false;
 
   // Tree checks over the NETWORK graph (root fixed at node 0).
-  if (v == 0) {
-    if (first.dist[v] != 0) return false;
-  } else {
-    graph::Vertex parent = first.parent[v];
-    if (parent >= n || !instance.network.hasEdge(v, parent)) return false;
-    if (first.dist[v] < 1 || first.dist[parent] != first.dist[v] - 1) return false;
-  }
-  std::vector<graph::Vertex> children;
-  instance.network.row(v).forEachSet([&](std::size_t u) {
-    if (first.parent[u] == v && u != 0) {
-      children.push_back(static_cast<graph::Vertex>(u));
-    }
-  });
+  const net::SpanningTreeView tree{0, first.parent, first.dist};
+  if (!net::verifyTreeLocally(instance.network, tree, v)) return false;
+  thread_local std::vector<graph::Vertex> children;
+  children.clear();
+  net::forEachChild(instance.network, tree, v,
+                    [&](graph::Vertex child) { children.push_back(child); });
 
   // Commitment and claims shape.
   graph::Vertex rhoV = first.rho[v];
   if (rhoV >= n) return false;
-  std::vector<graph::Vertex> closedH = instance.input.closedNeighbors(v);
+  std::span<const graph::Vertex> closedH = closedInputNeighbors(instance, v);
   const std::vector<graph::Vertex>& claims = first.claims[v];
   if (claims.size() != closedH.size()) return false;
   for (std::size_t i = 0; i < closedH.size(); ++i) {
@@ -109,11 +112,14 @@ bool SymInputProtocol::nodeDecision(const SymInputInstance& instance, graph::Ver
   if (v == witness && rhoV == v) return false;
 
   // Chain checks for all four series.
-  SymInputPieces pieces = piecesFor(instance, family_, index, v, rhoV, claims);
-  if (!chainLinkHolds(pieces.a, children, second.a, v, p) ||
-      !chainLinkHolds(pieces.b, children, second.b, v, p) ||
-      !chainLinkHolds(pieces.consC, children, second.consC, v, p) ||
-      !chainLinkHolds(pieces.consT, children, second.consT, v, p)) {
+  SymInputPieces pieces = piecesFor(instance, family_, index, v, rhoV, closedH, claims);
+  auto column = [&](const std::vector<util::BigUInt>& values) {
+    return [&values](graph::Vertex u) -> const util::BigUInt& { return values[u]; };
+  };
+  if (!chainLinkHoldsAt(pieces.a, children, column(second.a), v, p) ||
+      !chainLinkHoldsAt(pieces.b, children, column(second.b), v, p) ||
+      !chainLinkHoldsAt(pieces.consC, children, column(second.consC), v, p) ||
+      !chainLinkHoldsAt(pieces.consT, children, column(second.consT), v, p)) {
     return false;
   }
 
@@ -249,11 +255,11 @@ SymInputSecondMessage buildSecondMessage(const SymInputInstance& instance,
                                          const SymInputFirstMessage& first,
                                          const util::BigUInt& index) {
   const std::size_t n = instance.network.numVertices();
-  net::SpanningTreeAdvice tree{0, first.parent, first.dist};
+  const net::SpanningTreeView tree{0, first.parent, first.dist};
   std::vector<util::BigUInt> aPieces(n), bPieces(n), cPieces(n), tPieces(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    SymInputPieces pieces =
-        piecesFor(instance, family, index, v, first.rho[v], first.claims[v]);
+    SymInputPieces pieces = piecesFor(instance, family, index, v, first.rho[v],
+                                      closedInputNeighbors(instance, v), first.claims[v]);
     aPieces[v] = pieces.a;
     bPieces[v] = pieces.b;
     cPieces[v] = pieces.consC;
@@ -274,7 +280,7 @@ HonestSymInputProver::HonestSymInputProver(const hash::LinearHashFamily& family)
     : family_(family) {}
 
 SymInputFirstMessage HonestSymInputProver::firstMessage(const SymInputInstance& instance) {
-  auto rho = graph::findNontrivialAutomorphism(instance.input);
+  const std::optional<graph::Permutation>& rho = preparedSym(instance.input).rho;
   if (!rho) {
     throw std::invalid_argument("HonestSymInputProver: input graph is not symmetric");
   }
@@ -307,7 +313,7 @@ SymInputFirstMessage CheatingSymInputProver::firstMessage(
     // Claims follow a DIFFERENT mapping — ideally a real automorphism of
     // the input, which would make the fingerprints match if the
     // consistency check did not exist.
-    auto automorphism = graph::findNontrivialAutomorphism(instance.input);
+    const std::optional<graph::Permutation>& automorphism = preparedSym(instance.input).rho;
     trueRhoForClaims_ = automorphism ? *automorphism : graph::randomPermutation(n, rng_);
   }
   return buildFirstMessage(instance, rho, trueRhoForClaims_);

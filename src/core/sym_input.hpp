@@ -30,6 +30,7 @@
 
 #include <vector>
 
+#include "core/broadcast.hpp"
 #include "core/result.hpp"
 #include "graph/graph.hpp"
 #include "hash/linear_hash.hpp"
@@ -45,7 +46,7 @@ struct SymInputInstance {
 };
 
 struct SymInputFirstMessage {
-  std::vector<graph::Vertex> witnessPerNode;  // Broadcast: some w with rho(w) != w.
+  Broadcast<graph::Vertex> witnessPerNode;    // Broadcast: some w with rho(w) != w.
   std::vector<graph::Vertex> rho;             // Unicast commitments.
   std::vector<graph::Vertex> parent;          // Unicast tree advice.
   std::vector<std::uint32_t> dist;
@@ -54,7 +55,7 @@ struct SymInputFirstMessage {
 };
 
 struct SymInputSecondMessage {
-  std::vector<util::BigUInt> indexPerNode;  // Broadcast echo of node 0's index.
+  Broadcast<util::BigUInt> indexPerNode;    // Broadcast echo of node 0's index.
   std::vector<util::BigUInt> a;             // Fingerprint of sum [v, N_H(v)].
   std::vector<util::BigUInt> b;             // Fingerprint of sum [rho(v), rho(N_H(v))].
   std::vector<util::BigUInt> consC;         // Claims-matrix side.
@@ -104,8 +105,9 @@ class SymInputProtocol {
   hash::LinearHashFamily family_;
 };
 
-// Honest prover: finds a non-trivial automorphism of the INPUT graph and
-// plays the three-chain protocol faithfully.
+// Honest prover: takes a non-trivial automorphism of the INPUT graph from
+// the thread's prepared instance (core/prepared.hpp) and plays the
+// three-chain protocol faithfully.
 class HonestSymInputProver : public SymInputProver {
  public:
   explicit HonestSymInputProver(const hash::LinearHashFamily& family);

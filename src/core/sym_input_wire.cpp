@@ -14,11 +14,10 @@ EncodedRound encodeSymInputFirst(const SymInputFirstMessage& message,
       message.claims.size() != n) {
     throw std::invalid_argument("encodeSymInputFirst: wrong per-node count");
   }
+  if (!message.witnessPerNode.uniform()) {
+    throw std::invalid_argument("encodeSymInputFirst: inconsistent witness broadcast");
+  }
   for (graph::Vertex v = 0; v < n; ++v) {
-    if (message.witnessPerNode[v] != message.witnessPerNode[0]) {
-      throw std::invalid_argument(
-          "encodeSymInputFirst: inconsistent witness broadcast");
-    }
     if (message.claims[v].size() != instance.input.degree(v) + 1) {
       throw std::invalid_argument("encodeSymInputFirst: wrong claim count");
     }
@@ -73,10 +72,8 @@ EncodedRound encodeSymInputSecond(const SymInputSecondMessage& message, std::siz
       message.consT.size() != n) {
     throw std::invalid_argument("encodeSymInputSecond: wrong per-node count");
   }
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!(message.indexPerNode[v] == message.indexPerNode[0])) {
-      throw std::invalid_argument("encodeSymInputSecond: inconsistent index echo");
-    }
+  if (!message.indexPerNode.uniform()) {
+    throw std::invalid_argument("encodeSymInputSecond: inconsistent index echo");
   }
 
   EncodedRound round;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dip::core::wire {
 
@@ -61,12 +62,8 @@ EncodedRound encodeSymDmamFirst(const SymDmamFirstMessage& message, std::size_t 
   requireFieldCount(message.rho.size(), n, "rho");
   requireFieldCount(message.parent.size(), n, "parent");
   requireFieldCount(message.dist.size(), n, "dist");
+  requireConsistentBroadcast(message.rootPerNode.uniform());
   EncodedRound round = makeRound(n, arena);
-  bool consistent = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (message.rootPerNode[v] != message.rootPerNode[0]) consistent = false;
-  }
-  requireConsistentBroadcast(consistent);
 
   round.broadcast.writeUInt(message.rootPerNode[0], idBits);
   for (graph::Vertex v = 0; v < n; ++v) {
@@ -103,12 +100,8 @@ EncodedRound encodeSymDmamSecond(const SymDmamSecondMessage& message, std::size_
   requireFieldCount(message.indexPerNode.size(), n, "indexPerNode");
   requireFieldCount(message.a.size(), n, "a");
   requireFieldCount(message.b.size(), n, "b");
+  requireConsistentBroadcast(message.indexPerNode.uniform());
   EncodedRound round = makeRound(n, arena);
-  bool consistent = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!(message.indexPerNode[v] == message.indexPerNode[0])) consistent = false;
-  }
-  requireConsistentBroadcast(consistent);
 
   round.broadcast.writeBig(message.indexPerNode[0], family.seedBits());
   for (graph::Vertex v = 0; v < n; ++v) {
@@ -148,16 +141,10 @@ EncodedRound encodeSymDam(const SymDamMessage& message, std::size_t n,
   requireFieldCount(message.a.size(), n, "a");
   requireFieldCount(message.b.size(), n, "b");
   requireFieldCount(message.rhoPerNode[0].size(), n, "rhoPerNode[0]");
+  requireConsistentBroadcast(message.rhoPerNode.uniform() &&
+                             message.indexPerNode.uniform() &&
+                             message.rootPerNode.uniform());
   EncodedRound round = makeRound(n, arena);
-  bool consistent = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (message.rhoPerNode[v] != message.rhoPerNode[0] ||
-        !(message.indexPerNode[v] == message.indexPerNode[0]) ||
-        message.rootPerNode[v] != message.rootPerNode[0]) {
-      consistent = false;
-    }
-  }
-  requireConsistentBroadcast(consistent);
 
   for (graph::Vertex image : message.rhoPerNode[0]) {
     round.broadcast.writeUInt(image, idBits);
@@ -183,7 +170,7 @@ SymDamMessage decodeSymDam(const EncodedRound& round, std::size_t n,
   for (graph::Vertex& image : rho) {
     image = static_cast<graph::Vertex>(broadcast.readUInt(idBits));
   }
-  message.rhoPerNode.assign(n, rho);
+  message.rhoPerNode.assign(n, std::move(rho));
   message.indexPerNode.assign(n, broadcast.readBig(family.seedBits()));
   message.rootPerNode.assign(
       n, static_cast<graph::Vertex>(broadcast.readUInt(idBits)));
@@ -213,15 +200,9 @@ EncodedRound encodeDSym(const DSymMessage& message, std::size_t n,
   requireFieldCount(message.dist.size(), n, "dist");
   requireFieldCount(message.a.size(), n, "a");
   requireFieldCount(message.b.size(), n, "b");
+  requireConsistentBroadcast(message.indexPerNode.uniform() &&
+                             message.rootPerNode.uniform());
   EncodedRound round = makeRound(n, arena);
-  bool consistent = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!(message.indexPerNode[v] == message.indexPerNode[0]) ||
-        message.rootPerNode[v] != message.rootPerNode[0]) {
-      consistent = false;
-    }
-  }
-  requireConsistentBroadcast(consistent);
 
   round.broadcast.writeBig(message.indexPerNode[0], family.seedBits());
   round.broadcast.writeUInt(message.rootPerNode[0], idBits);

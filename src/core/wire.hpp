@@ -4,9 +4,11 @@
 // the actual encodings, so the charged numbers are backed by real byte
 // streams (tests verify round trips and that encoded lengths equal the
 // charged bit counts). Wire formats describe the honest/consistent message
-// shape: broadcast fields are encoded once (the simulation's per-node
-// broadcast copies exist so that adversarial provers can attempt
-// inconsistent broadcasts, which never reach a wire).
+// shape: each broadcast field is encoded once. In memory a broadcast is a
+// core::Broadcast, one common value plus per-node overrides, so adversarial
+// provers can still attempt inconsistent broadcasts; an encoder checks that
+// the broadcast is uniform and refuses one with disagreeing overrides, so
+// such a message never reaches a wire. Decoders return uniform broadcasts.
 #pragma once
 
 #include <cstddef>

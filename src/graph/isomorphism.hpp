@@ -5,8 +5,8 @@
 // honest Goldwasser-Sipser prover must KNOW whether two graphs are
 // isomorphic. The public entry points below delegate to the
 // individualization-refinement engine in graph/ir.hpp; the original
-// 1-WL-plus-backtracking searcher is kept (as the *Backtracking functions)
-// as an independently-implemented oracle for differential testing.
+// 1-WL-plus-backtracking searcher lives on in tests/iso_ref.hpp as an
+// independently-implemented oracle for differential testing.
 #pragma once
 
 #include <optional>
@@ -41,11 +41,5 @@ std::uint64_t countAutomorphisms(const Graph& g, std::uint64_t cap = UINT64_MAX)
 // S = {(sigma(G_b), alpha)} through this group. Intended for small graphs /
 // small groups.
 std::vector<Permutation> allAutomorphisms(const Graph& g, std::size_t cap = 1u << 20);
-
-// Reference implementations: the original 1-WL + most-constrained-variable
-// backtracking searcher, independent of the IR engine. Slower; used as
-// differential-test oracles.
-std::optional<Permutation> findIsomorphismBacktracking(const Graph& g0, const Graph& g1);
-std::uint64_t countAutomorphismsBacktracking(const Graph& g, std::uint64_t cap = UINT64_MAX);
 
 }  // namespace dip::graph

@@ -6,8 +6,7 @@
 
 namespace dip::net {
 
-void bottomUpOrderInto(const SpanningTreeAdvice& advice,
-                       std::vector<graph::Vertex>& order) {
+void bottomUpOrderInto(SpanningTreeView advice, std::vector<graph::Vertex>& order) {
   // Counting sort by decreasing distance, stable within a distance class —
   // the exact order the stable_sort formulation produced, without its
   // temporary buffer (this runs once per trial in the chain aggregators).
@@ -24,7 +23,7 @@ void bottomUpOrderInto(const SpanningTreeAdvice& advice,
   }
 }
 
-std::vector<graph::Vertex> bottomUpOrder(const SpanningTreeAdvice& advice) {
+std::vector<graph::Vertex> bottomUpOrder(SpanningTreeView advice) {
   std::vector<graph::Vertex> order;
   bottomUpOrderInto(advice, order);
   return order;

@@ -18,6 +18,7 @@
 // neighbors in the same ascending order either way).
 #pragma once
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -25,10 +26,21 @@
 
 namespace dip::net {
 
+// A claimed tree as the verifiers read it: the root plus spans over the
+// message's parent and distance columns, so a per-node check looks at the
+// advice where it lies instead of copying it.
+struct SpanningTreeView {
+  graph::Vertex root = 0;
+  std::span<const graph::Vertex> parent;
+  std::span<const std::uint32_t> dist;
+};
+
 struct SpanningTreeAdvice {
   graph::Vertex root = 0;
   std::vector<graph::Vertex> parent;  // parent[root] == root by convention.
   std::vector<std::uint32_t> dist;
+
+  operator SpanningTreeView() const { return {root, parent, dist}; }
 };
 
 // BFS tree from `root` (the honest prover's choice). Requires g connected.
@@ -67,8 +79,7 @@ SpanningTreeAdvice buildBfsTree(const G& g, graph::Vertex root) {
 // its closed neighborhood (d_{t_v} is visible because t_v must be a
 // neighbor).
 template <typename G>
-bool verifyTreeLocally(const G& g, const SpanningTreeAdvice& advice,
-                       graph::Vertex v) {
+bool verifyTreeLocally(const G& g, SpanningTreeView advice, graph::Vertex v) {
   if (advice.parent.size() != g.numVertices() || advice.dist.size() != g.numVertices()) {
     return false;
   }
@@ -83,8 +94,8 @@ bool verifyTreeLocally(const G& g, const SpanningTreeAdvice& advice,
 // vector; the per-node chain folds run once per node per trial, so the hot
 // loops use this form. Computable from v's local view.
 template <typename G, typename Visitor>
-void forEachChild(const G& g, const SpanningTreeAdvice& advice,
-                  graph::Vertex v, Visitor&& visit) {
+void forEachChild(const G& g, SpanningTreeView advice, graph::Vertex v,
+                  Visitor&& visit) {
   g.forEachNeighbor(v, [&](graph::Vertex u) {
     if (advice.parent[u] == v && u != advice.root) visit(u);
   });
@@ -92,7 +103,7 @@ void forEachChild(const G& g, const SpanningTreeAdvice& advice,
 
 // C(v) as a sorted vector; convenience for tests and cold paths only.
 template <typename G>
-std::vector<graph::Vertex> childrenOf(const G& g, const SpanningTreeAdvice& advice,
+std::vector<graph::Vertex> childrenOf(const G& g, SpanningTreeView advice,
                                       graph::Vertex v) {
   std::vector<graph::Vertex> children;
   forEachChild(g, advice, v, [&](graph::Vertex u) { children.push_back(u); });
@@ -101,11 +112,10 @@ std::vector<graph::Vertex> childrenOf(const G& g, const SpanningTreeAdvice& advi
 
 // Vertices ordered by decreasing claimed distance (leaves first); the honest
 // prover aggregates subtree hash values in this order.
-std::vector<graph::Vertex> bottomUpOrder(const SpanningTreeAdvice& advice);
+std::vector<graph::Vertex> bottomUpOrder(SpanningTreeView advice);
 // Same order written into a caller-reused buffer (counting sort, no
 // temporaries) — the per-trial aggregators use this form.
-void bottomUpOrderInto(const SpanningTreeAdvice& advice,
-                       std::vector<graph::Vertex>& order);
+void bottomUpOrderInto(SpanningTreeView advice, std::vector<graph::Vertex>& order);
 
 // Height of the claimed tree: max distance over all nodes.
 std::uint32_t treeHeight(const SpanningTreeAdvice& advice);

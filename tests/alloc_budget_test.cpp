@@ -113,8 +113,8 @@ TEST_P(SymCellBudget, AllocationsPerTrialWithinCeiling) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, SymCellBudget,
-    ::testing::Values(CellBudget{"sym_dmam_p1", 21}, CellBudget{"sym_dam_p2", 23},
-                      CellBudget{"dsym_dam", 16}, CellBudget{"sym_input", 98}),
+    ::testing::Values(CellBudget{"sym_dmam_p1", 14}, CellBudget{"sym_dam_p2", 12},
+                      CellBudget{"dsym_dam", 12}, CellBudget{"sym_input", 38}),
     [](const ::testing::TestParamInfo<CellBudget>& info) {
       return std::string(info.param.cell);
     });
@@ -122,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AllocBudget, Protocol2AtSixteenNodesWithinCeiling) {
   if (kSkipReason != nullptr) GTEST_SKIP() << kSkipReason;
   constexpr std::size_t kN = 16;
-  constexpr double kMeasured = 33;
+  constexpr double kMeasured = 12;
   const core::SymDamProtocol protocol(hash::makeProtocol2FamilyCached(kN));
   util::Rng rng(4000 + kN);
   const graph::Graph graph = graph::randomSymmetricConnected(kN, rng);

@@ -1,6 +1,6 @@
 // Randomized differential suite: the 64-bit BigUInt engine against the
 // frozen 32-bit reference implementation (biguint_ref), the same oracle
-// pattern as findIsomorphismBacktracking for the graph layer. Every op runs
+// pattern as tests/iso_ref for the graph layer. Every op runs
 // thousands of random operand pairs through both engines and demands
 // bit-identical results; the Karatsuba cases pin operand sizes to the
 // threshold boundary where the schoolbook/Karatsuba dispatch switches.

@@ -4,7 +4,7 @@
 // This is the seed implementation verbatim (little-endian 32-bit limbs,
 // schoolbook multiply, Knuth Algorithm D division, square-and-multiply
 // powMod), renamed so the two engines can be linked side by side. It follows
-// the same pattern as graph/findIsomorphismBacktracking: the slow, simple,
+// the same pattern as tests/iso_ref for the graph layer: the slow, simple,
 // battle-tested code stays compiled and becomes the test oracle that the
 // optimized path must match bit for bit (tests/biguint_diff_test.cpp).
 //

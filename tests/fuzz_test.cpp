@@ -32,7 +32,7 @@ void mutateSymDmam(Rng& rng, std::size_t n, const hash::LinearHashFamily& family
   graph::Vertex victim = static_cast<graph::Vertex>(rng.nextBelow(n));
   switch (rng.nextBelow(8)) {
     case 0:
-      first.rootPerNode[victim] = static_cast<graph::Vertex>(rng.nextBelow(2 * n));
+      first.rootPerNode.set(victim, static_cast<graph::Vertex>(rng.nextBelow(2 * n)));
       break;
     case 1:
       first.rho[victim] = static_cast<graph::Vertex>(rng.nextBelow(2 * n));
@@ -44,7 +44,7 @@ void mutateSymDmam(Rng& rng, std::size_t n, const hash::LinearHashFamily& family
       first.dist[victim] = static_cast<std::uint32_t>(rng.nextBelow(2 * n));
       break;
     case 4:
-      second.indexPerNode[victim] = rng.nextBigBelow(family.prime());
+      second.indexPerNode.set(victim, rng.nextBigBelow(family.prime()));
       break;
     case 5:
       second.a[victim] = rng.nextBigBelow(family.prime());

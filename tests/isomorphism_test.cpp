@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/isomorphism.hpp"
+#include "iso_ref.hpp"
 #include "util/rng.hpp"
 
 namespace dip::graph {

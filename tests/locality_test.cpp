@@ -50,14 +50,14 @@ TEST(Locality, SymDmamDecisionIgnoresNonNeighbors) {
       SymDmamFirstMessage mutatedFirst = first;
       SymDmamSecondMessage mutatedSecond = second;
       switch (field) {
-        case 0: mutatedFirst.rootPerNode[*far] = (first.rootPerNode[*far] + 1) % n; break;
+        case 0: mutatedFirst.rootPerNode.set(*far, (first.rootPerNode[*far] + 1) % n); break;
         case 1: mutatedFirst.rho[*far] = (first.rho[*far] + 1) % n; break;
         case 2: mutatedFirst.parent[*far] = (first.parent[*far] + 1) % n; break;
         case 3: mutatedFirst.dist[*far] += 17; break;
         case 4:
-          mutatedSecond.indexPerNode[*far] =
-              util::addMod(second.indexPerNode[*far], util::BigUInt{1},
-                           protocol.family().prime());
+          mutatedSecond.indexPerNode.set(
+              *far, util::addMod(second.indexPerNode[*far], util::BigUInt{1},
+                                 protocol.family().prime()));
           break;
         case 5:
           mutatedSecond.a[*far] = util::addMod(second.a[*far], util::BigUInt{1},

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/broadcast.hpp"
 #include "core/dsym_dam.hpp"
 #include "core/sym_dam.hpp"
 #include "core/sym_dmam.hpp"
@@ -35,7 +37,7 @@ using util::Rng;
 
 // Centres for a tree rooted at `root`: the vertex farthest from the root,
 // then (when one exists) a non-root vertex outside its closed neighbourhood.
-std::vector<Vertex> pickCentres(const Graph& g, const net::SpanningTreeAdvice& tree) {
+std::vector<Vertex> pickCentres(const Graph& g, net::SpanningTreeView tree) {
   Vertex far = tree.root == 0 ? 1 : 0;
   for (Vertex v = 0; v < g.numVertices(); ++v) {
     if (tree.dist[v] > tree.dist[far]) far = v;
@@ -53,7 +55,7 @@ std::vector<Vertex> pickCentres(const Graph& g, const net::SpanningTreeAdvice& t
 // The echoed index per node: `base`, except that the k-th centre alone, or
 // its closed neighbourhood, echoes base + k + 1 (mod p); later centres
 // overwrite earlier ones.
-std::vector<BigUInt> skewedIndices(const Graph& g, const hash::LinearHashFamily& family,
+Broadcast<BigUInt> skewedIndices(const Graph& g, const hash::LinearHashFamily& family,
                                    const BigUInt& base, const std::vector<Vertex>& centres,
                                    bool neighbourhoods) {
   std::vector<BigUInt> index(g.numVertices(), base);
@@ -65,14 +67,14 @@ std::vector<BigUInt> skewedIndices(const Graph& g, const hash::LinearHashFamily&
       g.forEachNeighbor(c, [&](Vertex u) { index[u] = other; });
     }
   }
-  return index;
+  return Broadcast<BigUInt>::fromPerNode(std::move(index));
 }
 
 // Chain values under each node's OWN index, from the scalar oracle:
 // a_v = h_{i_v}([v, N[v]]) + sum of children's a, and likewise b_v with the
 // row [rho_v, rho(N[v])].
 void oracleChains(const Graph& g, const hash::LinearHashFamily& family,
-                  const net::SpanningTreeAdvice& tree, const std::vector<BigUInt>& index,
+                  net::SpanningTreeView tree, const Broadcast<BigUInt>& index,
                   const std::vector<Vertex>& rho, std::vector<BigUInt>& a,
                   std::vector<BigUInt>& b) {
   const std::size_t n = g.numVertices();
@@ -96,7 +98,7 @@ void oracleChains(const Graph& g, const hash::LinearHashFamily& family,
 // node accepts iff its neighbours all echo its index. Returns whether some
 // node holding a non-base index accepted.
 template <typename Decide>
-bool expectLocalVerdicts(const Graph& g, Vertex root, const std::vector<BigUInt>& index,
+bool expectLocalVerdicts(const Graph& g, Vertex root, const Broadcast<BigUInt>& index,
                          const BigUInt& base, bool runAccepted, Decide&& decide) {
   bool all = true;
   bool skewedAccepted = false;
@@ -127,7 +129,7 @@ class SkewedSymDmamProver : public SymDmamProver {
                                      const std::vector<BigUInt>& challenges) override {
     this->challenges = challenges;
     second = honest_.secondMessage(g, m1, challenges);
-    const net::SpanningTreeAdvice tree{m1.rootPerNode[0], m1.parent, m1.dist};
+    const net::SpanningTreeView tree{m1.rootPerNode[0], m1.parent, m1.dist};
     second.indexPerNode = skewedIndices(g, family_, challenges[tree.root],
                                          pickCentres(g, tree), neighbourhoods_);
     oracleChains(g, family_, tree, second.indexPerNode, m1.rho, second.a, second.b);
@@ -173,7 +175,7 @@ class SkewedSymDamProver : public SymDamProver {
   SymDamMessage respond(const Graph& g, const std::vector<BigUInt>& challenges) override {
     this->challenges = challenges;
     msg = honest_.respond(g, challenges);
-    const net::SpanningTreeAdvice tree{msg.rootPerNode[0], msg.parent, msg.dist};
+    const net::SpanningTreeView tree{msg.rootPerNode[0], msg.parent, msg.dist};
     msg.indexPerNode = skewedIndices(g, family_, challenges[tree.root],
                                      pickCentres(g, tree), neighbourhoods_);
     oracleChains(g, family_, tree, msg.indexPerNode, msg.rhoPerNode[0], msg.a, msg.b);
@@ -219,7 +221,7 @@ class SkewedDSymProver : public DSymProver {
   DSymMessage respond(const Graph& g, const std::vector<BigUInt>& challenges) override {
     this->challenges = challenges;
     msg = honest_.respond(g, challenges);
-    const net::SpanningTreeAdvice tree{msg.rootPerNode[0], msg.parent, msg.dist};
+    const net::SpanningTreeView tree{msg.rootPerNode[0], msg.parent, msg.dist};
     msg.indexPerNode = skewedIndices(g, family_, challenges[tree.root],
                                      pickCentres(g, tree), neighbourhoods_);
     oracleChains(g, family_, tree, msg.indexPerNode, graph::dsymSigma(layout_), msg.a,

@@ -133,7 +133,7 @@ TEST(SymDmam, InconsistentBroadcastRejected) {
   HonestSymDmamProver prover(protocol.family());
 
   SymDmamFirstMessage first = prover.firstMessage(g);
-  first.rootPerNode[3] = (first.rootPerNode[3] + 1) % 6;
+  first.rootPerNode.set(3, (first.rootPerNode[3] + 1) % 6);
   std::vector<util::BigUInt> challenges;
   for (graph::Vertex v = 0; v < 6; ++v) {
     challenges.push_back(protocol.family().randomIndex(rng));

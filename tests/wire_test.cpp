@@ -145,7 +145,7 @@ TEST_F(WireTest, ChallengeRoundTrip) {
 TEST_F(WireTest, InconsistentBroadcastRefused) {
   HonestSymDmamProver prover(family_);
   SymDmamFirstMessage message = prover.firstMessage(g_);
-  message.rootPerNode[2] = (message.rootPerNode[2] + 1) % static_cast<graph::Vertex>(n_);
+  message.rootPerNode.set(2, (message.rootPerNode[2] + 1) % static_cast<graph::Vertex>(n_));
   EXPECT_THROW(wire::encodeSymDmamFirst(message, n_), std::invalid_argument);
 }
 

@@ -297,8 +297,15 @@ void ruleHotLoopAlloc(SourceFile& file, std::vector<Finding>& findings) {
 
 // ---------------------------------------------------------------------------
 // locality (brace-matched): nodeDecision bodies may read the graph only
-// through the own vertex's row/closedRow/hasEdge and may not leak the graph
-// into helpers that do not also receive the own vertex.
+// through the own vertex's row/closedRow/hasEdge, may not leak the graph
+// into helpers that do not also receive the own vertex, and never read the
+// honest provers' prepared instance (core/prepared.hpp): prover-derived
+// state is not a verifier input.
+
+bool isPreparedAccessor(const Token& token) {
+  return token.isIdent("preparedSym") || token.isIdent("buildPreparedSym") ||
+         token.isIdent("PreparedSym");
+}
 
 void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
                   std::vector<Finding>& findings) {
@@ -341,6 +348,14 @@ void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
       if (comparesAll) {
         emitAt(file, findings, "locality", tokens[i],
                "whole-graph loop in nodeDecision: verifiers see only N(v)");
+      }
+    }
+
+    for (std::size_t i = def.bodyOpen; i < def.bodyClose; ++i) {
+      if (isPreparedAccessor(tokens[i])) {
+        emitAt(file, findings, "locality", tokens[i],
+               tokens[i].text + " in nodeDecision: the verifier never reads the "
+               "honest prover's prepared instance");
       }
     }
 

@@ -322,6 +322,13 @@ const SeededCase kCases[] = {
      "  return helpers::globalTriangleCount(g, msg) > 0;\n"
      "}\n",
      "locality"},
+    {"src/core/bad_prepared_read.cpp",
+     "bool Proto::nodeDecision(const graph::Graph& g, graph::Vertex v,\n"
+     "                         const Msg& msg) const {\n"
+     "  const PreparedSym& prepared = *lastPrepared_;\n"
+     "  return g.hasEdge(v, prepared.tree.parent[v]);\n"
+     "}\n",
+     "locality"},
     {"src/core/good_local_decision.cpp",
      "bool Proto::nodeDecision(const graph::Graph& g, graph::Vertex v,\n"
      "                         const Msg& msg) const {\n"
