@@ -1,6 +1,8 @@
 #include "core/gni_search.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
 
 #include "hash/batch_eval.hpp"
@@ -147,10 +149,23 @@ __attribute__((target("avx2"))) bool anyHitRowsAvx2(const std::uint64_t* src,
 //
 // Lane j of a depth-d accumulator holds, for the prefix sigma[0..d-1], the
 // sum of alpha_j * a_j^(e+1) over the inner-hash entries e the prefix has
-// fixed, plus beta_j for the H part. Table rows are transposed —
-// qt[index * stride + lane] — so one DFS node's adds are contiguous lane
-// loops. Compact table indices: H entry (r, c) is r n + c; in the general
-// form, alpha-part entry (n + u, c) of the 2n x 2n matrix is n^2 + u n + c.
+// fixed, on top of the lane's start value. The start value is beta_j plus
+// every term that is the same for all sigma: sigma(G_b) has an all-ones
+// diagonal (rows are closed neighbourhoods), and in the general form
+// sum_u q'[u][u] over the alpha block's diagonal. What is left per node:
+//   * H block: sigma(G_b) is symmetric, so one pair row
+//     q[r][c] + q[c][r] per unordered pair {r, c} covers both entries of an
+//     edge; a node adds one row per earlier neighbour of vertex d;
+//   * alpha block: row (u, c) holds q'[u][c] - q'[u][u], so a point w that
+//     beta fixes adds nothing and the identity beta adds no rows at all.
+// Table rows are transposed — qt[index * stride + lane] — so one DFS node's
+// adds are contiguous lane loops. Compact table indices: pair {r, c} is
+// pairIndex_[r n + c] < n(n-1)/2; alpha-block row (u, c) follows at
+// n(n-1)/2 + u n + c.
+//
+// Lanes are physical: lane_[i] is the repetition physical lane i holds. At
+// each depth-0 boundary the unresolved lanes move to the front and the
+// kernels run only over them (rounded up to the kernel's block).
 
 class LaneWalk {
  public:
@@ -159,7 +174,9 @@ class LaneWalk {
       : space_(space),
         n_(space.g[0]->numVertices()),
         lanes_(targets.size()),
-        stride_((targets.size() + kLaneBlock - 1) / kLaneBlock * kLaneBlock) {
+        stride_(roundUp(targets.size(), kLaneBlock)),
+        pairs_(n_ * (n_ - 1) / 2),
+        indices_(pairs_ + (space.general() ? n_ * n_ : 0)) {
     if (!laneWalkSupports(gsHash, n_)) {
       throw std::logic_error("gni lane walk: needs P < 2^63, ell < 64 and n <= 32");
     }
@@ -169,9 +186,10 @@ class LaneWalk {
     if (hash::avx2Enabled()) {
       addRows_ = addRowsAvx2;
       anyHitRows_ = anyHitRowsAvx2;
-      kernelLanes_ = stride_;
+      block_ = kLaneBlock;
     }
 #endif
+    kernelLanes_ = roundUp(active_, block_);
     buildTables(gsHash, targets);
   }
 
@@ -184,6 +202,9 @@ class LaneWalk {
   }
 
  private:
+  static std::size_t roundUp(std::size_t count, std::size_t block) {
+    return (count + block - 1) / block * block;
+  }
   const std::uint64_t* row(std::size_t index) const { return &qt_[index * stride_]; }
   std::uint64_t* acc(std::vector<std::uint64_t>& buffer, std::size_t slot) {
     return &buffer[slot * stride_];
@@ -192,49 +213,77 @@ class LaneWalk {
   void buildTables(const hash::EpsApiHash& gsHash, std::span<const GniChallenge> targets) {
     const std::size_t n = n_;
     const std::size_t width = gsHash.n();
-    const std::size_t indices = space_.general() ? 2 * n * n : n * n;
-    // compact[e]: table index of full power position e, or `indices` if unused.
-    const std::size_t positions = space_.general() ? (2 * n - 1) * width + n : n * n;
-    std::vector<std::size_t> compact(positions, indices);
-    for (std::size_t r = 0; r < (space_.general() ? 2 * n : n); ++r) {
-      for (std::size_t c = 0; c < n; ++c) compact[r * width + c] = r * n + c;
-    }
+    const std::size_t blockRows = space_.general() ? 2 * n : n;
 
-    qt_.assign(indices * stride_, 0);
+    qt_.assign(indices_ * stride_, 0);
     y_.assign(stride_, kResolved);
-    h_.assign((n + 1) * stride_, 0);
+    h_.assign((n + 1) * stride_, 0);  // Slot 0 holds the start values.
     zeros_.assign(stride_, 0);
+    lane_.resize(lanes_);
+    for (std::size_t r = 0, next = 0; r < n; ++r) {
+      for (std::size_t c = r + 1; c < n; ++c, ++next) {
+        pairIndex_[r * n + c] = pairIndex_[c * n + r] = static_cast<std::uint16_t>(next);
+      }
+    }
     const MontgomeryU64 montgomery(p_);
     for (std::size_t j = 0; j < lanes_; ++j) {
       const GniChallenge& target = targets[j];
       const std::uint64_t aR = montgomery.toMontgomery(target.seed.a.modU64(p_));
-      std::uint64_t power = target.seed.alpha.modU64(p_);  // alpha * a^0.
-      for (std::size_t e = 0; e < positions; ++e) {
-        power = montgomery.mul(power, aR);
-        if (compact[e] != indices) qt_[compact[e] * stride_ + j] = power;
+      // a^(width - n) steps over a row's columns c >= n, which no
+      // candidate sets (general form only).
+      std::uint64_t gapR = 0;
+      if (width > n) {
+        std::uint64_t gap = 1;
+        for (std::size_t c = n; c < width; ++c) gap = montgomery.mul(gap, aR);
+        gapR = montgomery.toMontgomery(gap);
       }
-      h_[j] = target.seed.beta.modU64(p_);
+      std::uint64_t power = target.seed.alpha.modU64(p_);  // alpha * a^0.
+      std::uint64_t start = target.seed.beta.modU64(p_);
+      for (std::size_t r = 0; r < blockRows; ++r) {
+        if (r > 0 && width > n) power = montgomery.mul(power, gapR);
+        const std::size_t self = r < n ? r : r - n;  // The block's diagonal column.
+        std::uint64_t diagonal = 0;
+        for (std::size_t c = 0; c < n; ++c) {
+          power = montgomery.mul(power, aR);  // Entry (r, c): alpha a^(r width + c + 1).
+          if (c == self) {
+            diagonal = power;
+          } else if (r < n) {
+            std::uint64_t& pair = qt_[pairIndex_[r * n + c] * stride_ + j];
+            pair = addMod(pair, power, p_);
+          } else {
+            qt_[(pairs_ + self * n + c) * stride_ + j] = power;
+          }
+        }
+        start = addMod(start, diagonal, p_);
+        if (r < n) continue;
+        for (std::size_t c = 0; c < n; ++c) {
+          if (c == self) continue;
+          std::uint64_t& entry = qt_[(pairs_ + self * n + c) * stride_ + j];
+          entry = entry >= diagonal ? entry - diagonal : entry + (p_ - diagonal);
+        }
+      }
+      h_[j] = start;
+      lane_[j] = static_cast<std::uint32_t>(j);
       if (target.y.fitsU64() && target.y.toU64() <= mask_) {
         y_[j] = target.y.toU64();
         ++remaining_;
       }
     }
+    hTop_[0] = h_.data();
     sigma_.assign(n, 0);
     hitSigma_.assign(lanes_ * n, 0);
-    hitBeta_.assign(lanes_, 0);
-    hitB_.assign(lanes_, 0);
-    found_.assign(lanes_, 0);
+    hits_.assign(lanes_, Hit{});
   }
 
   // Per-side term lists: back_[backStart_[d] ..] are the G_b neighbours
-  // u < d of vertex d; autTerm_ lists, per (beta, d), the w with
-  // max(w, beta(w)) == d — at most two, since beta is a bijection.
+  // u < d of vertex d; autTerm_ lists, per (beta, d), the w that beta
+  // moves with max(w, beta(w)) == d — at most two, since beta is a
+  // bijection.
   void prepareSide(std::uint8_t b) {
     const std::size_t n = n_;
     const graph::Graph& g = *space_.g[b];
     side_ = b;
     back_.clear();
-    backStart_.assign(n + 1, 0);
     for (graph::Vertex d = 0; d < n; ++d) {
       backStart_[d] = back_.size();
       for (graph::Vertex u = 0; u < d; ++u) {
@@ -249,6 +298,7 @@ class LaneWalk {
     for (std::size_t t = 0; t < betas_; ++t) {
       const graph::Permutation& beta = (*space_.aut[b])[t];
       for (graph::Vertex w = 0; w < n; ++w) {
+        if (beta[w] == w) continue;
         const std::size_t slot = t * n + std::max<std::size_t>(w, beta[w]);
         autTerm_[slot * 2 + autTermCount_[slot]++] = w;
       }
@@ -260,38 +310,44 @@ class LaneWalk {
   void visit(std::size_t d, std::uint32_t used) {
     const std::size_t n = n_;
     const std::uint64_t* rows[2 * kMaxWalkVertices];
+    if (d + 1 == n) {  // The last vertex has exactly one choice.
+      sigma_[d] = static_cast<graph::Vertex>(std::countr_zero(~used));
+      leaf(rows, pairRows(d, rows));
+      return;
+    }
     for (graph::Vertex v = 0; v < n; ++v) {
       if ((used >> v) & 1u) continue;
+      if (d == 0) retire();
       sigma_[d] = v;
-      // Self term (v, v), then both directions of each edge (d, u), u < d.
-      std::size_t count = 0;
-      rows[count++] = row(v * n + v);
-      for (std::size_t i = backStart_[d]; i < backStart_[d + 1]; ++i) {
-        const graph::Vertex su = sigma_[back_[i]];
-        rows[count++] = row(v * n + su);
-        rows[count++] = row(su * n + v);
-      }
-      if (d + 1 == n) {
-        leaf(rows, count);
-        return;  // The last vertex has exactly one choice.
-      }
-      addRows_(acc(h_, d + 1), acc(h_, d), rows, count, kernelLanes_, p_);
+      hTop_[d + 1] = sum(acc(h_, d + 1), hTop_[d], rows, pairRows(d, rows));
       for (std::size_t t = 0; t < betas_; ++t) {
-        const std::size_t slot = t * n + d;
-        const std::uint64_t* below = autTop_[t * n + d];
-        if (autTermCount_[slot] == 0) {
-          autTop_[t * n + d + 1] = below;
-          continue;
-        }
         std::size_t autCount = 0;
         autRows(t, d, rows, autCount);
-        std::uint64_t* out = acc(autAcc_, slot);
-        addRows_(out, below, rows, autCount, kernelLanes_, p_);
-        autTop_[t * n + d + 1] = out;
+        const std::size_t slot = t * n + d;
+        autTop_[slot + 1] = sum(acc(autAcc_, slot), autTop_[slot], rows, autCount);
       }
       visit(d + 1, used | (1u << v));
       if (remaining_ == 0) return;
     }
+  }
+
+  // Writes the pair rows of the edges (d, u), u < d, of sigma; returns
+  // their count.
+  std::size_t pairRows(std::size_t d, const std::uint64_t** rows) const {
+    std::size_t count = 0;
+    for (std::size_t i = backStart_[d]; i < backStart_[d + 1]; ++i) {
+      rows[count++] = row(pairIndex_[sigma_[d] * n_ + sigma_[back_[i]]]);
+    }
+    return count;
+  }
+
+  // The accumulator below plus `rows`, written to `out`; or `below` itself
+  // when there is nothing to add.
+  const std::uint64_t* sum(std::uint64_t* out, const std::uint64_t* below,
+                           const std::uint64_t* const* rows, std::size_t count) {
+    if (count == 0) return below;
+    addRows_(out, below, rows, count, kernelLanes_, p_);
+    return out;
   }
 
   // Appends the alpha-part rows beta_t adds at depth d.
@@ -302,7 +358,7 @@ class LaneWalk {
     const graph::Permutation& beta = (*space_.aut[side_])[t];
     for (std::size_t i = 0; i < autTermCount_[slot]; ++i) {
       const graph::Vertex w = autTerm_[slot * 2 + i];
-      rows[count++] = row(n * n + sigma_[w] * n + sigma_[beta[w]]);
+      rows[count++] = row(pairs_ + sigma_[w] * n + sigma_[beta[w]]);
     }
   }
 
@@ -311,16 +367,16 @@ class LaneWalk {
   void leaf(const std::uint64_t** rows, std::size_t count) {
     const std::size_t d = n_ - 1;
     if (!space_.general()) {
-      test(acc(h_, d), rows, count, 0);
+      test(hTop_[d], rows, count, 0);
       return;
     }
-    std::uint64_t* h = acc(h_, n_);
-    addRows_(h, acc(h_, d), rows, count, kernelLanes_, p_);
+    const std::uint64_t* h = sum(acc(h_, n_), hTop_[d], rows, count);
     for (std::size_t t = 0; t < betas_ && remaining_ > 0; ++t) {
       std::size_t autCount = 0;
-      rows[autCount++] = h;
+      const std::uint64_t* below = autTop_[t * n_ + d];
+      if (below != zeros_.data()) rows[autCount++] = below;
       autRows(t, d, rows, autCount);
-      test(autTop_[t * n_ + d], rows, autCount, t);
+      test(h, rows, autCount, t);
     }
   }
 
@@ -328,32 +384,52 @@ class LaneWalk {
             std::size_t t) {
     if (!anyHitRows_(src, rows, count, y_.data(), kernelLanes_, mask_, p_)) return;
     const std::size_t n = n_;
-    for (std::size_t j = 0; j < lanes_; ++j) {
-      std::uint64_t value = src[j];
-      for (std::size_t r = 0; r < count; ++r) value = addMod(value, rows[r][j], p_);
-      if ((value & mask_) != y_[j]) continue;
+    for (std::size_t i = 0; i < active_; ++i) {
+      std::uint64_t value = src[i];
+      for (std::size_t r = 0; r < count; ++r) value = addMod(value, rows[r][i], p_);
+      if ((value & mask_) != y_[i]) continue;
+      const std::size_t j = lane_[i];
       std::copy(sigma_.begin(), sigma_.end(),
                 hitSigma_.begin() + static_cast<std::ptrdiff_t>(j * n));
-      hitBeta_[j] = static_cast<std::uint32_t>(t);
-      hitB_[j] = side_;
-      found_[j] = 1;
-      y_[j] = kResolved;
+      hits_[j] = Hit{static_cast<std::uint32_t>(t), side_, true};
+      y_[i] = kResolved;
       --remaining_;
     }
+  }
+
+  // Moves the unresolved lanes to the front, in order, and shrinks the
+  // kernels to them. Called where no accumulator above the start values
+  // is live: every deeper sum is rebuilt from them.
+  void retire() {
+    if (remaining_ == active_) return;
+    const auto compact = [this](auto* values) {
+      std::size_t to = 0;
+      for (std::size_t i = 0; i < active_; ++i) {
+        if (y_[i] != kResolved) values[to++] = values[i];
+      }
+    };
+    for (std::size_t index = 0; index < indices_; ++index) compact(&qt_[index * stride_]);
+    compact(h_.data());
+    compact(lane_.data());
+    compact(y_.data());  // Last: y_ is the mask the others read.
+    std::fill(y_.begin() + static_cast<std::ptrdiff_t>(remaining_),
+              y_.begin() + static_cast<std::ptrdiff_t>(kernelLanes_), kResolved);
+    active_ = remaining_;
+    kernelLanes_ = roundUp(active_, block_);
   }
 
   GsSearchResult results() const {
     const std::size_t n = n_;
     GsSearchResult out(lanes_);
     for (std::size_t j = 0; j < lanes_; ++j) {
-      if (!found_[j]) continue;
+      if (!hits_[j].found) continue;
       GsPreimage hit;
-      hit.b = hitB_[j];
+      hit.b = hits_[j].b;
       const auto first = hitSigma_.begin() + static_cast<std::ptrdiff_t>(j * n);
       hit.sigma.assign(first, first + static_cast<std::ptrdiff_t>(n));
       if (space_.general()) {
         // alpha = sigma . beta . sigma^-1.
-        const graph::Permutation& beta = (*space_.aut[hit.b])[hitBeta_[j]];
+        const graph::Permutation& beta = (*space_.aut[hit.b])[hits_[j].beta];
         hit.alpha.assign(n, 0);
         for (graph::Vertex w = 0; w < n; ++w) hit.alpha[hit.sigma[w]] = hit.sigma[beta[w]];
       }
@@ -362,10 +438,19 @@ class LaneWalk {
     return out;
   }
 
+  // A repetition's first hit: the index of beta and the side b.
+  struct Hit {
+    std::uint32_t beta = 0;
+    std::uint8_t b = 0;
+    bool found = false;
+  };
+
   const Space& space_;
   const std::size_t n_;
   const std::size_t lanes_;
   const std::size_t stride_;
+  const std::size_t pairs_;    // H-block pair rows, n(n-1)/2.
+  const std::size_t indices_;  // Table rows: pairs, then the alpha block.
   std::uint64_t p_ = 0;
   std::uint64_t mask_ = 0;
   void (*addRows_)(std::uint64_t*, const std::uint64_t*, const std::uint64_t* const*,
@@ -373,17 +458,22 @@ class LaneWalk {
   bool (*anyHitRows_)(const std::uint64_t*, const std::uint64_t* const*, std::size_t,
                       const std::uint64_t*, std::size_t, std::uint64_t,
                       std::uint64_t) = anyHitRowsPortable;
-  std::size_t kernelLanes_ = lanes_;
+  std::size_t block_ = 1;            // The kernel's lane granularity.
+  std::size_t active_ = lanes_;      // Physical lanes in use, unresolved first.
+  std::size_t kernelLanes_ = 0;      // active_ rounded up to block_.
 
   std::vector<std::uint64_t> qt_;     // [index][lane], alpha-folded powers.
   std::vector<std::uint64_t> y_;      // [lane], kResolved once resolved.
-  std::vector<std::uint64_t> h_;      // [depth][lane], H part (starts at beta).
+  std::vector<std::uint64_t> h_;      // [depth][lane], H part; slot 0: start values.
   std::vector<std::uint64_t> zeros_;  // [lane], the empty sum.
+  std::vector<std::uint32_t> lane_;   // [lane] -> repetition.
   std::size_t remaining_ = 0;         // Lanes that can still hit.
+  std::array<std::uint16_t, kMaxWalkVertices * kMaxWalkVertices> pairIndex_{};  // [r n + c].
+  std::array<const std::uint64_t*, kMaxWalkVertices + 1> hTop_{};  // [depth] -> H sum.
 
   std::uint8_t side_ = 0;
   std::vector<graph::Vertex> back_;
-  std::vector<std::size_t> backStart_;
+  std::array<std::size_t, kMaxWalkVertices + 1> backStart_{};
   std::size_t betas_ = 0;
   std::vector<graph::Vertex> autTerm_;
   std::vector<std::uint8_t> autTermCount_;
@@ -391,10 +481,8 @@ class LaneWalk {
   std::vector<const std::uint64_t*> autTop_;    // [beta][depth] -> sum below depth.
 
   graph::Permutation sigma_;                    // The DFS prefix.
-  std::vector<graph::Vertex> hitSigma_;         // [lane][vertex].
-  std::vector<std::uint32_t> hitBeta_;
-  std::vector<std::uint8_t> hitB_;
-  std::vector<std::uint8_t> found_;
+  std::vector<graph::Vertex> hitSigma_;         // [repetition][vertex].
+  std::vector<Hit> hits_;                       // [repetition].
 };
 
 // ---- The BigUInt per-repetition loop ------------------------------------

@@ -14,9 +14,12 @@
 // Two paths, one answer:
 //   * the lane walk — all k repetitions of a call share ONE lex-order DFS
 //     over sigma[0..n-1]; each repetition is a lane with its own table of
-//     alpha-folded powers, and each DFS node adds its new matrix entries to
-//     every lane at once (docs/PERFORMANCE.md, "Goldwasser-Sipser preimage
-//     walk"). Runs whenever laneWalkSupports();
+//     alpha-folded powers. Terms that are the same for every sigma (both
+//     diagonals) are in each lane's start value, so a DFS node adds, to
+//     every unresolved lane at once, one pair row per edge to an earlier
+//     vertex and, per beta, the alpha-block terms of the points beta moves
+//     (docs/PERFORMANCE.md, "Goldwasser-Sipser preimage walk"). Runs
+//     whenever laneWalkSupports();
 //   * the BigUInt per-repetition loop — the path for fields the lane walk
 //     cannot hold (P >= 2^63, ell >= 64 or n > 32).
 #pragma once

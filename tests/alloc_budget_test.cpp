@@ -8,7 +8,8 @@
 // committed below (measured with GCC 12.2 / libstdc++ on x86-64). Every field
 // element of these cells fits BigUInt's two inline limbs, so a regression
 // here usually means a field value went back to the heap, or a per-trial
-// container appeared on a hot path.
+// container appeared on a hot path. The two GNI cells run fewer trials: in
+// each, the honest prover searches all 2 n! candidates for 64 repetitions.
 //
 // Skipped when DIP_AUDIT is on (the audit re-encodes every round, a
 // different allocation profile by design) and under a sanitizer runtime
@@ -64,6 +65,8 @@ namespace {
 
 constexpr std::size_t kWarmupTrials = 200;
 constexpr std::size_t kTrials = 2000;
+constexpr std::size_t kGniWarmupTrials = 8;
+constexpr std::size_t kGniTrials = 100;
 
 #if defined(DIP_AUDIT) || defined(DIP_ALLOC_BUDGET_SANITIZED)
 constexpr const char* kSkipReason =
@@ -75,13 +78,14 @@ constexpr const char* kSkipReason = nullptr;
 
 // Heap allocations per trial of run(trials), after one uncounted warm-up.
 template <typename Run>
-double allocationsPerTrial(Run&& run) {
-  run(kWarmupTrials);
+double allocationsPerTrial(Run&& run, std::size_t warmup = kWarmupTrials,
+                           std::size_t trials = kTrials) {
+  run(warmup);
   gAllocations.store(0);
   gCounting.store(true);
-  run(kTrials);
+  run(trials);
   gCounting.store(false);
-  return static_cast<double>(gAllocations.load()) / static_cast<double>(kTrials);
+  return static_cast<double>(gAllocations.load()) / static_cast<double>(trials);
 }
 
 TrialConfig oneThread() {
@@ -99,22 +103,40 @@ struct CellBudget {
 
 void PrintTo(const CellBudget& budget, std::ostream* os) { *os << budget.cell; }
 
+void expectCellWithinBudget(const CellBudget& budget, std::size_t warmup,
+                            std::size_t trials) {
+  const auto cell = workload::makeCell(budget.cell);
+  const double perTrial = allocationsPerTrial(
+      [&](std::size_t count) { cell->run(oneThread(), count); }, warmup, trials);
+  ::testing::Test::RecordProperty("allocations_per_trial", std::to_string(perTrial));
+  EXPECT_LE(perTrial, budget.measured * kHeadroom) << budget.cell;
+}
+
 class SymCellBudget : public ::testing::TestWithParam<CellBudget> {};
 
 TEST_P(SymCellBudget, AllocationsPerTrialWithinCeiling) {
   if (kSkipReason != nullptr) GTEST_SKIP() << kSkipReason;
-  const CellBudget& budget = GetParam();
-  const auto cell = workload::makeCell(budget.cell);
-  const double perTrial = allocationsPerTrial(
-      [&](std::size_t trials) { cell->run(oneThread(), trials); });
-  RecordProperty("allocations_per_trial", std::to_string(perTrial));
-  EXPECT_LE(perTrial, budget.measured * kHeadroom) << budget.cell;
+  expectCellWithinBudget(GetParam(), kWarmupTrials, kTrials);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, SymCellBudget,
     ::testing::Values(CellBudget{"sym_dmam_p1", 14}, CellBudget{"sym_dam_p2", 12},
                       CellBudget{"dsym_dam", 12}, CellBudget{"sym_input", 38}),
+    [](const ::testing::TestParamInfo<CellBudget>& info) {
+      return std::string(info.param.cell);
+    });
+
+class GniCellBudget : public ::testing::TestWithParam<CellBudget> {};
+
+TEST_P(GniCellBudget, AllocationsPerTrialWithinCeiling) {
+  if (kSkipReason != nullptr) GTEST_SKIP() << kSkipReason;
+  expectCellWithinBudget(GetParam(), kGniWarmupTrials, kGniTrials);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, GniCellBudget,
+    ::testing::Values(CellBudget{"gni_amam", 432.6}, CellBudget{"gni_general", 959.1}),
     [](const ::testing::TestParamInfo<CellBudget>& info) {
       return std::string(info.param.cell);
     });

@@ -98,6 +98,9 @@ GsSearchResult runPerRepetition(const GniInstance& instance, const hash::EpsApiH
 struct Coverage {
   std::size_t hits = 0, misses = 0, side1 = 0;
   std::size_t nontrivialAlpha[2] = {0, 0};  // Per side b.
+  // Hits inside the walk's first depth-0 subtree (b = 0, sigma[0] = 0); every
+  // later hit is on a lane that outlived at least one retirement.
+  std::size_t firstSubtree = 0;
 };
 
 // The walk over targets[0 .. lanes) for each lane count and kernel must
@@ -118,6 +121,7 @@ void expectWalkMatchesBigUInt(const GniInstance& instance, const hash::EpsApiHas
     }
     ++coverage.hits;
     coverage.side1 += hit->b;
+    if (hit->b == 0 && hit->sigma.front() == 0) ++coverage.firstSubtree;
     if (aut != nullptr &&
         hit->alpha != graph::identityPermutation(instance.g0.numVertices())) {
       ++coverage.nontrivialAlpha[hit->b];
@@ -201,19 +205,107 @@ TEST(gni_search, GeneralWalkMatchesBigUIntSearchAtEightVertices) {
 TEST(gni_search, TinyRangeExposesTheCandidateOrder) {
   // With 3 output bits every sigma has several hitting candidates, so the
   // first hit pins the whole order: b, then sigma in lex order, then beta.
+  // The lane counts cover every remainder of the AVX2 block of 4 and more
+  // than two blocks of 64.
   Rng rng(811);
   Coverage coverage;
   const GniInstance rigid = gniYesInstance(6, rng);
   const hash::EpsApiHash rigidHash = hash::EpsApiHash::create(6, 3, rng);
-  expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 65, nullptr, rng),
-                           nullptr, {1, 3, 64, 65}, coverage);
+  expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 129, nullptr, rng),
+                           nullptr, {1, 3, 4, 5, 63, 64, 65, 129}, coverage);
   const GniInstance general = gniGeneralNoInstance(6, rng);
   const std::vector<graph::Permutation> aut[2] = {graph::allAutomorphisms(general.g0),
                                                   graph::allAutomorphisms(general.g1)};
   const hash::EpsApiHash generalHash = hash::EpsApiHash::create(12, 3, rng);
-  expectWalkMatchesBigUInt(general, generalHash, makeTargets(general, generalHash, 65, aut, rng),
-                           aut, {1, 3, 64, 65}, coverage);
+  expectWalkMatchesBigUInt(general, generalHash,
+                           makeTargets(general, generalHash, 129, aut, rng), aut,
+                           {1, 3, 4, 5, 63, 64, 65, 129}, coverage);
   EXPECT_GT(coverage.nontrivialAlpha[0], 0u);
+}
+
+TEST(gni_search, RetirementKeepsScatteredSurvivors) {
+  // At 8 or 9 output bits a lane survives a depth-0 subtree about half the
+  // time, so hits spread over the whole walk and each depth-0 boundary
+  // retires a scattered set of lanes, leaving survivors that are not
+  // contiguous and counts that are not multiples of the AVX2 block.
+  Rng rng(816);
+  Coverage coverage;
+  const GniInstance rigid = gniYesInstance(6, rng);
+  const hash::EpsApiHash rigidHash = hash::EpsApiHash::create(6, 8, rng);
+  expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 129, nullptr, rng),
+                           nullptr, {1, 3, 4, 5, 63, 64, 65, 129}, coverage);
+  const GniInstance general = gniGeneralNoInstance(6, rng);
+  const std::vector<graph::Permutation> aut[2] = {graph::allAutomorphisms(general.g0),
+                                                  graph::allAutomorphisms(general.g1)};
+  const hash::EpsApiHash generalHash = hash::EpsApiHash::create(12, 9, rng);
+  expectWalkMatchesBigUInt(general, generalHash,
+                           makeTargets(general, generalHash, 129, aut, rng), aut,
+                           {1, 3, 4, 5, 63, 64, 65, 129}, coverage);
+  EXPECT_GT(coverage.firstSubtree, 0u);
+  EXPECT_GT(coverage.hits - coverage.firstSubtree - coverage.side1, 0u);
+  EXPECT_GT(coverage.side1, 0u);
+}
+
+TEST(gni_search, DepthsWithoutEarlierNeighboursAddNoRows) {
+  // In g0 vertex 1 has no earlier neighbour and vertex 5 none at all, so
+  // those DFS nodes (the leaf among them) add no H-block rows; in g1
+  // vertices 1 and 2 have none. Aut(g0) is the identity and the swap of 0
+  // and 1, which fixes 2..5; Aut(g1) permutes the leaves 0, 1, 2 of vertex 3
+  // and fixes 3, 4, 5.
+  const GniInstance instance{
+      graph::Graph::fromEdges(6, {{0, 2}, {1, 2}, {2, 3}, {3, 4}}),
+      graph::Graph::fromEdges(6, {{0, 3}, {1, 3}, {2, 3}, {3, 4}, {4, 5}})};
+  const std::vector<graph::Permutation> aut[2] = {graph::allAutomorphisms(instance.g0),
+                                                  graph::allAutomorphisms(instance.g1)};
+  ASSERT_EQ(aut[0].size(), 2u);
+  ASSERT_EQ(aut[1].size(), 6u);
+  for (const auto& group : aut) {
+    EXPECT_NE(std::find(group.begin(), group.end(), graph::identityPermutation(6)),
+              group.end());
+  }
+  const graph::Permutation swap01 = {1, 0, 2, 3, 4, 5};
+  EXPECT_NE(std::find(aut[0].begin(), aut[0].end(), swap01), aut[0].end());
+
+  Rng rng(814);
+  Coverage coverage;
+  const hash::EpsApiHash rigidHash = hash::EpsApiHash::create(6, 10, rng);
+  expectWalkMatchesBigUInt(instance, rigidHash,
+                           makeTargets(instance, rigidHash, 65, nullptr, rng), nullptr,
+                           {1, 5, 65}, coverage);
+  const hash::EpsApiHash generalHash = hash::EpsApiHash::create(12, 10, rng);
+  expectWalkMatchesBigUInt(instance, generalHash,
+                           makeTargets(instance, generalHash, 65, aut, rng), aut, {1, 5, 65},
+                           coverage);
+  EXPECT_GT(coverage.side1, 0u);
+  EXPECT_GT(coverage.hits - coverage.side1, 0u);
+  EXPECT_GT(coverage.nontrivialAlpha[0], 0u);
+  EXPECT_GT(coverage.nontrivialAlpha[1], 0u);
+}
+
+TEST(gni_search, PlantedHitsAtASixtyThreeBitPrime) {
+  // The widest field the walk takes: P has exactly 63 bits, so a pair row
+  // (two residues summed) and an alpha-block difference (an entry plus
+  // P - diagonal) are as close to 2^64 as the carry-free add allows.
+  // ell + 2 * bitLength(width) + 8 = 63 for the 6 x 6 and 12 x 12 hashes.
+  Rng rng(815);
+  Coverage coverage;
+  const GniInstance rigid = gniYesInstance(6, rng);
+  const hash::EpsApiHash rigidHash = hash::EpsApiHash::create(6, 49, rng);
+  ASSERT_EQ(rigidHash.fieldPrime().bitLength(), 63u);
+  expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 5, nullptr, rng),
+                           nullptr, {1, 5}, coverage);
+  const GniInstance general = gniGeneralYesInstance(6, rng);
+  const std::vector<graph::Permutation> aut[2] = {graph::allAutomorphisms(general.g0),
+                                                  graph::allAutomorphisms(general.g1)};
+  const hash::EpsApiHash generalHash = hash::EpsApiHash::create(12, 47, rng);
+  ASSERT_EQ(generalHash.fieldPrime().bitLength(), 63u);
+  expectWalkMatchesBigUInt(general, generalHash,
+                           makeTargets(general, generalHash, 5, aut, rng), aut, {1, 5},
+                           coverage);
+  // The three planted lanes of each form hit; the uniform ones (2^-47 per
+  // candidate) miss.
+  EXPECT_EQ(coverage.hits, 6u);
+  EXPECT_EQ(coverage.misses, 4u);
 }
 
 TEST(gni_search, WideFieldTakesTheBigUIntPath) {
