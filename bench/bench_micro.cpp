@@ -4,6 +4,9 @@
 // experiments can go.
 #include <benchmark/benchmark.h>
 
+#include "core/gni_amam.hpp"
+#include "core/gni_general.hpp"
+#include "core/gni_search.hpp"
 #include "core/sym_dmam.hpp"
 #include "graph/canonical.hpp"
 #include "graph/csr.hpp"
@@ -214,12 +217,39 @@ static void BM_EpsApiHashMatrix(benchmark::State& state) {
   std::vector<util::DynBitset> rows;
   for (graph::Vertex v = 0; v < n; ++v) rows.push_back(g.closedRow(v));
   hash::EpsApiHash::Seed seed = h.randomSeed(rng);
-  hash::EpsApiHash::PowerTable table = h.preparePowers(seed);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(h.hashRowsPrepared(seed, table, rows));
+    benchmark::DoNotOptimize(h.hashRows(seed, rows));
   }
 }
 BENCHMARK(BM_EpsApiHashMatrix)->Arg(6)->Arg(8)->Arg(10);
+
+// The honest GNI prover's call shape: one searchGsPreimages call over 64
+// repetitions (the lane walk's lanes) at n = 6, with fresh seeds and
+// uniform targets as A1 draws them. general:0 is gni_amam's rigid form,
+// general:1 gni_general's form with both automorphism groups.
+static void BM_GsPreimageWalk(benchmark::State& state) {
+  constexpr std::size_t kN = 6;
+  constexpr std::size_t kLanes = 64;
+  const bool general = state.range(0) != 0;
+  util::Rng rng(13);
+  const hash::EpsApiHash gsHash = general ? core::GniGeneralParams::choose(kN, rng).gsHash
+                                          : core::GniParams::choose(kN, rng).gsHash;
+  const core::GniInstance instance =
+      general ? core::gniGeneralYesInstance(kN, rng) : core::gniYesInstance(kN, rng);
+  const std::vector<graph::Permutation> aut0 = graph::allAutomorphisms(instance.g0);
+  const std::vector<graph::Permutation> aut1 = graph::allAutomorphisms(instance.g1);
+  std::vector<core::GniChallenge> targets(kLanes);
+  for (core::GniChallenge& target : targets) {
+    target.seed = gsHash.randomSeed(rng);
+    target.y = rng.nextBigBits(gsHash.outputBits());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        general ? core::searchGsPreimages(instance, gsHash, targets, aut0, aut1)
+                : core::searchGsPreimages(instance, gsHash, targets));
+  }
+}
+BENCHMARK(BM_GsPreimageWalk)->ArgName("general")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void BM_AutomorphismSearchSymmetric(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));

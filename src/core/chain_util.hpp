@@ -15,19 +15,29 @@
 namespace dip::core {
 
 // Honest-prover side: exact subtree sums of `pieces` along the tree, mod
-// prime.
-inline std::vector<util::BigUInt> subtreeSums(const graph::Graph& g,
-                                              net::SpanningTreeView tree,
-                                              const std::vector<util::BigUInt>& pieces,
-                                              const util::BigUInt& prime) {
-  std::vector<util::BigUInt> sums(g.numVertices());
-  for (graph::Vertex v : net::bottomUpOrder(tree)) {
+// prime, written into `sums`. `order` is net::bottomUpOrder(tree): a prover
+// that sums many piece vectors over one tree computes it once and reuses
+// both buffers.
+inline void subtreeSums(const graph::Graph& g, net::SpanningTreeView tree,
+                        const std::vector<graph::Vertex>& order,
+                        const std::vector<util::BigUInt>& pieces, const util::BigUInt& prime,
+                        std::vector<util::BigUInt>& sums) {
+  sums.resize(g.numVertices());
+  for (graph::Vertex v : order) {
     util::BigUInt acc = pieces[v];
     net::forEachChild(g, tree, v, [&](graph::Vertex child) {
       acc = util::addMod(acc, sums[child], prime);
     });
     sums[v] = acc;
   }
+}
+
+inline std::vector<util::BigUInt> subtreeSums(const graph::Graph& g,
+                                              net::SpanningTreeView tree,
+                                              const std::vector<util::BigUInt>& pieces,
+                                              const util::BigUInt& prime) {
+  std::vector<util::BigUInt> sums;
+  subtreeSums(g, tree, net::bottomUpOrder(tree), pieces, prime, sums);
   return sums;
 }
 

@@ -416,14 +416,15 @@ GniFirstMessage HonestGniProver::firstMessage(
     }
   }
 
-  net::SpanningTreeAdvice tree = net::buildBfsTree(instance.g0, 0);
+  tree_ = net::buildBfsTree(instance.g0, 0);
+  net::bottomUpOrderInto(tree_, order_);
   GniFirstMessage first;
   first.perNode.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
     GniM1PerNode& m1 = first.perNode[v];
     m1.root = 0;
-    m1.parent = tree.parent[v];
-    m1.dist = tree.dist[v];
+    m1.parent = tree_.parent[v];
+    m1.dist = tree_.dist[v];
     m1.echo = rootChallenges;
     m1.claimed = lastClaims_;
     m1.b.assign(k, 0);
@@ -452,7 +453,6 @@ GniSecondMessage HonestGniProver::secondMessage(
   const util::BigUInt& bigP = params_.gsHash.fieldPrime();
   const util::BigUInt& checkP = params_.checkFamily.prime();
   const util::BigUInt& checkSeed = checkChallenges[0];
-  net::SpanningTreeAdvice tree = net::buildBfsTree(instance.g0, 0);
 
   GniSecondMessage second;
   second.perNode.resize(n);
@@ -466,24 +466,35 @@ GniSecondMessage HonestGniProver::secondMessage(
     m2.consT.assign(k, util::BigUInt{});
   }
 
+  // Per-thread buffers, reused across repetitions and trials.
+  thread_local hash::BatchLinearHashEvaluator gsBatch;
+  thread_local hash::BatchLinearHashEvaluator checkBatch;
+  thread_local std::vector<std::uint64_t> gsIdx;
+  thread_local std::vector<util::DynBitset> gsRows;
+  thread_local std::vector<std::uint64_t> consRows;
+  thread_local std::vector<std::uint64_t> consCols;
+  thread_local std::vector<util::BigUInt> gsPieces, permIPieces, permSPieces, consCPieces,
+      consTPieces, sums;
+  // checkSeed is pinned for the whole message and the GS seed for the whole
+  // repetition: all row and entry hashes become table lookups.
+  checkBatch.rebind(params_.checkFamily, checkSeed);
+  permIPieces.resize(n);
+  permSPieces.resize(n);
+  consCPieces.resize(n);
+  consTPieces.resize(n);
+  auto store = [&](std::vector<util::BigUInt> GniM2PerNode::* field, std::size_t j,
+                   const std::vector<util::BigUInt>& pieces, const util::BigUInt& prime) {
+    subtreeSums(instance.g0, tree_, order_, pieces, prime, sums);
+    for (graph::Vertex v = 0; v < n; ++v) (second.perNode[v].*field)[j] = sums[v];
+  };
+
   for (std::size_t j = 0; j < k; ++j) {
     if (!lastFound_[j]) continue;
     const Found& found = *lastFound_[j];
     const graph::Graph& gb = (found.b == 0) ? instance.g0 : instance.g1;
     const GniChallenge& challenge = challenges[0][j];
 
-    std::vector<util::BigUInt> gsPieces(n), permIPieces(n), permSPieces(n);
-    std::vector<util::BigUInt> consCPieces(n), consTPieces(n);
-    thread_local hash::BatchLinearHashEvaluator gsBatch;
-    thread_local hash::BatchLinearHashEvaluator checkBatch;
-    thread_local std::vector<std::uint64_t> gsIdx;
-    thread_local std::vector<util::DynBitset> gsRows;
-    thread_local std::vector<std::uint64_t> consRows;
-    thread_local std::vector<std::uint64_t> consCols;
-    // The GS seed is pinned for the whole repetition and checkSeed for the
-    // whole message: all row and entry hashes become table lookups.
     gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
-    checkBatch.rebind(params_.checkFamily, checkSeed);
     gsIdx.clear();
     gsRows.clear();
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -505,22 +516,12 @@ GniSecondMessage HonestGniProver::secondMessage(
     }
     gsBatch.hashMatrixRows(gsIdx, gsRows, n, gsPieces);
 
-    auto gsSums = subtreeSums(instance.g0, tree, gsPieces, bigP);
-    auto permISums = subtreeSums(instance.g0, tree, permIPieces, checkP);
-    auto permSSums = subtreeSums(instance.g0, tree, permSPieces, checkP);
-    std::vector<util::BigUInt> consCSums, consTSums;
+    store(&GniM2PerNode::h, j, gsPieces, bigP);
+    store(&GniM2PerNode::permI, j, permIPieces, checkP);
+    store(&GniM2PerNode::permS, j, permSPieces, checkP);
     if (found.b == 1) {
-      consCSums = subtreeSums(instance.g0, tree, consCPieces, checkP);
-      consTSums = subtreeSums(instance.g0, tree, consTPieces, checkP);
-    }
-    for (graph::Vertex v = 0; v < n; ++v) {
-      second.perNode[v].h[j] = gsSums[v];
-      second.perNode[v].permI[j] = permISums[v];
-      second.perNode[v].permS[j] = permSSums[v];
-      if (found.b == 1) {
-        second.perNode[v].consC[j] = consCSums[v];
-        second.perNode[v].consT[j] = consTSums[v];
-      }
+      store(&GniM2PerNode::consC, j, consCPieces, checkP);
+      store(&GniM2PerNode::consT, j, consTPieces, checkP);
     }
   }
   return second;

@@ -215,6 +215,10 @@ class HonestGniProver : public GniProver {
   const GniParams& params_;
   std::vector<std::uint8_t> lastClaims_;
   std::vector<std::optional<Found>> lastFound_;
+  // The BFS tree of the last firstMessage call and its bottom-up order,
+  // which secondMessage sums along.
+  net::SpanningTreeAdvice tree_;
+  std::vector<graph::Vertex> order_;
 };
 
 // The optimal cheating prover IS the honest prover (every message is forced

@@ -430,14 +430,15 @@ GniGenFirstMessage HonestGniGeneralProver::firstMessage(
   std::vector<std::uint8_t> claimed(k, 0);
   for (std::size_t j = 0; j < k; ++j) claimed[j] = lastFound_[j].has_value() ? 1 : 0;
 
-  net::SpanningTreeAdvice tree = net::buildBfsTree(instance.g0, 0);
+  tree_ = net::buildBfsTree(instance.g0, 0);
+  net::bottomUpOrderInto(tree_, order_);
   GniGenFirstMessage first;
   first.perNode.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
     GniGenM1PerNode& m1 = first.perNode[v];
     m1.root = 0;
-    m1.parent = tree.parent[v];
-    m1.dist = tree.dist[v];
+    m1.parent = tree_.parent[v];
+    m1.dist = tree_.dist[v];
     m1.echo = rootChallenges;
     m1.claimed = claimed;
     m1.b.assign(k, 0);
@@ -473,7 +474,6 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
   const util::BigUInt& checkP = params_.checkFamily.prime();
   const util::BigUInt& checkSeed = checkChallenges[0];
   const auto& cf = params_.checkFamily;
-  net::SpanningTreeAdvice tree = net::buildBfsTree(instance.g0, 0);
 
   GniGenSecondMessage second;
   second.perNode.resize(n);
@@ -489,35 +489,38 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
     }
   }
 
+  // Per-thread buffers, reused across repetitions and trials.
+  thread_local hash::BatchLinearHashEvaluator batch;
+  thread_local hash::BatchLinearHashEvaluator gsBatch;
+  thread_local std::vector<std::uint64_t> gsIdx, lIdx, rIdx;
+  thread_local std::vector<util::DynBitset> gsRows, lRows, rRows;
+  thread_local std::vector<std::uint64_t> consRows;
+  thread_local std::vector<std::uint64_t> consCols;
+  thread_local std::vector<graph::Vertex> avList;
+  thread_local std::vector<util::BigUInt> gsPieces, idPieces, permSPieces, permAPieces,
+      autLPieces, autRPieces, consSCPieces, consSTPieces, consACPieces, consATPieces, sums;
+  for (auto* pieces : {&idPieces, &permSPieces, &permAPieces, &consSCPieces, &consSTPieces,
+                       &consACPieces, &consATPieces}) {
+    pieces->resize(n);
+  }
+  avList.resize(n);
+  // checkSeed is pinned for the whole message and the GS seed for the
+  // whole repetition: rows and entries on both families become table
+  // lookups.
+  batch.rebind(cf.prime(), cf.dimension(), checkSeed);
+
   for (std::size_t j = 0; j < k; ++j) {
     if (!lastFound_[j]) continue;
     const GsPreimage& found = *lastFound_[j];
     const graph::Graph& gb = (found.b == 0) ? instance.g0 : instance.g1;
     const GniChallenge& challenge = challenges[0][j];
 
-    std::vector<util::BigUInt> gsPieces(n), idPieces(n), permSPieces(n), permAPieces(n),
-        autLPieces(n), autRPieces(n), consSCPieces(n), consSTPieces(n), consACPieces(n),
-        consATPieces(n);
-    std::vector<std::uint64_t> lIdx, rIdx;
-    std::vector<util::DynBitset> lRows, rRows;
-    thread_local hash::BatchLinearHashEvaluator batch;
-    thread_local hash::BatchLinearHashEvaluator gsBatch;
-    thread_local std::vector<std::uint64_t> gsIdx;
-    thread_local std::vector<util::DynBitset> gsRows;
-    thread_local std::vector<std::uint64_t> consRows;
-    thread_local std::vector<std::uint64_t> consCols;
-    std::vector<graph::Vertex> avList(n);
-    lIdx.reserve(n);
-    rIdx.reserve(n);
-    lRows.reserve(n);
-    rRows.reserve(n);
+    lIdx.clear();
+    rIdx.clear();
+    lRows.clear();
+    rRows.clear();
     gsIdx.clear();
     gsRows.clear();
-    // checkSeed is pinned for the whole message and the GS seed for the
-    // whole repetition: rows and entries on both families become table
-    // lookups (the batch evaluators' rebind short-circuits across j for the
-    // check family).
-    batch.rebind(cf.prime(), cf.dimension(), checkSeed);
     gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
     const std::size_t width = 2 * n;
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -569,7 +572,7 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
 
     auto assign = [&](std::vector<util::BigUInt> GniGenM2PerNode::* field,
                       const std::vector<util::BigUInt>& pieces, const util::BigUInt& prime) {
-      auto sums = subtreeSums(instance.g0, tree, pieces, prime);
+      subtreeSums(instance.g0, tree_, order_, pieces, prime, sums);
       for (graph::Vertex v = 0; v < n; ++v) (second.perNode[v].*field)[j] = sums[v];
     };
     assign(&GniGenM2PerNode::h, gsPieces, bigP);

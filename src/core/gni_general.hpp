@@ -33,6 +33,7 @@
 #include "core/result.hpp"
 #include "hash/eps_api.hpp"
 #include "hash/linear_hash.hpp"
+#include "net/spanning.hpp"
 #include "util/rng.hpp"
 
 namespace dip::core {
@@ -161,6 +162,10 @@ class HonestGniGeneralProver : public GniGeneralProver {
  private:
   const GniGeneralParams& params_;
   GsSearchResult lastFound_;
+  // The BFS tree of the last firstMessage call and its bottom-up order,
+  // which secondMessage sums along.
+  net::SpanningTreeAdvice tree_;
+  std::vector<graph::Vertex> order_;
 };
 
 // Instance generators for the general protocol's distinguishing feature:

@@ -21,11 +21,11 @@ __extension__ using U128 = unsigned __int128;
 
 constexpr std::size_t kMaxWalkVertices = 32;
 constexpr std::uint64_t kMaxWalkPrime = std::uint64_t{1} << 63;
-// A lane's target once it has its hit (or can never have one): outer
-// values are masked to ell < 64 bits, so they never reach 2^64 - 1.
-constexpr std::uint64_t kResolved = ~std::uint64_t{0};
+// Below this prime (and with ell < 32) lanes are 32 bits wide.
+constexpr std::uint64_t kMaxNarrowPrime = std::uint64_t{1} << 31;
 // Lanes per AVX2 vector; lane rows are padded to a multiple of it.
-constexpr std::size_t kLaneBlock = 4;
+template <typename Lane>
+constexpr std::size_t kLaneBlock = 32 / sizeof(Lane);
 
 // The candidate set S (see the header): aut[b] == nullptr in the rigid form.
 struct Space {
@@ -60,20 +60,22 @@ class MontgomeryU64 {
 
 // ---- Lane kernels -------------------------------------------------------
 //
-// Lane values are canonical residues mod p < 2^63, so a + b < 2^64 never
-// carries and one conditional subtraction reduces it.
+// Lane values are canonical residues mod p, with p < 2^31 in a uint32_t
+// lane and p < 2^63 in a uint64_t one, so a + b never carries and one
+// conditional subtraction reduces it.
 
-inline std::uint64_t addMod(std::uint64_t a, std::uint64_t b, std::uint64_t p) {
-  const std::uint64_t sum = a + b;
+template <typename Lane>
+inline Lane addMod(Lane a, Lane b, Lane p) {
+  const Lane sum = a + b;
   return sum >= p ? sum - p : sum;
 }
 
 // dst[i] = src[i] + sum over r of rows[r][i] (mod p), for i < lanes.
-void addRowsPortable(std::uint64_t* dst, const std::uint64_t* src,
-                     const std::uint64_t* const* rows, std::size_t rowCount,
-                     std::size_t lanes, std::uint64_t p) {
+template <typename Lane>
+void addRowsPortable(Lane* dst, const Lane* src, const Lane* const* rows,
+                     std::size_t rowCount, std::size_t lanes, Lane p) {
   for (std::size_t i = 0; i < lanes; ++i) {
-    std::uint64_t acc = src[i];
+    Lane acc = src[i];
     for (std::size_t r = 0; r < rowCount; ++r) acc = addMod(acc, rows[r][i], p);
     dst[i] = acc;
   }
@@ -81,12 +83,12 @@ void addRowsPortable(std::uint64_t* dst, const std::uint64_t* src,
 
 // Whether (src[i] + sum over r of rows[r][i]) mod p, masked to ell bits,
 // equals y[i] for some i < lanes.
-bool anyHitRowsPortable(const std::uint64_t* src, const std::uint64_t* const* rows,
-                        std::size_t rowCount, const std::uint64_t* y, std::size_t lanes,
-                        std::uint64_t mask, std::uint64_t p) {
+template <typename Lane>
+bool anyHitRowsPortable(const Lane* src, const Lane* const* rows, std::size_t rowCount,
+                        const Lane* y, std::size_t lanes, Lane mask, Lane p) {
   bool hit = false;
   for (std::size_t i = 0; i < lanes; ++i) {
-    std::uint64_t acc = src[i];
+    Lane acc = src[i];
     for (std::size_t r = 0; r < rowCount; ++r) acc = addMod(acc, rows[r][i], p);
     hit |= (acc & mask) == y[i];
   }
@@ -95,50 +97,79 @@ bool anyHitRowsPortable(const std::uint64_t* src, const std::uint64_t* const* ro
 
 #if DIP_HAVE_AVX2_KERNEL
 
-// Four-lane addMod: with d = a + b - p, a sum below p wraps d past 2^63,
-// so d's sign bit picks between the sum and d.
-__attribute__((target("avx2"))) inline __m256i addModLanes(__m256i a, __m256i b,
-                                                           __m256i pV) {
-  const __m256i sum = _mm256_add_epi64(a, b);
-  const __m256i reduced = _mm256_sub_epi64(sum, pV);
-  const __m256i below = _mm256_cmpgt_epi64(_mm256_setzero_si256(), reduced);
-  return _mm256_blendv_epi8(reduced, sum, below);
-}
+// One AVX2 vector of lanes: splat, addMod and equality per lane width.
+template <typename Lane>
+struct Avx2Lanes;
 
-// `lanes` is a multiple of kLaneBlock (rows are padded).
-__attribute__((target("avx2"))) void addRowsAvx2(std::uint64_t* dst,
-                                                 const std::uint64_t* src,
-                                                 const std::uint64_t* const* rows,
-                                                 std::size_t rowCount, std::size_t lanes,
-                                                 std::uint64_t p) {
-  const __m256i pV = _mm256_set1_epi64x(static_cast<long long>(p));
-  for (std::size_t i = 0; i < lanes; i += kLaneBlock) {
+template <>
+struct Avx2Lanes<std::uint64_t> {
+  __attribute__((target("avx2"))) static __m256i splat(std::uint64_t x) {
+    return _mm256_set1_epi64x(static_cast<long long>(x));
+  }
+  // With d = a + b - p, a sum below p wraps d past 2^63, so d's sign bit
+  // picks between the sum and d.
+  __attribute__((target("avx2"))) static __m256i addMod(__m256i a, __m256i b, __m256i pV) {
+    const __m256i sum = _mm256_add_epi64(a, b);
+    const __m256i reduced = _mm256_sub_epi64(sum, pV);
+    const __m256i below = _mm256_cmpgt_epi64(_mm256_setzero_si256(), reduced);
+    return _mm256_blendv_epi8(reduced, sum, below);
+  }
+  __attribute__((target("avx2"))) static __m256i equal(__m256i a, __m256i b) {
+    return _mm256_cmpeq_epi64(a, b);
+  }
+};
+
+template <>
+struct Avx2Lanes<std::uint32_t> {
+  __attribute__((target("avx2"))) static __m256i splat(std::uint32_t x) {
+    return _mm256_set1_epi32(static_cast<int>(x));
+  }
+  // sum = a + b < 2p < 2^32 does not carry. If sum >= p, sum - p is the
+  // smaller; if sum < p, sum - p wraps to 2^32 + sum - p > sum. So the
+  // unsigned minimum is the reduced sum.
+  __attribute__((target("avx2"))) static __m256i addMod(__m256i a, __m256i b, __m256i pV) {
+    const __m256i sum = _mm256_add_epi32(a, b);
+    return _mm256_min_epu32(sum, _mm256_sub_epi32(sum, pV));
+  }
+  __attribute__((target("avx2"))) static __m256i equal(__m256i a, __m256i b) {
+    return _mm256_cmpeq_epi32(a, b);
+  }
+};
+
+// `lanes` is a multiple of kLaneBlock<Lane> (rows are padded).
+template <typename Lane>
+__attribute__((target("avx2"))) void addRowsAvx2(Lane* dst, const Lane* src,
+                                                 const Lane* const* rows, std::size_t rowCount,
+                                                 std::size_t lanes, Lane p) {
+  using Ops = Avx2Lanes<Lane>;
+  const __m256i pV = Ops::splat(p);
+  for (std::size_t i = 0; i < lanes; i += kLaneBlock<Lane>) {
     __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     for (std::size_t r = 0; r < rowCount; ++r) {
-      acc = addModLanes(
+      acc = Ops::addMod(
           acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + i)), pV);
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc);
   }
 }
 
-__attribute__((target("avx2"))) bool anyHitRowsAvx2(const std::uint64_t* src,
-                                                    const std::uint64_t* const* rows,
-                                                    std::size_t rowCount,
-                                                    const std::uint64_t* y, std::size_t lanes,
-                                                    std::uint64_t mask, std::uint64_t p) {
-  const __m256i pV = _mm256_set1_epi64x(static_cast<long long>(p));
-  const __m256i maskV = _mm256_set1_epi64x(static_cast<long long>(mask));
+template <typename Lane>
+__attribute__((target("avx2"))) bool anyHitRowsAvx2(const Lane* src, const Lane* const* rows,
+                                                    std::size_t rowCount, const Lane* y,
+                                                    std::size_t lanes, Lane mask, Lane p) {
+  using Ops = Avx2Lanes<Lane>;
+  const __m256i pV = Ops::splat(p);
+  const __m256i maskV = Ops::splat(mask);
   __m256i hits = _mm256_setzero_si256();
-  for (std::size_t i = 0; i < lanes; i += kLaneBlock) {
+  for (std::size_t i = 0; i < lanes; i += kLaneBlock<Lane>) {
     __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     for (std::size_t r = 0; r < rowCount; ++r) {
-      acc = addModLanes(
+      acc = Ops::addMod(
           acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + i)), pV);
     }
     hits = _mm256_or_si256(
-        hits, _mm256_cmpeq_epi64(_mm256_and_si256(acc, maskV),
-                                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i))));
+        hits, Ops::equal(_mm256_and_si256(acc, maskV),
+                         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i))));
   }
   return _mm256_testz_si256(hits, hits) == 0;
 }
@@ -166,7 +197,12 @@ __attribute__((target("avx2"))) bool anyHitRowsAvx2(const std::uint64_t* src,
 // Lanes are physical: lane_[i] is the repetition physical lane i holds. At
 // each depth-0 boundary the unresolved lanes move to the front and the
 // kernels run only over them (rounded up to the kernel's block).
+//
+// A lane is a uint32_t when p < 2^31 and ell < 32, else a uint64_t: the
+// table build runs a u64 Montgomery chain either way and stores canonical
+// residues, so both widths give the same sums and the same first hits.
 
+template <typename Lane>
 class LaneWalk {
  public:
   LaneWalk(const Space& space, const hash::EpsApiHash& gsHash,
@@ -174,19 +210,20 @@ class LaneWalk {
       : space_(space),
         n_(space.g[0]->numVertices()),
         lanes_(targets.size()),
-        stride_(roundUp(targets.size(), kLaneBlock)),
+        stride_(roundUp(targets.size(), kLaneBlock<Lane>)),
         pairs_(n_ * (n_ - 1) / 2),
         indices_(pairs_ + (space.general() ? n_ * n_ : 0)) {
-    if (!laneWalkSupports(gsHash, n_)) {
-      throw std::logic_error("gni lane walk: needs P < 2^63, ell < 64 and n <= 32");
+    const std::size_t laneBits = laneWalkLaneBits(gsHash, n_);
+    if (laneBits == 0 || laneBits > 8 * sizeof(Lane)) {
+      throw std::logic_error("gni lane walk: the field or n is too wide for the lane");
     }
-    p_ = gsHash.fieldPrime().toU64();
-    mask_ = (std::uint64_t{1} << gsHash.outputBits()) - 1;
+    p_ = static_cast<Lane>(gsHash.fieldPrime().toU64());
+    mask_ = static_cast<Lane>((std::uint64_t{1} << gsHash.outputBits()) - 1);
 #if DIP_HAVE_AVX2_KERNEL
     if (hash::avx2Enabled()) {
-      addRows_ = addRowsAvx2;
-      anyHitRows_ = anyHitRowsAvx2;
-      block_ = kLaneBlock;
+      addRows_ = addRowsAvx2<Lane>;
+      anyHitRows_ = anyHitRowsAvx2<Lane>;
+      block_ = kLaneBlock<Lane>;
     }
 #endif
     kernelLanes_ = roundUp(active_, block_);
@@ -205,8 +242,12 @@ class LaneWalk {
   static std::size_t roundUp(std::size_t count, std::size_t block) {
     return (count + block - 1) / block * block;
   }
-  const std::uint64_t* row(std::size_t index) const { return &qt_[index * stride_]; }
-  std::uint64_t* acc(std::vector<std::uint64_t>& buffer, std::size_t slot) {
+  // A lane's target once it has its hit (or can never have one): outer
+  // values are masked to ell < 8 sizeof(Lane) bits, so they never reach it.
+  static constexpr Lane kResolved = ~Lane{0};
+
+  const Lane* row(std::size_t index) const { return &qt_[index * stride_]; }
+  Lane* acc(std::vector<Lane>& buffer, std::size_t slot) {
     return &buffer[slot * stride_];
   }
 
@@ -225,10 +266,11 @@ class LaneWalk {
         pairIndex_[r * n + c] = pairIndex_[c * n + r] = static_cast<std::uint16_t>(next);
       }
     }
-    const MontgomeryU64 montgomery(p_);
+    const std::uint64_t p = p_;
+    const MontgomeryU64 montgomery(p);
     for (std::size_t j = 0; j < lanes_; ++j) {
       const GniChallenge& target = targets[j];
-      const std::uint64_t aR = montgomery.toMontgomery(target.seed.a.modU64(p_));
+      const std::uint64_t aR = montgomery.toMontgomery(target.seed.a.modU64(p));
       // a^(width - n) steps over a row's columns c >= n, which no
       // candidate sets (general form only).
       std::uint64_t gapR = 0;
@@ -237,35 +279,36 @@ class LaneWalk {
         for (std::size_t c = n; c < width; ++c) gap = montgomery.mul(gap, aR);
         gapR = montgomery.toMontgomery(gap);
       }
-      std::uint64_t power = target.seed.alpha.modU64(p_);  // alpha * a^0.
-      std::uint64_t start = target.seed.beta.modU64(p_);
+      std::uint64_t power = target.seed.alpha.modU64(p);  // alpha * a^0.
+      auto start = static_cast<Lane>(target.seed.beta.modU64(p));
       for (std::size_t r = 0; r < blockRows; ++r) {
         if (r > 0 && width > n) power = montgomery.mul(power, gapR);
         const std::size_t self = r < n ? r : r - n;  // The block's diagonal column.
-        std::uint64_t diagonal = 0;
+        Lane diagonal = 0;
         for (std::size_t c = 0; c < n; ++c) {
           power = montgomery.mul(power, aR);  // Entry (r, c): alpha a^(r width + c + 1).
+          const auto entry = static_cast<Lane>(power);
           if (c == self) {
-            diagonal = power;
+            diagonal = entry;
           } else if (r < n) {
-            std::uint64_t& pair = qt_[pairIndex_[r * n + c] * stride_ + j];
-            pair = addMod(pair, power, p_);
+            Lane& pair = qt_[pairIndex_[r * n + c] * stride_ + j];
+            pair = addMod(pair, entry, p_);
           } else {
-            qt_[(pairs_ + self * n + c) * stride_ + j] = power;
+            qt_[(pairs_ + self * n + c) * stride_ + j] = entry;
           }
         }
         start = addMod(start, diagonal, p_);
         if (r < n) continue;
         for (std::size_t c = 0; c < n; ++c) {
           if (c == self) continue;
-          std::uint64_t& entry = qt_[(pairs_ + self * n + c) * stride_ + j];
+          Lane& entry = qt_[(pairs_ + self * n + c) * stride_ + j];
           entry = entry >= diagonal ? entry - diagonal : entry + (p_ - diagonal);
         }
       }
       h_[j] = start;
       lane_[j] = static_cast<std::uint32_t>(j);
       if (target.y.fitsU64() && target.y.toU64() <= mask_) {
-        y_[j] = target.y.toU64();
+        y_[j] = static_cast<Lane>(target.y.toU64());
         ++remaining_;
       }
     }
@@ -309,7 +352,7 @@ class LaneWalk {
 
   void visit(std::size_t d, std::uint32_t used) {
     const std::size_t n = n_;
-    const std::uint64_t* rows[2 * kMaxWalkVertices];
+    const Lane* rows[2 * kMaxWalkVertices];
     if (d + 1 == n) {  // The last vertex has exactly one choice.
       sigma_[d] = static_cast<graph::Vertex>(std::countr_zero(~used));
       leaf(rows, pairRows(d, rows));
@@ -333,7 +376,7 @@ class LaneWalk {
 
   // Writes the pair rows of the edges (d, u), u < d, of sigma; returns
   // their count.
-  std::size_t pairRows(std::size_t d, const std::uint64_t** rows) const {
+  std::size_t pairRows(std::size_t d, const Lane** rows) const {
     std::size_t count = 0;
     for (std::size_t i = backStart_[d]; i < backStart_[d + 1]; ++i) {
       rows[count++] = row(pairIndex_[sigma_[d] * n_ + sigma_[back_[i]]]);
@@ -343,16 +386,14 @@ class LaneWalk {
 
   // The accumulator below plus `rows`, written to `out`; or `below` itself
   // when there is nothing to add.
-  const std::uint64_t* sum(std::uint64_t* out, const std::uint64_t* below,
-                           const std::uint64_t* const* rows, std::size_t count) {
+  const Lane* sum(Lane* out, const Lane* below, const Lane* const* rows, std::size_t count) {
     if (count == 0) return below;
     addRows_(out, below, rows, count, kernelLanes_, p_);
     return out;
   }
 
   // Appends the alpha-part rows beta_t adds at depth d.
-  void autRows(std::size_t t, std::size_t d, const std::uint64_t** rows,
-               std::size_t& count) const {
+  void autRows(std::size_t t, std::size_t d, const Lane** rows, std::size_t& count) const {
     const std::size_t n = n_;
     const std::size_t slot = t * n + d;
     const graph::Permutation& beta = (*space_.aut[side_])[t];
@@ -364,28 +405,27 @@ class LaneWalk {
 
   // sigma is complete; `rows` are the H terms of the last vertex. Tests
   // each candidate in order (the one sigma(G_b), or each beta in turn).
-  void leaf(const std::uint64_t** rows, std::size_t count) {
+  void leaf(const Lane** rows, std::size_t count) {
     const std::size_t d = n_ - 1;
     if (!space_.general()) {
       test(hTop_[d], rows, count, 0);
       return;
     }
-    const std::uint64_t* h = sum(acc(h_, n_), hTop_[d], rows, count);
+    const Lane* h = sum(acc(h_, n_), hTop_[d], rows, count);
     for (std::size_t t = 0; t < betas_ && remaining_ > 0; ++t) {
       std::size_t autCount = 0;
-      const std::uint64_t* below = autTop_[t * n_ + d];
+      const Lane* below = autTop_[t * n_ + d];
       if (below != zeros_.data()) rows[autCount++] = below;
       autRows(t, d, rows, autCount);
       test(h, rows, autCount, t);
     }
   }
 
-  void test(const std::uint64_t* src, const std::uint64_t* const* rows, std::size_t count,
-            std::size_t t) {
+  void test(const Lane* src, const Lane* const* rows, std::size_t count, std::size_t t) {
     if (!anyHitRows_(src, rows, count, y_.data(), kernelLanes_, mask_, p_)) return;
     const std::size_t n = n_;
     for (std::size_t i = 0; i < active_; ++i) {
-      std::uint64_t value = src[i];
+      Lane value = src[i];
       for (std::size_t r = 0; r < count; ++r) value = addMod(value, rows[r][i], p_);
       if ((value & mask_) != y_[i]) continue;
       const std::size_t j = lane_[i];
@@ -451,25 +491,24 @@ class LaneWalk {
   const std::size_t stride_;
   const std::size_t pairs_;    // H-block pair rows, n(n-1)/2.
   const std::size_t indices_;  // Table rows: pairs, then the alpha block.
-  std::uint64_t p_ = 0;
-  std::uint64_t mask_ = 0;
-  void (*addRows_)(std::uint64_t*, const std::uint64_t*, const std::uint64_t* const*,
-                   std::size_t, std::size_t, std::uint64_t) = addRowsPortable;
-  bool (*anyHitRows_)(const std::uint64_t*, const std::uint64_t* const*, std::size_t,
-                      const std::uint64_t*, std::size_t, std::uint64_t,
-                      std::uint64_t) = anyHitRowsPortable;
+  Lane p_ = 0;
+  Lane mask_ = 0;
+  void (*addRows_)(Lane*, const Lane*, const Lane* const*, std::size_t, std::size_t,
+                   Lane) = addRowsPortable<Lane>;
+  bool (*anyHitRows_)(const Lane*, const Lane* const*, std::size_t, const Lane*, std::size_t,
+                      Lane, Lane) = anyHitRowsPortable<Lane>;
   std::size_t block_ = 1;            // The kernel's lane granularity.
   std::size_t active_ = lanes_;      // Physical lanes in use, unresolved first.
   std::size_t kernelLanes_ = 0;      // active_ rounded up to block_.
 
-  std::vector<std::uint64_t> qt_;     // [index][lane], alpha-folded powers.
-  std::vector<std::uint64_t> y_;      // [lane], kResolved once resolved.
-  std::vector<std::uint64_t> h_;      // [depth][lane], H part; slot 0: start values.
-  std::vector<std::uint64_t> zeros_;  // [lane], the empty sum.
+  std::vector<Lane> qt_;              // [index][lane], alpha-folded powers.
+  std::vector<Lane> y_;               // [lane], kResolved once resolved.
+  std::vector<Lane> h_;               // [depth][lane], H part; slot 0: start values.
+  std::vector<Lane> zeros_;           // [lane], the empty sum.
   std::vector<std::uint32_t> lane_;   // [lane] -> repetition.
   std::size_t remaining_ = 0;         // Lanes that can still hit.
   std::array<std::uint16_t, kMaxWalkVertices * kMaxWalkVertices> pairIndex_{};  // [r n + c].
-  std::array<const std::uint64_t*, kMaxWalkVertices + 1> hTop_{};  // [depth] -> H sum.
+  std::array<const Lane*, kMaxWalkVertices + 1> hTop_{};  // [depth] -> H sum.
 
   std::uint8_t side_ = 0;
   std::vector<graph::Vertex> back_;
@@ -477,8 +516,8 @@ class LaneWalk {
   std::size_t betas_ = 0;
   std::vector<graph::Vertex> autTerm_;
   std::vector<std::uint8_t> autTermCount_;
-  std::vector<std::uint64_t> autAcc_;           // [beta][depth][lane].
-  std::vector<const std::uint64_t*> autTop_;    // [beta][depth] -> sum below depth.
+  std::vector<Lane> autAcc_;                    // [beta][depth][lane].
+  std::vector<const Lane*> autTop_;             // [beta][depth] -> sum below depth.
 
   graph::Permutation sigma_;                    // The DFS prefix.
   std::vector<graph::Vertex> hitSigma_;         // [repetition][vertex].
@@ -532,7 +571,8 @@ std::optional<GsPreimage> searchOneBig(const Space& space, const hash::EpsApiHas
 }
 
 // The lane walk whenever laneWalkSupports() holds and `perRepetition` is
-// false; the BigUInt per-repetition loop otherwise.
+// false, on the lanes laneWalkLaneBits() names; the BigUInt per-repetition
+// loop otherwise.
 GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
                       std::span<const GniChallenge> targets, bool perRepetition) {
   const std::size_t n = space.g[0]->numVertices();
@@ -547,9 +587,9 @@ GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
     }
   }
   if (targets.empty()) return {};
-  if (!perRepetition && laneWalkSupports(gsHash, n)) {
-    return LaneWalk(space, gsHash, targets).run();
-  }
+  const std::size_t laneBits = perRepetition ? 0 : laneWalkLaneBits(gsHash, n);
+  if (laneBits == 32) return LaneWalk<std::uint32_t>(space, gsHash, targets).run();
+  if (laneBits == 64) return LaneWalk<std::uint64_t>(space, gsHash, targets).run();
   GsSearchResult out;
   out.reserve(targets.size());
   for (const GniChallenge& target : targets) out.push_back(searchOneBig(space, gsHash, target));
@@ -562,6 +602,11 @@ bool laneWalkSupports(const hash::EpsApiHash& gsHash, std::size_t n) {
   const util::BigUInt& p = gsHash.fieldPrime();
   return p.fitsU64() && p.toU64() < kMaxWalkPrime && gsHash.outputBits() < 64 &&
          n <= kMaxWalkVertices;
+}
+
+std::size_t laneWalkLaneBits(const hash::EpsApiHash& gsHash, std::size_t n) {
+  if (!laneWalkSupports(gsHash, n)) return 0;
+  return gsHash.fieldPrime().toU64() < kMaxNarrowPrime && gsHash.outputBits() < 32 ? 32 : 64;
 }
 
 GsSearchResult searchGsPreimages(const GniInstance& instance, const hash::EpsApiHash& gsHash,

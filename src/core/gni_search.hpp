@@ -19,7 +19,8 @@
 //     every unresolved lane at once, one pair row per edge to an earlier
 //     vertex and, per beta, the alpha-block terms of the points beta moves
 //     (docs/PERFORMANCE.md, "Goldwasser-Sipser preimage walk"). Runs
-//     whenever laneWalkSupports();
+//     whenever laneWalkSupports(), on 32-bit lanes (eight per AVX2 op) when
+//     P < 2^31 and ell < 32 and on 64-bit lanes otherwise;
 //   * the BigUInt per-repetition loop — the path for fields the lane walk
 //     cannot hold (P >= 2^63, ell >= 64 or n > 32).
 #pragma once
@@ -70,9 +71,16 @@ GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
                                               const std::vector<graph::Permutation>& aut1);
 
 // Whether the lane walk can run a search of `gsHash` over n-vertex graphs:
-// it adds two canonical residues in a u64 without a carry check (P < 2^63),
-// masks the outer layer in a u64 (ell < 64), and keeps the used-vertex set
-// in one 32-bit word (n <= 32).
+// on its widest lanes it adds two canonical residues in a u64 without a
+// carry check (P < 2^63) and masks the outer layer in a u64 (ell < 64), and
+// it keeps the used-vertex set in one 32-bit word (n <= 32).
 bool laneWalkSupports(const hash::EpsApiHash& gsHash, std::size_t n);
+
+// The width of the lane walk's lanes for such a search: 32 when the field
+// and the outer layer fit a uint32_t the same carry-free way (P < 2^31,
+// ell < 32), 64 for any other field laneWalkSupports() takes, 0 when the
+// search takes the BigUInt per-repetition loop. Derived from the hash
+// alone; both widths return the same hits.
+std::size_t laneWalkLaneBits(const hash::EpsApiHash& gsHash, std::size_t n);
 
 }  // namespace dip::core

@@ -20,10 +20,17 @@ EpsApiHash EpsApiHash::create(std::size_t n, std::size_t outputBits, util::Rng& 
   // P >= 2^outputBits * n^2 * 2^slackBits.
   std::size_t nBits = util::BigUInt{n}.bitLength();
   std::size_t fieldBits = outputBits + 2 * nBits + slackBits + 1;
-  util::BigUInt prime = util::findPrimeWithBits(fieldBits, rng);
+  return withPrime(n, outputBits, util::findPrimeWithBits(fieldBits, rng));
+}
+
+EpsApiHash EpsApiHash::withPrime(std::size_t n, std::size_t outputBits, util::BigUInt prime) {
+  if (n < 1) throw std::invalid_argument("EpsApiHash: n < 1");
+  if (outputBits < 1) throw std::invalid_argument("EpsApiHash: outputBits < 1");
+  if (prime < util::BigUInt{3} || !prime.bit(0)) {
+    throw std::invalid_argument("EpsApiHash: P must be an odd prime");
+  }
   return EpsApiHash(n, outputBits,
-                    LinearHashFamily(std::move(prime),
-                                     static_cast<std::uint64_t>(n) * n));
+                    LinearHashFamily(std::move(prime), static_cast<std::uint64_t>(n) * n));
 }
 
 double EpsApiHash::epsilonBound() const {

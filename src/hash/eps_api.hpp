@@ -57,6 +57,12 @@ class EpsApiHash {
   // P >= 2^outputBits * n^2 * 2^slackBits (prime).
   static EpsApiHash create(std::size_t n, std::size_t outputBits,
                            util::Rng& rng, unsigned slackBits = 7);
+  // The same hash over a caller-chosen odd prime P (primality is the
+  // caller's to ensure). The eps bound above holds only when
+  // P >= 2^outputBits * n^2 * 2^slackBits; a smaller P still gives a
+  // well-defined hash, which is how the prover's search is tested at its
+  // lane-width edges.
+  static EpsApiHash withPrime(std::size_t n, std::size_t outputBits, util::BigUInt prime);
 
   std::size_t n() const { return n_; }
   std::size_t outputBits() const { return ell_; }

@@ -136,7 +136,7 @@ TEST_P(GniCellBudget, AllocationsPerTrialWithinCeiling) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, GniCellBudget,
-    ::testing::Values(CellBudget{"gni_amam", 432.6}, CellBudget{"gni_general", 959.1}),
+    ::testing::Values(CellBudget{"gni_amam", 186.3}, CellBudget{"gni_general", 373.5}),
     [](const ::testing::TestParamInfo<CellBudget>& info) {
       return std::string(info.param.cell);
     });

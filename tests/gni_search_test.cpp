@@ -205,8 +205,9 @@ TEST(gni_search, GeneralWalkMatchesBigUIntSearchAtEightVertices) {
 TEST(gni_search, TinyRangeExposesTheCandidateOrder) {
   // With 3 output bits every sigma has several hitting candidates, so the
   // first hit pins the whole order: b, then sigma in lex order, then beta.
-  // The lane counts cover every remainder of the AVX2 block of 4 and more
-  // than two blocks of 64.
+  // The lane counts cover every remainder of a 4-lane AVX2 block, several of
+  // the 8-lane block these narrow fields run on, and more than two blocks
+  // of 64.
   Rng rng(811);
   Coverage coverage;
   const GniInstance rigid = gniYesInstance(6, rng);
@@ -292,6 +293,7 @@ TEST(gni_search, PlantedHitsAtASixtyThreeBitPrime) {
   const GniInstance rigid = gniYesInstance(6, rng);
   const hash::EpsApiHash rigidHash = hash::EpsApiHash::create(6, 49, rng);
   ASSERT_EQ(rigidHash.fieldPrime().bitLength(), 63u);
+  ASSERT_EQ(laneWalkLaneBits(rigidHash, 6), 64u);
   expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 5, nullptr, rng),
                            nullptr, {1, 5}, coverage);
   const GniInstance general = gniGeneralYesInstance(6, rng);
@@ -308,6 +310,67 @@ TEST(gni_search, PlantedHitsAtASixtyThreeBitPrime) {
   EXPECT_EQ(coverage.misses, 4u);
 }
 
+// Both forms at a field of the caller's choosing, on n = 6: 129 targets
+// (planted every other one, so lanes resolve all through the walk and
+// each depth-0 boundary retires a scattered set) over lane counts that
+// cover every remainder of an 8-lane and a 4-lane block.
+void expectBothFormsMatchAt(const util::BigUInt& prime, std::size_t rigidEll,
+                            std::size_t generalEll, std::size_t laneBits, Rng& rng) {
+  Coverage coverage;
+  const GniInstance rigid = gniYesInstance(6, rng);
+  const hash::EpsApiHash rigidHash = hash::EpsApiHash::withPrime(6, rigidEll, prime);
+  ASSERT_EQ(laneWalkLaneBits(rigidHash, 6), laneBits);
+  expectWalkMatchesBigUInt(rigid, rigidHash, makeTargets(rigid, rigidHash, 129, nullptr, rng),
+                           nullptr, {1, 7, 8, 9, 15, 63, 64, 65, 129}, coverage);
+  const GniInstance general = gniGeneralNoInstance(6, rng);
+  const std::vector<graph::Permutation> aut[2] = {graph::allAutomorphisms(general.g0),
+                                                  graph::allAutomorphisms(general.g1)};
+  const hash::EpsApiHash generalHash = hash::EpsApiHash::withPrime(12, generalEll, prime);
+  ASSERT_EQ(laneWalkLaneBits(generalHash, 6), laneBits);
+  expectWalkMatchesBigUInt(general, generalHash,
+                           makeTargets(general, generalHash, 129, aut, rng), aut,
+                           {1, 7, 8, 9, 15, 63, 64, 65, 129}, coverage);
+  // The planted lanes hit (on both sides, and past the first depth-0
+  // subtree); the uniform ones, at 2^-30 or less per candidate, miss.
+  EXPECT_EQ(coverage.hits, 2 * 65u);
+  EXPECT_EQ(coverage.misses, 2 * 64u);
+  EXPECT_GT(coverage.side1, 0u);
+  EXPECT_GT(coverage.hits - coverage.firstSubtree - coverage.side1, 0u);
+  EXPECT_GT(coverage.nontrivialAlpha[0], 0u);
+}
+
+TEST(gni_search, LaneWidthFollowsTheField) {
+  const util::BigUInt narrowest{(std::uint64_t{1} << 31) - 1};
+  const util::BigUInt widest{(std::uint64_t{1} << 31) + 11};
+  EXPECT_EQ(laneWalkLaneBits(hash::EpsApiHash::withPrime(6, 31, narrowest), 6), 32u);
+  EXPECT_EQ(laneWalkLaneBits(hash::EpsApiHash::withPrime(6, 32, narrowest), 6), 64u);
+  EXPECT_EQ(laneWalkLaneBits(hash::EpsApiHash::withPrime(6, 31, widest), 6), 64u);
+  EXPECT_EQ(laneWalkLaneBits(hash::EpsApiHash::withPrime(6, 31, narrowest), 33), 0u);
+  // Every n = 6 GNI cell's field is narrow.
+  Rng setup(817);
+  EXPECT_EQ(laneWalkLaneBits(GniParams::choose(6, setup).gsHash, 6), 32u);
+  EXPECT_EQ(laneWalkLaneBits(GniGeneralParams::choose(6, setup).gsHash, 6), 32u);
+}
+
+TEST(gni_search, ThirtyTwoBitLanesAtTheLargestNarrowPrime) {
+  // P = 2^31 - 1, the largest prime a 32-bit lane takes: a lane sum reaches
+  // 2P - 2 = 2^32 - 4 before its reduction, as close to 2^32 as the
+  // carry-free add allows. ell = 30 masks the outer layer; ell = 31 (the
+  // widest a 32-bit lane takes) leaves it whole.
+  Rng rng(818);
+  expectBothFormsMatchAt(util::BigUInt{(std::uint64_t{1} << 31) - 1}, 30, 31, 32, rng);
+}
+
+TEST(gni_search, PrimesAboveTwoToTheThirtyOneTakeSixtyFourBitLanes) {
+  // P = 2^31 + 11, the smallest prime above 2^31, and P = 2^32 - 5, the
+  // largest below 2^32: a lane sum of two residues can reach 2P - 2 >= 2^32
+  // (about half of them do at 2^32 - 5), so both run on 64-bit lanes at the
+  // same ell as the narrow test.
+  Rng rng(819);
+  expectBothFormsMatchAt(util::BigUInt{(std::uint64_t{1} << 31) + 11}, 30, 31, 64, rng);
+  expectBothFormsMatchAt(util::BigUInt{(std::uint64_t{1} << 32) - 5}, 30, 31, 64, rng);
+}
+
 TEST(gni_search, WideFieldTakesTheBigUIntPath) {
   // 50 output bits over 6 x 6 matrices: P has 50 + 2*3 + 7 + 1 = 64 bits, so
   // it fits a u64 but not the walk's carry-free P < 2^63.
@@ -316,6 +379,7 @@ TEST(gni_search, WideFieldTakesTheBigUIntPath) {
   ASSERT_TRUE(wide.fieldPrime().fitsU64());
   ASSERT_GE(wide.fieldPrime().toU64(), std::uint64_t{1} << 63);
   EXPECT_FALSE(laneWalkSupports(wide, 6));
+  EXPECT_EQ(laneWalkLaneBits(wide, 6), 0u);
   const hash::EpsApiHash wider = hash::EpsApiHash::create(6, 60, rng);
   EXPECT_FALSE(wider.fieldPrime().fitsU64());
   EXPECT_FALSE(laneWalkSupports(wider, 6));
