@@ -4,6 +4,8 @@
 // experiments can go.
 #include <benchmark/benchmark.h>
 
+#include "adv/mutator.hpp"
+#include "adv/stress.hpp"
 #include "core/gni_amam.hpp"
 #include "core/gni_general.hpp"
 #include "core/gni_search.hpp"
@@ -250,6 +252,27 @@ static void BM_GsPreimageWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GsPreimageWalk)->ArgName("general")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// One 1-thread or 4-thread wire-mutation battery on Protocol 2 (the
+// adaptive collision cheater under all 11 mutators, 360 trials each, as
+// in perfbench's sym_mutants): engine dispatch plus the cheater's
+// sigma-mapped fingerprints.
+static void BM_StressBattery(benchmark::State& state) {
+  adv::StressOptions options;
+  options.trialsPerMutator = 360;
+  options.threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adv::stressSymDam(options));
+  }
+  state.SetItemsProcessed(state.iterations() * 360 *
+                          static_cast<std::int64_t>(adv::standardMutators().size()));
+}
+BENCHMARK(BM_StressBattery)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 static void BM_AutomorphismSearchSymmetric(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,9 @@
 #include "adv/stress.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "adv/adapters_wire.hpp"
@@ -34,8 +37,12 @@ sim::TrialOutcome outcomeOf(const core::RunResult& result) {
   return {result.accepted, result.transcript.maxPerNodeBits(), sim::runDigest(result)};
 }
 
-// Shared cell loop: one TrialRunner batch per mutator, seeds derived as
-// masterSeed -> protocolIndex -> mutatorIndex -> trialIndex.
+// Shared battery: every mutator's trials go to the engine as ONE dispatch
+// (TrialRunner::runBatches), seeds derived as masterSeed -> protocolIndex
+// -> mutatorIndex -> trialIndex. Trial (m, t) sees ctx.batch = m and
+// ctx.index = t, and each mutator's outcomes fold in index order into its
+// own cell, so a report is the same as one TrialRunner batch per mutator.
+// The battery's wall time is shared among the cells by trial count.
 template <typename RunTrial>
 SoundnessStressReport runBattery(const char* protocolName, std::size_t numNodes,
                                  std::uint64_t protocolIndex,
@@ -48,29 +55,35 @@ SoundnessStressReport runBattery(const char* protocolName, std::size_t numNodes,
   const std::vector<std::unique_ptr<MessageMutator>> mutators = standardMutators();
   const std::uint64_t protocolSeed =
       sim::digestCombine(options.masterSeed, protocolIndex);
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(mutators.size());
+  report.cells.resize(mutators.size());
   for (std::size_t m = 0; m < mutators.size(); ++m) {
-    sim::TrialConfig config;
-    config.masterSeed = sim::digestCombine(protocolSeed, m);
-    config.threads = options.threads;
-    sim::TrialRunner runner(config);
-    std::vector<sim::TrialOutcome> outcomes;
-    sim::TrialStats stats = runner.run(
-        options.trialsPerMutator,
-        [&](sim::TrialContext& ctx) -> sim::TrialOutcome {
-          try {
-            return runTrial(*mutators[m], ctx);
-          } catch (const MutantRejected&) {
-            return kMutantRejectedOutcome;
-          }
-        },
-        &outcomes);
-    MutatorCell cell;
-    cell.mutator = mutators[m]->name();
-    cell.stats = stats;
-    for (const sim::TrialOutcome& outcome : outcomes) {
-      if (outcome == kMutantRejectedOutcome) ++cell.decodeRejected;
-    }
-    report.cells.push_back(std::move(cell));
+    seeds.push_back(sim::digestCombine(protocolSeed, m));
+    report.cells[m].mutator = mutators[m]->name();
+  }
+  sim::TrialConfig config;
+  config.threads = options.threads;
+  const auto started = std::chrono::steady_clock::now();
+  sim::TrialRunner(config).runBatches(
+      seeds, options.trialsPerMutator,
+      [&](sim::TrialContext& ctx) -> sim::TrialOutcome {
+        try {
+          return runTrial(*mutators[ctx.batch], ctx);
+        } catch (const MutantRejected&) {
+          return kMutantRejectedOutcome;
+        }
+      },
+      [&](std::size_t m, std::span<const sim::TrialOutcome> outcomes) {
+        MutatorCell& cell = report.cells[m];
+        cell.stats = sim::foldOutcomes(outcomes);
+        cell.decodeRejected = static_cast<std::size_t>(
+            std::count(outcomes.begin(), outcomes.end(), kMutantRejectedOutcome));
+      });
+  const double wallSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  for (MutatorCell& cell : report.cells) {
+    cell.stats.wallSeconds = wallSeconds / static_cast<double>(report.cells.size());
   }
   return report;
 }

@@ -4,8 +4,9 @@
 //
 // Each protocol entry builds its instance, its base (classically cheating
 // or honest-on-NO) prover and its Mutant* adapter deterministically from
-// StressOptions::masterSeed, then runs trialsPerMutator trials per mutator
-// on the TrialRunner. Trial t of mutator m draws everything from
+// StressOptions::masterSeed, then runs trialsPerMutator trials per mutator,
+// all mutators in one TrialRunner::runBatches dispatch. Trial t of mutator
+// m draws everything from
 // Rng(digestCombine(digestCombine(masterSeed, protocolIndex), m)).child(t),
 // so any accepting mutant is reproducible from the printed master seed
 // alone — thread count never changes a report.
@@ -32,7 +33,9 @@ struct StressOptions {
 // One row of a report: the battery outcome for a single mutator.
 struct MutatorCell {
   std::string mutator;             // MessageMutator::name().
-  sim::TrialStats stats;           // accepts == verifier-fooling successes.
+  // accepts == verifier-fooling successes. wallSeconds is this cell's equal
+  // share of the whole battery's wall time (one dispatch runs every cell).
+  sim::TrialStats stats;
   std::size_t decodeRejected = 0;  // Mutants caught at the wire boundary.
 };
 

@@ -55,7 +55,7 @@ bool DSymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
   expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
-  expectB = batch.hashMatrixRow(sigma[v], graph::Graph::imageOf(g.closedRow(v), sigma), n);
+  expectB = batch.hashMappedRow(sigma, v, g.row(v), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;

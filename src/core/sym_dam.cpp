@@ -1,5 +1,6 @@
 #include "core/sym_dam.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "core/wire.hpp"
@@ -13,23 +14,13 @@ util::BigUInt mappedMatrixFingerprint(const graph::Graph& g,
                                       const hash::LinearHashFamily& family,
                                       const util::BigUInt& index,
                                       const std::vector<graph::Vertex>& sigma) {
-  const std::size_t n = g.numVertices();
   // The collision search evaluates thousands of candidate sigmas under one
   // pinned index: the batch evaluator's shared power tables make each
-  // fingerprint popcount adds plus one multiply per row.
+  // fingerprint popcount adds plus one multiply per row, and each row's
+  // image is a word mask built from sigma in place.
   hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-  thread_local std::vector<std::uint64_t> rowIndices;
-  thread_local std::vector<util::DynBitset> rows;
   batch.rebind(family.prime(), family.dimension(), index);
-  rowIndices.clear();
-  rows.clear();
-  rowIndices.reserve(n);
-  rows.reserve(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    rowIndices.push_back(sigma[v]);
-    rows.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
-  }
-  return batch.accumulateMatrixRows(rowIndices, rows, n);
+  return batch.accumulateMappedRows(sigma, g.rows(), g.numVertices());
 }
 
 SymDamProtocol::SymDamProtocol(hash::LinearHashFamily family)
@@ -73,7 +64,7 @@ bool SymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
   expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
-  expectB = batch.hashMatrixRow(rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n);
+  expectB = batch.hashMappedRow(rho, v, g.row(v), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;
@@ -223,16 +214,16 @@ SymDamMessage AdaptiveCollisionProver::respond(
   // order; for each root, run a slice of the budget.
   const std::size_t rootsToTry = std::min<std::size_t>(n, 4);
   const std::size_t perRootBudget = searchBudget_ / rootsToTry + 1;
+  // One mapping buffer serves the identity target and every attempt.
+  std::vector<graph::Vertex> sigma(n);
   for (std::size_t rootIdx = 0; rootIdx < rootsToTry && !lastSearchSucceeded_; ++rootIdx) {
     graph::Vertex root = static_cast<graph::Vertex>(rootIdx);
     const util::BigUInt& candidateIndex = challenges[root];
-    util::BigUInt candidateTarget =
-        mappedMatrixFingerprint(g, family_, candidateIndex,
-                                graph::identityPermutation(n));
+    std::iota(sigma.begin(), sigma.end(), graph::Vertex{0});
+    util::BigUInt candidateTarget = mappedMatrixFingerprint(g, family_, candidateIndex, sigma);
     for (std::size_t attempt = 0; attempt < perRootBudget; ++attempt) {
       // Random mapping V -> V (not necessarily a permutation — Theorem 3.5
       // union-bounds over all n^n mappings, so the adversary may use any).
-      std::vector<graph::Vertex> sigma(n);
       for (auto& s : sigma) s = static_cast<graph::Vertex>(rng_.nextBelow(n));
       if (sigma[root] == root) sigma[root] = static_cast<graph::Vertex>((root + 1) % n);
       if (graph::isIdentity(sigma)) continue;

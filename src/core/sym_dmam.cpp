@@ -13,18 +13,6 @@ namespace dip::core {
 
 namespace {
 
-// rho(N(v)) for the chain: the characteristic vector of the images, under
-// the rho values visible in v's closed neighborhood, of v's closed
-// neighborhood. Out-of-range rho values make the node reject (handled by
-// the caller); duplicates are fine (it is an image SET).
-util::DynBitset localImageOfClosedRow(const graph::Graph& g, graph::Vertex v,
-                                      const std::vector<graph::Vertex>& rho) {
-  util::DynBitset image(g.numVertices());
-  util::DynBitset closed = g.closedRow(v);
-  closed.forEachSet([&](std::size_t u) { image.set(rho[u]); });
-  return image;
-}
-
 bool rhoInRange(const graph::Graph& g, graph::Vertex v,
                 const std::vector<graph::Vertex>& rho) {
   bool ok = rho[v] < g.numVertices();
@@ -34,21 +22,12 @@ bool rhoInRange(const graph::Graph& g, graph::Vertex v,
   return ok;
 }
 
-// Per-vertex row hashes depend only on v, not on tree order: evaluate all 2n
-// of them in two batch calls over the shared power tables, then run the
+// Per-vertex row hashes depend only on v, not on tree order: the caller
+// evaluates all 2n of them over the shared power tables, then this runs the
 // bottom-up fold on the precomputed values.
-ChainValues hashAndFold(const graph::Graph& g, const hash::LinearHashFamily& family,
-                        const util::BigUInt& index, std::span<const std::uint64_t> aIdx,
-                        std::span<const util::DynBitset> aRows,
-                        std::span<const std::uint64_t> bIdx,
-                        std::span<const util::DynBitset> bRows, net::SpanningTreeView tree,
-                        std::span<const graph::Vertex> order) {
-  const std::size_t n = g.numVertices();
-  ChainValues values;
-  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-  batch.rebind(family.prime(), family.dimension(), index);
-  batch.hashMatrixRows(aIdx, aRows, n, values.a);
-  batch.hashMatrixRows(bIdx, bRows, n, values.b);
+ChainValues foldChains(const graph::Graph& g, const hash::LinearHashFamily& family,
+                       ChainValues values, net::SpanningTreeView tree,
+                       std::span<const graph::Vertex> order) {
   for (graph::Vertex v : order) {
     net::forEachChild(g, tree, v, [&](graph::Vertex child) {
       util::addModInPlace(values.a[v], values.a[child], family.prime());
@@ -58,6 +37,13 @@ ChainValues hashAndFold(const graph::Graph& g, const hash::LinearHashFamily& fam
   return values;
 }
 
+hash::BatchLinearHashEvaluator& chainEvaluator(const hash::LinearHashFamily& family,
+                                               const util::BigUInt& index) {
+  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
+  batch.rebind(family.prime(), family.dimension(), index);
+  return batch;
+}
+
 }  // namespace
 
 ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
@@ -65,34 +51,27 @@ ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily&
                             const std::vector<graph::Vertex>& rho,
                             net::SpanningTreeView tree) {
   const std::size_t n = g.numVertices();
-  thread_local std::vector<std::uint64_t> aIdx;
-  thread_local std::vector<std::uint64_t> bIdx;
-  thread_local std::vector<util::DynBitset> aRows;
-  thread_local std::vector<util::DynBitset> bRows;
-  aIdx.clear();
-  bIdx.clear();
-  aRows.clear();
-  bRows.clear();
-  aIdx.reserve(n);
-  bIdx.reserve(n);
-  aRows.reserve(n);
-  bRows.reserve(n);
+  hash::BatchLinearHashEvaluator& batch = chainEvaluator(family, index);
+  ChainValues values;
+  values.a.resize(n);
+  values.b.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    aIdx.push_back(v);
-    aRows.push_back(g.closedRow(v));
-    bIdx.push_back(rho[v]);
-    bRows.push_back(localImageOfClosedRow(g, v, rho));
+    values.a[v] = batch.hashMatrixRow(v, g.closedRow(v), n);
+    values.b[v] = batch.hashMappedRow(rho, v, g.row(v), n);
   }
   thread_local std::vector<graph::Vertex> order;
   net::bottomUpOrderInto(tree, order);
-  return hashAndFold(g, family, index, aIdx, aRows, bIdx, bRows, tree, order);
+  return foldChains(g, family, std::move(values), tree, order);
 }
 
 ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
                             const util::BigUInt& index, const PreparedSym& prepared) {
-  return hashAndFold(g, family, index, prepared.closedIndices, prepared.closedRows,
-                     prepared.imageIndices, prepared.imageRows, prepared.tree,
-                     prepared.order);
+  const std::size_t n = g.numVertices();
+  hash::BatchLinearHashEvaluator& batch = chainEvaluator(family, index);
+  ChainValues values;
+  batch.hashMatrixRows(prepared.closedIndices, prepared.closedRows, n, values.a);
+  batch.hashMatrixRows(prepared.imageIndices, prepared.imageRows, n, values.b);
+  return foldChains(g, family, std::move(values), prepared.tree, prepared.order);
 }
 
 SymDmamProtocol::SymDmamProtocol(hash::LinearHashFamily family)
@@ -134,7 +113,7 @@ bool SymDmamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
   thread_local util::BigUInt expectA;
   thread_local util::BigUInt expectB;
   expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
-  expectB = batch.hashMatrixRow(first.rho[v], localImageOfClosedRow(g, v, first.rho), n);
+  expectB = batch.hashMappedRow(first.rho, v, g.row(v), n);
   bool childrenOk = true;
   net::forEachChild(g, tree, v, [&](graph::Vertex child) {
     if (!childrenOk) return;

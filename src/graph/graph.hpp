@@ -37,6 +37,8 @@ class Graph {
 
   // Open neighborhood as a characteristic vector (v excluded).
   const util::DynBitset& row(Vertex v) const { return rows_[v]; }
+  // Every open row, row v at position v.
+  std::span<const util::DynBitset> rows() const { return rows_; }
   // Closed neighborhood N_G(v): v's row with the self-loop bit set (the
   // paper's N(v), "with self-loops for all vertices").
   util::DynBitset closedRow(Vertex v) const;

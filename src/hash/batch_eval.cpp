@@ -39,8 +39,9 @@ std::uint64_t powModU64(std::uint64_t base, std::uint64_t exponent, std::uint64_
 inline std::uint64_t addModTrick(std::uint64_t acc, std::uint64_t term,
                                  std::uint64_t p) {
   acc += term;
-  if (acc < term || acc >= p) acc -= p;
-  return acc;
+  // Branch-free: the subtraction is data-dependent and mispredicts often.
+  const std::uint64_t over = static_cast<std::uint64_t>((acc < term) | (acc >= p));
+  return acc - (p & (0 - over));
 }
 
 bool avx2Supported() {
@@ -122,24 +123,62 @@ __attribute__((target("avx2"))) std::uint64_t residueSumAvx2(
 // protocol-2 family, n = 6).
 constexpr std::size_t kAvx2MinBits = 16;
 
+// Invokes fn(w) for each set bit w of the little-endian word span, ascending.
+template <typename Fn>
+inline void forEachSetBit(const std::uint64_t* words, std::size_t wordCount, Fn&& fn) {
+  for (std::size_t i = 0; i < wordCount; ++i) {
+    for (std::uint64_t word = words[i]; word != 0; word &= word - 1) {
+      fn(i * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
+    }
+  }
+}
+
+// A row to hash: its row index and its column bits, as words. Bitset rows
+// and sigma-mapped image masks both reach the kernels in this shape.
+struct RowWords {
+  std::uint64_t rowIndex;
+  const std::uint64_t* words;
+  std::size_t wordCount;
+  std::size_t bits;  // The row's width n (decides the AVX2 gate).
+};
+
+RowWords rowWords(std::uint64_t rowIndex, const util::DynBitset& bits) {
+  return {rowIndex, bits.words(), bits.wordCount(), bits.size()};
+}
+
 // Shared inner loop of the u64 backend: sum of table[w] over set bits of
-// `bits`, mod p. Runtime-dispatched to the AVX2 gather kernel for dense rows
-// when enabled; the serial forEachSet walk is the portable fallback and the
-// reference semantics.
-std::uint64_t bitsResidueSum(const util::DynBitset& bits, const std::uint64_t* table,
-                             std::uint64_t p) {
+// the row. Runtime-dispatched to the AVX2 gather kernel for dense rows when
+// enabled, which returns the sum mod p. The serial walk is the portable
+// fallback and the reference semantics; with `lazy` it skips the per-add
+// reduction and returns the plain sum, which the caller has proved fits 64
+// bits (row width * p < 2^64) and reduces in its one product mod p.
 #if DIP_HAVE_AVX2_KERNEL
-  if (bits.size() >= kAvx2MinBits && avx2Flag().load(std::memory_order_relaxed)) {
-    thread_local std::vector<std::uint32_t> positions;
-    positions.clear();
-    positions.reserve(bits.size());
-    bits.forEachSet(
-        [&](std::size_t w) { positions.push_back(static_cast<std::uint32_t>(w)); });
-    return residueSumAvx2(table, positions.data(), positions.size(), p);
+std::uint64_t gatherResidueSum(const RowWords& row, const std::uint64_t* table,
+                               std::uint64_t p) {
+  thread_local std::vector<std::uint32_t> positions;
+  positions.clear();
+  positions.reserve(row.bits);
+  forEachSetBit(row.words, row.wordCount, [&](std::size_t w) {
+    positions.push_back(static_cast<std::uint32_t>(w));
+  });
+  return residueSumAvx2(table, positions.data(), positions.size(), p);
+}
+#endif
+
+inline std::uint64_t bitsResidueSum(const RowWords& row, const std::uint64_t* table,
+                                    std::uint64_t p, bool lazy = false) {
+#if DIP_HAVE_AVX2_KERNEL
+  if (row.bits >= kAvx2MinBits && avx2Flag().load(std::memory_order_relaxed)) {
+    return gatherResidueSum(row, table, p);
   }
 #endif
   std::uint64_t sum = 0;
-  bits.forEachSet([&](std::size_t w) { sum = addModTrick(sum, table[w], p); });
+  if (lazy) {
+    forEachSetBit(row.words, row.wordCount, [&](std::size_t w) { sum += table[w]; });
+  } else {
+    forEachSetBit(row.words, row.wordCount,
+                  [&](std::size_t w) { sum = addModTrick(sum, table[w], p); });
+  }
   return sum;
 }
 
@@ -162,24 +201,25 @@ struct MontTables {
 
 // sum = Mont(sum over set bits w of a^(w+1)), possibly unreduced (< R).
 template <std::size_t K>
-inline void montRowSum(const MontTables& t, const util::DynBitset& bits, Limb* sum) {
+inline void montRowSum(const MontTables& t, const RowWords& row, Limb* sum) {
   const std::size_t k = mont::width<K>(t.mod);
   std::fill_n(sum, k, Limb{0});
   if (t.lazy) {
-    bits.forEachSet(
-        [&](std::size_t w) { mont::addLazy<K>(t.mod, sum, t.colPow + w * k); });
+    forEachSetBit(row.words, row.wordCount, [&](std::size_t w) {
+      mont::addLazy<K>(t.mod, sum, t.colPow + w * k);
+    });
   } else {
-    bits.forEachSet(
-        [&](std::size_t w) { mont::add<K>(t.mod, sum, t.colPow + w * k, sum); });
+    forEachSetBit(row.words, row.wordCount, [&](std::size_t w) {
+      mont::add<K>(t.mod, sum, t.colPow + w * k, sum);
+    });
   }
 }
 
 // acc[0..k) = the plain row hash: Mont(s) * a^(r*n) * R^-1 = s * a^(r*n).
 template <std::size_t K>
-inline void montRowHash(const MontTables& t, std::uint64_t rowIndex,
-                        const util::DynBitset& bits, Limb* sum, Limb* acc) {
-  montRowSum<K>(t, bits, sum);
-  mont::mul<K>(t.mod, sum, t.rowBase + rowIndex * mont::width<K>(t.mod), acc);
+inline void montRowHash(const MontTables& t, const RowWords& row, Limb* sum, Limb* acc) {
+  montRowSum<K>(t, row, sum);
+  mont::mul<K>(t.mod, sum, t.rowBase + row.rowIndex * mont::width<K>(t.mod), acc);
 }
 
 template <std::size_t K>
@@ -189,22 +229,21 @@ void montHashRows(const MontTables& t, std::span<const std::uint64_t> rowIndices
   mont::Buffer<K, 0> sum(t.spare);
   mont::Buffer<K, 2> acc(t.spare + k);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    montRowHash<K>(t, rowIndices[i], rows[i], sum.data(), acc.data());
+    montRowHash<K>(t, rowWords(rowIndices[i], rows[i]), sum.data(), acc.data());
     out[i] = util::BigUInt::fromWords(std::span<const Limb>(acc.data(), k));
   }
 }
 
-template <std::size_t K>
-util::BigUInt montAccumulateRows(const MontTables& t,
-                                 std::span<const std::uint64_t> rowIndices,
-                                 std::span<const util::DynBitset> rows) {
+// Sum of the row hashes of rowAt(0), ..., rowAt(count - 1), one convert-out.
+template <std::size_t K, typename RowAt>
+util::BigUInt montAccumulateRows(const MontTables& t, std::size_t count, RowAt&& rowAt) {
   const std::size_t k = mont::width<K>(t.mod);
   mont::Buffer<K, 0> sum(t.spare);
   mont::Buffer<K, 2> acc(t.spare + k);
   mont::Buffer<K, 0> total(t.spare + 2 * k + 2);
   std::fill_n(total.data(), k, Limb{0});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    montRowHash<K>(t, rowIndices[i], rows[i], sum.data(), acc.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    montRowHash<K>(t, rowAt(i), sum.data(), acc.data());
     mont::add<K>(t.mod, total.data(), acc.data(), total.data());
   }
   return util::BigUInt::fromWords(std::span<const Limb>(total.data(), k));
@@ -233,7 +272,7 @@ void montHashBits(const MontTables& t, std::span<const util::DynBitset> inputs,
   const std::size_t k = mont::width<K>(t.mod);
   mont::Buffer<K, 0> sum(t.spare);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    montRowSum<K>(t, inputs[i], sum.data());
+    montRowSum<K>(t, rowWords(0, inputs[i]), sum.data());
     out[i] = util::BigUInt::fromWords(
         k, [&](std::span<Limb> limbs) { mont::redc<K>(t.mod, sum.data(), limbs.data()); });
   }
@@ -428,6 +467,10 @@ void BatchLinearHashEvaluator::checkRows(std::span<const std::uint64_t> rowIndic
   for (std::size_t i = 0; i < rows.size(); ++i) checkRow(rowIndices[i], rows[i], n);
 }
 
+bool BatchLinearHashEvaluator::lazyRowSums64(std::uint64_t n) const {
+  return static_cast<int>(std::bit_width(p64_)) + static_cast<int>(std::bit_width(n)) <= 64;
+}
+
 bool BatchLinearHashEvaluator::lazySums(std::uint64_t terms) const {
   return static_cast<std::size_t>(std::bit_width(terms)) <= headroomBits_;
 }
@@ -446,8 +489,10 @@ void BatchLinearHashEvaluator::hashMatrixRows(std::span<const std::uint64_t> row
   out.resize(rows.size());
   switch (backend_) {
     case Backend::kU64: {
+      const bool lazy = lazyRowSums64(n);
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::uint64_t sum = bitsResidueSum(rows[i], colPow64_, p64_);
+        const std::uint64_t sum =
+            bitsResidueSum(rowWords(rowIndices[i], rows[i]), colPow64_, p64_, lazy);
         out[i].assignU64(mulModU64(rowBase64_[rowIndices[i]], sum, p64_));
       }
       break;
@@ -474,6 +519,57 @@ void BatchLinearHashEvaluator::hashMatrixRows(std::span<const std::uint64_t> row
   }
 }
 
+template <typename RowAt>
+util::BigUInt BatchLinearHashEvaluator::accumulateRows(std::size_t count, std::uint64_t n,
+                                                       RowAt&& rowAt) {
+  switch (backend_) {
+    case Backend::kU64: {
+      // Unreduced row sums (below n p) and, when count of their products
+      // cannot overflow 128 bits, an unreduced total: one division for the
+      // whole accumulate, and the same residue as reducing every step.
+      const bool lazy = lazyRowSums64(n);
+      const int termBits = 2 * static_cast<int>(std::bit_width(p64_)) +
+                           (lazy ? static_cast<int>(std::bit_width(n)) : 0);
+      if (termBits + static_cast<int>(std::bit_width(count)) <= 128) {
+        U128 acc = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          const RowWords row = rowAt(i);
+          acc += static_cast<U128>(rowBase64_[row.rowIndex]) *
+                 bitsResidueSum(row, colPow64_, p64_, lazy);
+        }
+        return util::BigUInt{static_cast<std::uint64_t>(acc % p64_)};
+      }
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        const RowWords row = rowAt(i);
+        const std::uint64_t sum = bitsResidueSum(row, colPow64_, p64_, lazy);
+        acc = addModTrick(acc, mulModU64(rowBase64_[row.rowIndex], sum, p64_), p64_);
+      }
+      return util::BigUInt{acc};
+    }
+    case Backend::kMontgomery: {
+      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                            lazySums(n)};
+      return mont::dispatch(view.mod.k, [&](auto width) {
+        return montAccumulateRows<decltype(width)::value>(view, count, rowAt);
+      });
+    }
+    default: {
+      util::BigUInt acc;
+      util::BigUInt sum;
+      for (std::size_t i = 0; i < count; ++i) {
+        const RowWords row = rowAt(i);
+        sum = util::BigUInt{};
+        forEachSetBit(row.words, row.wordCount, [&](std::size_t w) {
+          sum = util::addMod(sum, colPowP_[w], p_);
+        });
+        acc = util::addMod(acc, util::mulMod(sum, rowBaseP_[row.rowIndex], p_), p_);
+      }
+      return acc;
+    }
+  }
+}
+
 util::BigUInt BatchLinearHashEvaluator::accumulateMatrixRows(
     std::span<const std::uint64_t> rowIndices, std::span<const util::DynBitset> rows,
     std::uint64_t n) {
@@ -482,35 +578,85 @@ util::BigUInt BatchLinearHashEvaluator::accumulateMatrixRows(
   }
   prepareTables(n, n);
   checkRows(rowIndices, rows, n);
-  switch (backend_) {
-    case Backend::kU64: {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::uint64_t sum = bitsResidueSum(rows[i], colPow64_, p64_);
-        acc = addModTrick(acc, mulModU64(rowBase64_[rowIndices[i]], sum, p64_), p64_);
-      }
-      return util::BigUInt{acc};
+  return accumulateRows(rows.size(), n, [&](std::size_t i) {
+    return rowWords(rowIndices[i], rows[i]);
+  });
+}
+
+std::uint64_t* BatchLinearHashEvaluator::imageMask(std::size_t wordCount) {
+  if (mask_.size() < wordCount) mask_.resize(wordCount);
+  return mask_.data();
+}
+
+void BatchLinearHashEvaluator::checkMapped(std::span<const std::uint32_t> sigma,
+                                           std::uint64_t n) const {
+  if (n * n != m_) throw std::invalid_argument("hashMappedRow: dimension mismatch");
+  if (sigma.size() != n) throw std::out_of_range("hashMappedRow: sigma size != n");
+}
+
+namespace {
+
+// Out of line, so the mask loops below stay small enough to inline.
+[[noreturn, gnu::noinline, gnu::cold]] void throwBadMappedRow(const char* what) {
+  throw std::out_of_range(what);
+}
+
+// Writes sigma(N[v]) = {sigma[v]} + {sigma[u] : u in openRow} into
+// mask[0, wordCount) by OR-ing one bit per member: a set, so a
+// non-injective sigma collapses, like Graph::imageOf. Returns the row.
+inline RowWords mappedRow(std::span<const std::uint32_t> sigma, std::uint64_t v,
+                          const util::DynBitset& openRow, std::uint64_t n,
+                          std::uint64_t* mask, std::size_t wordCount) {
+  if (v >= n || openRow.size() != n) throwBadMappedRow("hashMappedRow: bad row");
+  const std::uint32_t* images = sigma.data();
+  bool inRange = images[v] < n;
+  if (wordCount == 1) {
+    // One word: build the mask in a register.
+    std::uint64_t bits = std::uint64_t{1} << (images[v] & 63);
+    for (std::uint64_t word = openRow.words()[0]; word != 0; word &= word - 1) {
+      const std::uint32_t image = images[__builtin_ctzll(word)];
+      inRange &= image < n;
+      bits |= std::uint64_t{1} << (image & 63);
     }
-    case Backend::kMontgomery: {
-      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
-                            lazySums(n)};
-      return mont::dispatch(view.mod.k, [&](auto width) {
-        return montAccumulateRows<decltype(width)::value>(view, rowIndices, rows);
-      });
-    }
-    default: {
-      util::BigUInt acc;
-      util::BigUInt row;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        row = util::BigUInt{};
-        rows[i].forEachSet([&](std::size_t w) {
-          row = util::addMod(row, colPowP_[w], p_);
-        });
-        acc = util::addMod(acc, util::mulMod(row, rowBaseP_[rowIndices[i]], p_), p_);
-      }
-      return acc;
-    }
+    mask[0] = bits;
+  } else {
+    std::fill_n(mask, wordCount, std::uint64_t{0});
+    const auto put = [&](std::size_t u) {
+      const std::uint32_t image = images[u];
+      inRange &= image < n;
+      if (image < n) mask[image >> 6] |= std::uint64_t{1} << (image & 63);
+    };
+    put(v);
+    openRow.forEachSet(put);
   }
+  if (!inRange) throwBadMappedRow("hashMappedRow: image out of range");
+  return {images[v], mask, wordCount, n};
+}
+
+}  // namespace
+
+util::BigUInt BatchLinearHashEvaluator::accumulateMappedRows(
+    std::span<const std::uint32_t> sigma, std::span<const util::DynBitset> openRows,
+    std::uint64_t n) {
+  prepareTables(n, n);
+  checkMapped(sigma, n);
+  if (openRows.size() != n) throw std::out_of_range("accumulateMappedRows: rows != n");
+  const std::size_t wordCount = (n + 63) / 64;
+  std::uint64_t* mask = imageMask(wordCount);
+  return accumulateRows(n, n, [&](std::size_t v) {
+    return mappedRow(sigma, v, openRows[v], n, mask, wordCount);
+  });
+}
+
+util::BigUInt BatchLinearHashEvaluator::hashMappedRow(std::span<const std::uint32_t> sigma,
+                                                      std::uint64_t v,
+                                                      const util::DynBitset& openRow,
+                                                      std::uint64_t n) {
+  prepareTables(n, n);
+  checkMapped(sigma, n);
+  const std::size_t wordCount = (n + 63) / 64;
+  const RowWords row = mappedRow(sigma, v, openRow, n, imageMask(wordCount), wordCount);
+  return accumulateRows(1, n, [&](std::size_t) { return row; });
 }
 
 void BatchLinearHashEvaluator::checkEntry(std::uint64_t rowIndex,
@@ -613,7 +759,7 @@ void BatchLinearHashEvaluator::hashBitsMany(std::span<const util::DynBitset> inp
   switch (backend_) {
     case Backend::kU64: {
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        out[i].assignU64(bitsResidueSum(inputs[i], colPow64_, p64_));
+        out[i].assignU64(bitsResidueSum(rowWords(0, inputs[i]), colPow64_, p64_));
       }
       break;
     }

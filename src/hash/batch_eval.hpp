@@ -18,8 +18,12 @@
 // it differentially over 10^4 seeded matrices):
 //   - kU64 (p < 2^64): tables are flat uint64 slices, row sums use
 //     add-with-conditional-subtract (no multiply), one 128-bit product per
-//     row. The many-seeds entry point runs kLanes parallel power chains so
-//     independent Horner walks overlap in the pipeline.
+//     row. When n residues cannot overflow 64 bits (bitLength(p) +
+//     bitWidth(n) <= 64) the serial row sum skips the per-add reduction,
+//     and an accumulate whose products cannot overflow 128 bits sums them
+//     unreduced and divides once. The many-seeds entry point runs kLanes
+//     parallel power chains so independent Horner walks overlap in the
+//     pipeline.
 //   - kMontgomery (p odd, wider): tables are flat raw-limb residues run
 //     through the flat-limb kernels (util/mont_kernels.hpp). Each span call
 //     picks the kernel width once and runs a templated loop in which the
@@ -89,11 +93,28 @@ class BatchLinearHashEvaluator {
                       std::vector<util::BigUInt>& out);
 
   // Sum over i of hashMatrixRow(rowIndices[i], rows[i], n) mod p, with a
-  // single convert-out — the fingerprint shape (eps_api hashRows,
-  // mappedMatrixFingerprint).
+  // single convert-out — the fingerprint shape (eps_api hashRows).
   util::BigUInt accumulateMatrixRows(std::span<const std::uint64_t> rowIndices,
                                      std::span<const util::DynBitset> rows,
                                      std::uint64_t n);
+
+  // Sum over v in [0, n) of hashMatrixRow(sigma[v], sigma(N[v]), n) mod p,
+  // where N[v] is openRows[v] plus v itself and sigma(S) = {sigma[u] : u in
+  // S} is a SET (a non-injective sigma collapses, as in Graph::imageOf):
+  // the fingerprint of the sigma-mapped adjacency matrix with self-loops
+  // (mappedMatrixFingerprint). Each image is built as a word mask, one OR
+  // per member, and hashed in place; no bitset is made. Throws
+  // std::invalid_argument on a dimension mismatch and std::out_of_range
+  // when sigma or openRows does not have n entries, a row is not n bits,
+  // or some sigma value is >= n.
+  util::BigUInt accumulateMappedRows(std::span<const std::uint32_t> sigma,
+                                     std::span<const util::DynBitset> openRows,
+                                     std::uint64_t n);
+  // The one row hashMatrixRow(sigma[v], sigma(N[v]), n) for N[v] = openRow
+  // plus v: the b-side row of a Sym node decision. Only the sigma values on
+  // N[v] are read and range-checked; same exceptions otherwise.
+  util::BigUInt hashMappedRow(std::span<const std::uint32_t> sigma, std::uint64_t v,
+                              const util::DynBitset& openRow, std::uint64_t n);
 
   // Single-call forms under the pinned index — same values and argument
   // checks as the scalar evaluator, but every power is a table lookup
@@ -140,8 +161,17 @@ class BatchLinearHashEvaluator {
   // Whether a sum of `terms` Montgomery residues stays below R unreduced:
   // bitLength(p) + bitWidth(terms) <= 64k.
   bool lazySums(std::uint64_t terms) const;
+  // kU64: whether a row sum of up to n residues fits 64 bits unreduced.
+  bool lazyRowSums64(std::uint64_t n) const;
   void checkEntry(std::uint64_t rowIndex, std::uint64_t colIndex,
                   std::uint64_t n) const;
+  void checkMapped(std::span<const std::uint32_t> sigma, std::uint64_t n) const;
+  // Sum of the hashes of the rows rowAt(0), ..., rowAt(count - 1) (each an
+  // index plus column words), for every backend; tables must be ready.
+  template <typename RowAt>
+  util::BigUInt accumulateRows(std::size_t count, std::uint64_t n, RowAt&& rowAt);
+  // Scratch words for one image mask (grown on first use, then reused).
+  std::uint64_t* imageMask(std::size_t wordCount);
 
   Backend backend_ = Backend::kUnbound;
   util::BigUInt p_;
@@ -167,6 +197,7 @@ class BatchLinearHashEvaluator {
   util::BigUInt aPlain_;
   std::vector<util::BigUInt> colPowP_;
   std::vector<util::BigUInt> rowBaseP_;
+  std::vector<std::uint64_t> mask_;
 };
 
 // The calling thread's evaluator for the Sym chain call sites: the honest

@@ -77,9 +77,11 @@ struct DistributedRunner::Impl {
     return live;
   }
 
-  // Forks the fleet. Called lazily so the parent forks before it has ever
-  // created engine threads in this call chain (TrialRunner joins its pool
-  // before returning, so earlier in-process runs are fine).
+  // Forks the fleet, lazily on the first run. Earlier in-process runs may
+  // have left engine pool helpers parked in this process; that is safe:
+  // the pool's fork handlers hold its batch lock across fork(), so no batch
+  // is mid-flight, and each child starts from an empty pool that grows its
+  // own helpers (sim/pool.hpp).
   void ensureStarted() {
     if (started) return;
     started = true;

@@ -9,10 +9,10 @@
 // captured and the one with the smallest index is rethrown on the caller's
 // thread after the batch drains, mirroring TrialRunner::run.
 //
-// The census sweeps its edge-code chunks through this. Thread workers
-// belong HERE: dip-lint's thread-containment rule forbids std::thread
-// anywhere else under src/ (library code includes this header; the threads
-// stay in src/sim).
+// The census sweeps its edge-code chunks through this. It runs on the same
+// process-wide engine pool as TrialRunner (sim/pool.hpp), with the same
+// rules: a call from inside a pool batch runs inline, and threads == 1
+// starts no thread.
 #pragma once
 
 #include <algorithm>
@@ -20,9 +20,9 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <vector>
 
+#include "sim/pool.hpp"
 #include "sim/trial_runner.hpp"
 
 namespace dip::sim {
@@ -56,19 +56,8 @@ std::vector<R> parallelMap(std::size_t count, unsigned threads, Fn&& fn) {
     }
   };
 
-  const unsigned resolved = resolveThreads(threads);
-  const unsigned poolSize =
-      count == 0 ? 0
-                 : static_cast<unsigned>(std::min<std::size_t>(resolved, count));
-  if (poolSize <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(poolSize - 1);
-    for (unsigned i = 0; i + 1 < poolSize; ++i) pool.emplace_back(worker);
-    worker();  // The calling thread is the pool's last member.
-    for (std::thread& t : pool) t.join();
-  }
+  runOnPool(static_cast<unsigned>(std::min<std::size_t>(resolveThreads(threads), count)),
+            worker);
 
   if (failure) std::rethrow_exception(failure);
   return results;

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/mathutil.hpp"
@@ -63,7 +64,7 @@ inline std::uint64_t digestCombine(std::uint64_t acc, std::uint64_t value) {
 // this one function, so stats are byte-identical regardless of thread count,
 // worker count, or arrival order. wallSeconds is measurement and is set by
 // the caller, not here.
-inline TrialStats foldOutcomes(const std::vector<TrialOutcome>& outcomes) {
+inline TrialStats foldOutcomes(std::span<const TrialOutcome> outcomes) {
   TrialStats stats;
   stats.trials = outcomes.size();
   for (const TrialOutcome& outcome : outcomes) {

@@ -1,14 +1,15 @@
 // The deterministic parallel trial engine.
 //
-// TrialRunner fans a batch of independent protocol trials across a
-// std::thread pool. Determinism contract (see docs/SIMULATION.md):
+// TrialRunner fans a batch of independent protocol trials across the
+// process-wide engine pool (sim/pool.hpp). Determinism contract (see
+// docs/SIMULATION.md):
 //
 //   1. Trial t draws all of its randomness from a counter-based stream
 //      derived as Rng(masterSeed).child(t) — a pure function of
 //      (masterSeed, t), independent of scheduling, thread count, and of
 //      every other trial.
 //   2. Each trial writes its TrialOutcome into its own slot of a
-//      preallocated results array; after the workers join, the runner folds
+//      preallocated results array; after the batch drains, the runner folds
 //      the slots in trial-index order into TrialStats. No accumulator is
 //      shared between workers, so there is no merge-order race to get wrong.
 //   3. Shared inputs (protocol, instance, hash family) are captured by
@@ -21,13 +22,16 @@
 // drained, and the first one (by trial index) is rethrown on the caller's
 // thread.
 //
-// Thread workers belong HERE: dip-lint's thread-containment rule forbids
-// std::thread anywhere else under src/.
+// A runner called from inside a trial body runs its batch inline on the
+// calling thread (the pool's nesting rule), which by contract 1 gives the
+// same outcomes as any other thread count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "sim/trial.hpp"
 #include "util/arena.hpp"
@@ -35,16 +39,19 @@
 
 namespace dip::sim {
 
-// Per-trial view handed to the body: the trial's index within the batch,
-// its private counter-derived stream, and the owning worker's scratch
-// arena. The arena is reset before every trial (so slices never leak
-// between trials, and under ASan a stale cross-trial pointer faults); trial
-// bodies may bump-allocate per-round scratch from it without touching the
-// heap. It is never null inside run().
+// Per-trial view handed to the body: the trial's index within its batch,
+// which batch it belongs to (always 0 outside runBatches), its private
+// counter-derived stream, and a scratch arena owned by the running thread.
+// The arena is reset before every trial (so slices never leak between
+// trials, and under ASan a stale cross-trial pointer faults); trial bodies
+// may bump-allocate per-round scratch from it without touching the heap. A
+// nested runner inside the body gets a different arena, so it never resets
+// the outer trial's. It is never null inside run().
 struct TrialContext {
   std::size_t index = 0;
   util::RngStream rng{0};
   util::Arena* arena = nullptr;
+  std::size_t batch = 0;
 };
 
 struct TrialConfig {
@@ -83,6 +90,21 @@ class TrialRunner {
   std::vector<TrialOutcome> runRange(
       std::uint64_t lo, std::uint64_t hi,
       const std::function<TrialOutcome(TrialContext&)>& body) const;
+
+  // Runs seeds.size() batches of trialsEach trials as ONE pool dispatch.
+  // Trial t of batch m sees ctx.batch = m, ctx.index = t and the stream
+  // Rng(seeds[m]).child(t), exactly as run(trialsEach, body) on a runner
+  // seeded with seeds[m] would; the runner's own masterSeed is not used.
+  // When batch m's last trial finishes, fold(m, outcomes) receives its
+  // trialsEach outcomes in index order, on whichever engine thread finished
+  // it (folds of different batches may run concurrently; fold must not
+  // throw). A batch's outcomes are released after its fold, so the engine
+  // holds about one batch per thread, not the whole dispatch. A throwing
+  // body surfaces the failure with the smallest (m, t) after every fold.
+  void runBatches(
+      std::span<const std::uint64_t> seeds, std::size_t trialsEach,
+      const std::function<TrialOutcome(TrialContext&)>& body,
+      const std::function<void(std::size_t, std::span<const TrialOutcome>)>& fold) const;
 
  private:
   TrialConfig config_;

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "adv/mutator.hpp"
+#include "adv/stress.hpp"
 #include "core/sym_dam.hpp"
 #include "graph/generators.hpp"
 #include "hash/batch_eval.hpp"
@@ -67,6 +69,9 @@ constexpr std::size_t kWarmupTrials = 200;
 constexpr std::size_t kTrials = 2000;
 constexpr std::size_t kGniWarmupTrials = 8;
 constexpr std::size_t kGniTrials = 100;
+// Trials per mutator of the battery cells (11 mutators each).
+constexpr std::size_t kAdversaryWarmupTrials = 20;
+constexpr std::size_t kAdversaryTrials = 100;
 
 #if defined(DIP_AUDIT) || defined(DIP_ALLOC_BUDGET_SANITIZED)
 constexpr const char* kSkipReason =
@@ -139,6 +144,43 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CellBudget{"gni_amam", 186.3}, CellBudget{"gni_general", 373.5}),
     [](const ::testing::TestParamInfo<CellBudget>& info) {
       return std::string(info.param.cell);
+    });
+
+// The wire-mutation battery at 1 thread, per trial over all 11 mutators:
+// one battery call per run, so its set-up (instance, mutators, report)
+// is part of the count.
+struct AdversaryCell {
+  const char* name;
+  adv::StressFn stress;
+  double measured;  // Allocations per trial when the budget was committed.
+};
+
+void PrintTo(const AdversaryCell& cell, std::ostream* os) { *os << cell.name; }
+
+class AdversaryBudget : public ::testing::TestWithParam<AdversaryCell> {};
+
+TEST_P(AdversaryBudget, AllocationsPerTrialWithinCeiling) {
+  if (kSkipReason != nullptr) GTEST_SKIP() << kSkipReason;
+  const AdversaryCell& cell = GetParam();
+  const std::size_t mutators = adv::standardMutators().size();
+  const double perTrial = allocationsPerTrial(
+      [&](std::size_t trials) {
+        adv::StressOptions options;
+        options.trialsPerMutator = trials / mutators;
+        options.threads = 1;
+        cell.stress(options);
+      },
+      kAdversaryWarmupTrials * mutators, kAdversaryTrials * mutators);
+  RecordProperty("allocations_per_trial", std::to_string(perTrial));
+  EXPECT_LE(perTrial, cell.measured * kHeadroom) << cell.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Battery, AdversaryBudget,
+    ::testing::Values(AdversaryCell{"stressSymDam", &adv::stressSymDam, 35.0},
+                      AdversaryCell{"stressSymDmam", &adv::stressSymDmam, 57.5}),
+    [](const ::testing::TestParamInfo<AdversaryCell>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(AllocBudget, Protocol2AtSixteenNodesWithinCeiling) {

@@ -30,6 +30,8 @@
 
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -571,6 +573,103 @@ TEST(batch_eval, SharedChainEvaluatorSurvivesInterleavedRebinds) {
       ASSERT_EQ(fingerprint, freshAdversary.accumulateMatrixRows(sigmaIndices, sigmaRows, n))
           << "n=" << n << " round " << round;
     }
+  }
+}
+
+// A random graph on n vertices (each pair an edge with probability 1/2),
+// built without the protocol generators so every width in the sweep works.
+graph::Graph randomGraph(util::Rng& rng, std::size_t n) {
+  graph::Graph g(n);
+  for (graph::Vertex u = 0; u < n; ++u) {
+    for (graph::Vertex v = u + 1; v < n; ++v) {
+      if (rng.nextU64() & 1) g.addEdge(u, v);
+    }
+  }
+  return g;
+}
+
+// A uniformly random mapping V -> V: usually not injective.
+graph::Permutation randomMapping(util::Rng& rng, std::size_t n) {
+  graph::Permutation map(n);
+  for (auto& image : map) image = static_cast<graph::Vertex>(rng.nextBelow(n));
+  return map;
+}
+
+// The reference for the mapped-row entry points: materialize every image
+// with Graph::imageOf and hash it as an ordinary matrix row.
+void expectMappedRowsMatchImageOf(BatchLinearHashEvaluator& batch, const graph::Graph& g,
+                                  const graph::Permutation& sigma, const std::string& what) {
+  const std::size_t n = g.numVertices();
+  std::vector<std::uint64_t> indices;
+  std::vector<util::DynBitset> images;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    indices.push_back(sigma[v]);
+    images.push_back(graph::Graph::imageOf(g.closedRow(v), sigma));
+  }
+  const util::BigUInt want = batch.accumulateMatrixRows(indices, images, n);
+  ASSERT_EQ(batch.accumulateMappedRows(sigma, g.rows(), n).toHex(), want.toHex()) << what;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    ASSERT_EQ(batch.hashMappedRow(sigma, v, g.row(v), n).toHex(),
+              batch.hashMatrixRow(indices[v], images[v], n).toHex())
+        << what << " row " << v;
+  }
+}
+
+TEST(batch_eval, MappedRowsMatchImageOfRows) {
+  // Every n from one word to three, across the word edges; permutations and
+  // non-injective mappings (whose images collapse); a u64 field and E3's
+  // 78-bit Protocol 2 prime at n = 16 (two Montgomery limbs); AVX2 lanes
+  // on and off (rows of n >= 16 bits engage them).
+  const bool saved = avx2Enabled();
+  const util::BigUInt wide = makeProtocol2FamilyCached(16).prime();
+  ASSERT_FALSE(wide.fitsU64());
+  const util::BigUInt narrow{0xFFFFFFFFFFFFFFC5ull};  // 2^64 - 59, prime.
+  util::Rng rng(0xBA7C4011ull);
+  BatchLinearHashEvaluator batch;
+  for (const std::size_t n : {1, 2, 8, 16, 48, 63, 64, 65, 130}) {
+    const graph::Graph g = randomGraph(rng, n);
+    for (const util::BigUInt& p : {narrow, wide}) {
+      for (int round = 0; round < 4; ++round) {
+        const graph::Permutation sigma =
+            round % 2 == 0 ? graph::randomPermutation(n, rng) : randomMapping(rng, n);
+        batch.rebind(p, n * n, util::BigUInt{rng.nextU64()} % p);
+        for (const bool avx2 : {true, false}) {
+          setAvx2Enabled(avx2);
+          expectMappedRowsMatchImageOf(batch, g, sigma,
+                                       "n=" + std::to_string(n) + " p=" + p.toHex() +
+                                           " round " + std::to_string(round) +
+                                           " avx2=" + std::to_string(avx2));
+        }
+      }
+    }
+  }
+  setAvx2Enabled(saved);
+}
+
+TEST(batch_eval, MappedRowsRejectOutOfRangeImages) {
+  util::Rng rng(0xBA7C4012ull);
+  BatchLinearHashEvaluator batch;
+  for (const std::size_t n : {8, 65}) {
+    const graph::Graph g = randomGraph(rng, n);
+    batch.rebind(util::BigUInt{1000003}, n * n, util::BigUInt{7});
+    graph::Permutation sigma = graph::identityPermutation(n);
+    sigma[n - 1] = static_cast<graph::Vertex>(n);
+    EXPECT_THROW(batch.accumulateMappedRows(sigma, g.rows(), n), std::out_of_range);
+    EXPECT_THROW(batch.hashMappedRow(sigma, n - 1, g.row(n - 1), n), std::out_of_range);
+    // Graph::imageOf rejects the same mapping the same way.
+    EXPECT_THROW(graph::Graph::imageOf(g.closedRow(n - 1), sigma), std::out_of_range);
+    // A row only reads sigma on its closed neighborhood.
+    graph::Vertex far = 0;
+    while (far < n - 1 && g.hasEdge(far, static_cast<graph::Vertex>(n - 1))) ++far;
+    if (far < n - 1) {
+      EXPECT_NO_THROW(batch.hashMappedRow(sigma, far, g.row(far), n));
+    }
+    // Shape errors: a short sigma, and a dimension the index was not bound to.
+    const graph::Permutation shortSigma(n - 1, 0);
+    EXPECT_THROW(batch.accumulateMappedRows(shortSigma, g.rows(), n), std::out_of_range);
+    batch.rebind(util::BigUInt{1000003}, n * n + 1, util::BigUInt{7});
+    EXPECT_THROW(batch.accumulateMappedRows(graph::identityPermutation(n), g.rows(), n),
+                 std::invalid_argument);
   }
 }
 

@@ -79,6 +79,32 @@ TEST(distributed_diff, MatchesInProcessAcrossWorkerAndThreadMatrix) {
   }
 }
 
+TEST(distributed_diff, ForkAfterPooledInProcessRunFoldsIdentically) {
+  // An in-process run at 4 threads leaves the engine pool's helpers parked
+  // in this process. Forking the fleet afterwards must neither hang nor
+  // change a fold: each child starts from an empty pool and grows its own.
+  const workload::CellInfo& info = workload::cells().front();
+  TrialConfig inProcess;
+  inProcess.masterSeed = 5;
+  inProcess.threads = 4;
+  std::vector<TrialOutcome> want;
+  const TrialStats wantStats = workload::makeCell(info.name)->run(inProcess, 64, &want);
+
+  TrialConfig base;
+  base.masterSeed = 5;
+  DistributedConfig dist;
+  dist.workers = 2;
+  dist.threadsPerWorker = 2;
+  dist.grain = 8;
+  DistributedRunner runner(base, dist);
+  std::vector<TrialOutcome> outcomes;
+  const TrialStats stats = runner.runCell(info.name, 64, &outcomes);
+  EXPECT_TRUE(stats.sameResults(wantStats));
+  EXPECT_EQ(outcomes, want);
+  EXPECT_EQ(runner.liveWorkers(), 2u);
+  runner.shutdown();
+}
+
 TEST(distributed_diff, NonZeroBaseSeedPropagatesToWorkers) {
   // The master seed crosses the wire in ASSIGN; both substrates must agree
   // on a non-default seed too. (The honest-prover cells always accept with

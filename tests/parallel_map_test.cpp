@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,6 +67,30 @@ TEST(ParallelMap, EveryIndexRunsExactlyOnce) {
     return 0;
   });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelMap, PoolBatchesIdenticalAsThreadCountsGrowAndShrink) {
+  auto fn = [](std::size_t i) { return (i * 0x9E3779B97F4A7C15ull) ^ (i >> 3); };
+  const auto reference = parallelMap<std::uint64_t>(500, 1, fn);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    for (unsigned threads : {2u, 8u, 3u}) {
+      EXPECT_EQ(parallelMap<std::uint64_t>(500, threads, fn), reference)
+          << "threads=" << threads << " repeat=" << repeat;
+    }
+  }
+}
+
+TEST(ParallelMap, NestedMapRunsInlineAndMatchesSerial) {
+  auto outer = [](unsigned threads) {
+    return parallelMap<std::uint64_t>(24, threads, [](std::size_t i) {
+      const auto inner = parallelMap<std::uint64_t>(
+          10, 4, [i](std::size_t j) { return i * 100 + j * j; });
+      std::uint64_t sum = 0;
+      for (std::uint64_t value : inner) sum = sum * 31 + value;
+      return sum;
+    });
+  };
+  EXPECT_EQ(outer(4), outer(1));
 }
 
 }  // namespace
