@@ -10,7 +10,7 @@
 //       the dense adjacency alone would need ~125 GB;
 //   (c) memory report: compressed adjacency size per family (bits/edge,
 //       bytes/node) vs the dense row storage. `--json FILE` emits (c) for
-//       tools/check_memory.py, which gates CI on the committed ceilings in
+//       tools/check_bench.py, which gates CI on the committed ceilings in
 //       BENCH_memory.json.
 //
 // Everything here is deterministic: no trials, no threads, byte-identical
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   std::printf("%8s  %8s  %10s  %10s  %10s  %12s\n", "n", "family", "edges",
               "bits/edge", "B/node", "dense B/node");
   bench::printRule();
-  std::string json = "{\n  \"rows\": [\n";
+  std::string json = "{\n  \"benchmark\": \"bench_e15_dryrun\",\n  \"rows\": [\n";
   bool firstRow = true;
   for (std::size_t n : bench::kDryRunSizes) {
     bench::forEachDryRunFamily(n, [&](const char* family, const graph::CsrGraph& g) {

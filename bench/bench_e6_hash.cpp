@@ -8,6 +8,7 @@
 #include "bench/options.hpp"
 #include "bench/table.hpp"
 #include "graph/generators.hpp"
+#include "hash/batch_eval.hpp"
 #include "hash/eps_api.hpp"
 #include "hash/linear_hash.hpp"
 #include "sim/acceptance.hpp"
@@ -34,15 +35,16 @@ int main(int argc, char** argv) {
         [&](sim::TrialContext& ctx) {
           graph::Permutation rho = graph::randomPermutation(n, ctx.rng);
           if (graph::isIdentity(rho)) return false;
-          util::BigUInt a = family.randomIndex(ctx.rng);
+          // One evaluator per drawn index.
+          hash::BatchLinearHashEvaluator batch;
+          batch.rebind(family, family.randomIndex(ctx.rng));
           util::BigUInt lhs, rhs;
           for (graph::Vertex v = 0; v < n; ++v) {
-            lhs = util::addMod(lhs, family.hashMatrixRow(a, v, g.closedRow(v), n),
+            lhs = util::addMod(lhs, batch.hashMatrixRow(v, g.closedRow(v), n),
                                family.prime());
             rhs = util::addMod(
                 rhs,
-                family.hashMatrixRow(a, rho[v],
-                                     graph::Graph::imageOf(g.closedRow(v), rho), n),
+                batch.hashMatrixRow(rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n),
                 family.prime());
           }
           return lhs == rhs;

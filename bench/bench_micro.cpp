@@ -116,48 +116,6 @@ static void BM_PowMod(benchmark::State& state) {
 }
 BENCHMARK(BM_PowMod)->Arg(256)->Arg(1024)->Arg(4096);
 
-static void BM_PowModWindowed(benchmark::State& state) {
-  // Shared-window exponentiation of a pinned base: prepareWindow builds the
-  // 15-entry table once, each powValueWindowed pays only the square/multiply
-  // ladder. The delta against BM_PowMod (which rebuilds the table per call)
-  // is what the trial loop's pinned-base hashing amortizes away.
-  util::Rng rng(25);
-  std::size_t bits = static_cast<std::size_t>(state.range(0));
-  util::BigUInt m = randomOddModulus(rng, bits);
-  util::MontgomeryContext ctx(m);
-  util::MontgomeryContext::Scratch scratch;
-  util::MontgomeryValue base = ctx.toValue(rng.nextBigBelow(m));
-  util::BigUInt exponent = rng.nextBigBits(bits);
-  util::MontgomeryContext::PowWindow window;
-  ctx.prepareWindow(base, window, scratch);
-  util::MontgomeryValue out;
-  for (auto _ : state) {
-    ctx.powValueWindowed(window, exponent, out, scratch);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_PowModWindowed)->Arg(256)->Arg(1024)->Arg(4096);
-
-static void BM_LinearHashEval(benchmark::State& state) {
-  // One LinearHashEvaluator polynomial walk over a dense 1024-position bit
-  // row, parameterized by modulus width. Multi-limb widths pin the
-  // Montgomery backend (in-domain Horner, one REDC per set bit); the
-  // evaluator is rebound once, so steady state allocates nothing.
-  util::Rng rng(23);
-  std::size_t bits = static_cast<std::size_t>(state.range(0));
-  util::BigUInt m = randomOddModulus(rng, bits);
-  const std::uint64_t dimension = 1024;
-  util::BigUInt a = rng.nextBigBelow(m);
-  hash::LinearHashEvaluator evaluator;
-  evaluator.rebind(m, dimension, a);
-  util::DynBitset row(dimension);
-  for (std::size_t i = 0; i < dimension; ++i) row.set(i, rng.nextBool());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.hashBits(row));
-  }
-}
-BENCHMARK(BM_LinearHashEval)->Arg(256)->Arg(1024)->Arg(4096);
-
 static void BM_MillerRabin(benchmark::State& state) {
   // 1024-bit setup stays cheap because findPrimeWithBits runs the packed
   // small-prime sieve before any Miller-Rabin round.
@@ -171,14 +129,19 @@ static void BM_MillerRabin(benchmark::State& state) {
 BENCHMARK(BM_MillerRabin)->Arg(64)->Arg(256)->Arg(1024);
 
 static void BM_LinearHashRow(benchmark::State& state) {
+  // One row through the batch engine's one-row form, the shape of a
+  // per-call site: rebind per call (a no-op here, the index never changes)
+  // and then one table-lookup row hash.
   std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(4);
   hash::LinearHashFamily family = hash::makeProtocol1Family(n, rng);
   graph::Graph g = graph::randomConnected(n, n, rng);
   util::BigUInt a = family.randomIndex(rng);
+  hash::BatchLinearHashEvaluator batch;
   graph::Vertex v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(family.hashMatrixRow(a, v, g.closedRow(v), n));
+    batch.rebind(family, a);
+    benchmark::DoNotOptimize(batch.hashMatrixRow(v, g.closedRow(v), n));
     v = static_cast<graph::Vertex>((v + 1) % n);
   }
 }
@@ -186,9 +149,10 @@ BENCHMARK(BM_LinearHashRow)->Arg(16)->Arg(64)->Arg(256);
 
 static void BM_BatchHashMatrix(benchmark::State& state) {
   // Full n x n closed-row matrix through the batch engine's span entry
-  // point under a pinned index — the protocol trial shape. Against n
-  // BM_LinearHashRow walks, the shared column/row-base tables turn each row
-  // into residue adds (AVX2 lanes at n >= 16) plus one multiply.
+  // point under a pinned index — the protocol trial shape. Each row is
+  // residue adds (AVX2 lanes at n >= 16) plus one multiply; against n
+  // BM_LinearHashRow calls, the argument checks and the backend dispatch
+  // run once per matrix instead of once per row.
   std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(4);
   hash::LinearHashFamily family = hash::makeProtocol1Family(n, rng);

@@ -9,7 +9,7 @@
 // The same run also times a fixed calibration kernel (u64 Horner rows over
 // Z_p, no allocation) and reports each cell's trials/sec divided by the
 // kernel's rate. That quotient cancels most of the machine's speed, so
-// tools/check_throughput.py gates it against committed floors; the gate
+// tools/check_bench.py gates it against committed floors; the gate
 // also requires every digest to equal the committed one.
 #include <algorithm>
 #include <chrono>

@@ -4,7 +4,7 @@
 //   dipcli sym     --n 16 [--rigid] [--seed 7] [--trials 50]
 //   dipcli dam     --n 8  [--rigid] [--seed 7]
 //   dipcli dsym    --side 6 --radius 2 [--no]
-//   dipcli gni     --n 6 [--iso] [--trials 100]
+//   dipcli gni     --n 6 [--iso] [--trials 100]     (2 <= n <= 15)
 //   dipcli census  --n 6
 //   dipcli packing --max 16384
 //   dipcli cost    --n 64
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/dsym_dam.hpp"
@@ -248,19 +249,26 @@ int cmdCost(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: dipcli <sym|dam|dsym|gni|iso|census|packing|cost> [options]\n");
+                 "usage: dipcli <sym|dam|dsym|gni|iso|census|packing|cost> [options]\n"
+                 "       dipcli gni and iso take 2 <= n <= 15: the prover's\n"
+                 "       preimage search refuses larger fields\n");
     return 2;
   }
   Args args = parseArgs(argc, argv);
   std::string command = argv[1];
-  if (command == "sym") return cmdSym(args);
-  if (command == "dam") return cmdDam(args);
-  if (command == "dsym") return cmdDSym(args);
-  if (command == "gni") return cmdGni(args);
-  if (command == "iso") return cmdIso(args);
-  if (command == "census") return cmdCensus(args);
-  if (command == "packing") return cmdPacking(args);
-  if (command == "cost") return cmdCost(args);
+  try {
+    if (command == "sym") return cmdSym(args);
+    if (command == "dam") return cmdDam(args);
+    if (command == "dsym") return cmdDSym(args);
+    if (command == "gni") return cmdGni(args);
+    if (command == "iso") return cmdIso(args);
+    if (command == "census") return cmdCensus(args);
+    if (command == "packing") return cmdPacking(args);
+    if (command == "cost") return cmdCost(args);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "dipcli %s: %s\n", command.c_str(), error.what());
+    return 2;
+  }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return 2;
 }

@@ -43,6 +43,8 @@ Decision decideInputSymmetry(const graph::Graph& network, const graph::Graph& in
 // protocol. Uses the rigid-input protocol when both graphs are rigid and
 // the automorphism-compensated general protocol otherwise (the paper's
 // composition). Exponential-time honest prover: intended for small n.
+// Throws std::invalid_argument for n > 15, where the Goldwasser-Sipser field
+// is wider than the prover's preimage search takes (core/gni_search.hpp).
 Decision decideNonIsomorphism(const graph::Graph& g0, const graph::Graph& g1,
                               const DecideOptions& options = {});
 

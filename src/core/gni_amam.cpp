@@ -47,6 +47,9 @@ GniParams GniParams::choose(std::size_t n, util::Rng& rng) {
   util::BigUInt nFactorial = util::factorial(n);
   // 2^ell in [4 n!, 8 n!).
   params.ell = nFactorial.bitLength() + 2;
+  if (hash::EpsApiHash::fieldBits(n, params.ell) > kMaxSearchFieldBits) {
+    throw std::invalid_argument("GniParams: n > 15, the preimage search cannot hold the field");
+  }
   params.gsHash = hash::EpsApiHash::create(n, params.ell, rng);
 
   // Commitment-check family: dimension n^2, prime with enough headroom that
@@ -141,9 +144,9 @@ bool GniAmamProtocol::nodeDecision(const GniInstance& instance, graph::Vertex v,
 
   // checkSeed is pinned for every repetition of this decision (and, under
   // the honest uniform broadcast, across all nodes of the trial), so the
-  // check-family pieces batch into table lookups. The GS piece stays on the
-  // scalar evaluator: its seed changes every repetition, so shared tables
-  // would rebuild per call.
+  // check-family pieces batch into table lookups. The GS seed changes every
+  // repetition but is the same at every node, so repetition j hashes on its
+  // own slot evaluator, whose tables outlive this decision.
   thread_local hash::BatchLinearHashEvaluator checkBatch;
   thread_local std::vector<std::uint64_t> consRows;
   thread_local std::vector<std::uint64_t> consCols;
@@ -205,7 +208,9 @@ bool GniAmamProtocol::nodeDecision(const GniInstance& instance, graph::Vertex v,
     };
 
     // (i) Goldwasser-Sipser inner hash of sigma(G_b).
-    util::BigUInt gsPiece = params_.gsHash.innerRow(challenge.seed, sv, image);
+    hash::BatchLinearHashEvaluator& gsSlot = hash::threadRepetitionEvaluator(j);
+    gsSlot.rebind(params_.gsHash.inner(), challenge.seed.a);
+    util::BigUInt gsPiece = gsSlot.hashMatrixRow(sv, image, n);
     if (!chainOk(gsPiece, &GniM2PerNode::h, bigP)) return false;
 
     // (ii) Permutation check: identity side vs sigma side.
@@ -591,22 +596,24 @@ GniSecondMessage NonPermutationGniProver::secondMessage(
     m2.consT.assign(k, util::BigUInt{});
   }
 
+  hash::BatchLinearHashEvaluator gsBatch;
+  hash::BatchLinearHashEvaluator checkBatch;
+  checkBatch.rebind(params_.checkFamily, checkSeed);
   for (std::size_t j = 0; j < k; ++j) {
     std::vector<graph::Vertex> sigma(n);
     for (graph::Vertex v = 0; v < n; ++v) sigma[v] = first.perNode[v].s[j];
     const GniChallenge& challenge = challenges[0][j];
 
     std::vector<util::BigUInt> gsPieces(n), permIPieces(n), permSPieces(n);
-    hash::EpsApiHash::RowHasher rowHasher(params_.gsHash, challenge.seed);
+    gsBatch.rebind(params_.gsHash.inner(), challenge.seed.a);
     for (graph::Vertex v = 0; v < n; ++v) {
       // Mirror exactly what each node will recompute: the image of its
       // closed G0 row under the committed s values.
       util::DynBitset image(n);
       instance.g0.closedRow(v).forEachSet([&](std::size_t u) { image.set(sigma[u]); });
-      gsPieces[v] = rowHasher.innerRow(sigma[v], image);
-      permIPieces[v] = params_.checkFamily.hashMatrixEntry(checkSeed, v, v, 1, n);
-      permSPieces[v] =
-          params_.checkFamily.hashMatrixEntry(checkSeed, sigma[v], sigma[v], 1, n);
+      gsPieces[v] = gsBatch.hashMatrixRow(sigma[v], image, n);
+      permIPieces[v] = checkBatch.hashMatrixEntry(v, v, 1, n);
+      permSPieces[v] = checkBatch.hashMatrixEntry(sigma[v], sigma[v], 1, n);
     }
     auto gsSums = subtreeSums(instance.g0, tree, gsPieces, bigP);
     auto permISums = subtreeSums(instance.g0, tree, permIPieces, checkP);

@@ -83,6 +83,8 @@ struct GniParams {
   hash::EpsApiHash gsHash;           // Goldwasser-Sipser hash (shared; fresh seeds/rep).
   hash::LinearHashFamily checkFamily;  // Fresh-seed commitment checks.
 
+  // Throws std::invalid_argument for n < 2 and for n > 15, whose field is
+  // wider than the honest prover's search takes (kMaxSearchFieldBits).
   static GniParams choose(std::size_t n, util::Rng& rng);
 };
 

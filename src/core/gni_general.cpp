@@ -27,14 +27,15 @@ util::DynBitset padRow(const util::DynBitset& row, std::size_t width) {
 }
 
 // The GS inner-hash piece node v vouches for: H's row sigma(v) plus alpha's
-// permutation-matrix row at index n + sigma(v).
-util::BigUInt gsPairPiece(const hash::EpsApiHash& gsHash, std::size_t n,
-                          const hash::EpsApiHash::Seed& seed, graph::Vertex sv,
-                          graph::Vertex av, const util::DynBitset& hRow) {
-  util::BigUInt piece = gsHash.innerRow(seed, sv, padRow(hRow, 2 * n));
-  util::DynBitset alphaRow(2 * n);
-  alphaRow.set(av);
-  return gsHash.combine(piece, gsHash.innerRow(seed, n + sv, alphaRow));
+// permutation-matrix row at index n + sigma(v), whose one set bit is the
+// single entry (n + sigma(v), alpha(sigma(v))) of the 2n x 2n inner hash.
+// `gs` is pinned to the repetition's seed.
+util::BigUInt gsPairPiece(hash::BatchLinearHashEvaluator& gs, const hash::EpsApiHash& gsHash,
+                          std::size_t n, graph::Vertex sv, graph::Vertex av,
+                          const util::DynBitset& hRow) {
+  const std::size_t width = 2 * n;
+  return gsHash.combine(gs.hashMatrixRow(sv, padRow(hRow, width), width),
+                        gs.hashMatrixEntry(n + sv, av, 1, width));
 }
 
 }  // namespace
@@ -45,6 +46,10 @@ GniGeneralParams GniGeneralParams::choose(std::size_t n, util::Rng& rng) {
   params.n = n;
   util::BigUInt nFactorial = util::factorial(n);
   params.ell = nFactorial.bitLength() + 2;  // 2^ell in [4 n!, 8 n!).
+  if (hash::EpsApiHash::fieldBits(2 * n, params.ell) > kMaxSearchFieldBits) {
+    throw std::invalid_argument(
+        "GniGeneralParams: n > 15, the preimage search cannot hold the field");
+  }
   params.gsHash = hash::EpsApiHash::create(2 * n, params.ell, rng);
 
   std::size_t checkBits = 3 * util::bitsFor(n) + 24;
@@ -134,8 +139,9 @@ bool GniGeneralProtocol::nodeDecision(const GniInstance& instance, graph::Vertex
   const std::vector<graph::Vertex> closed1 = instance.g1.closedNeighbors(v);
 
   // checkSeed is pinned across every repetition of this decision, so the
-  // nine check-family pieces batch into table lookups (the GS piece's seed
-  // changes per repetition and stays scalar).
+  // nine check-family pieces batch into table lookups. The GS seed changes
+  // per repetition but is the same at every node, so repetition j hashes on
+  // its own slot evaluator, whose tables outlive this decision.
   thread_local hash::BatchLinearHashEvaluator checkBatch;
   thread_local std::vector<std::uint64_t> consRows;
   thread_local std::vector<std::uint64_t> consCols;
@@ -188,8 +194,9 @@ bool GniGeneralProtocol::nodeDecision(const GniInstance& instance, graph::Vertex
     }
 
     // (i) GS hash of the pair (H, alpha).
-    util::BigUInt gsPiece =
-        gsPairPiece(params_.gsHash, n, challenge.seed, sv, av, hRow);
+    hash::BatchLinearHashEvaluator& gsSlot = hash::threadRepetitionEvaluator(j);
+    gsSlot.rebind(params_.gsHash.inner(), challenge.seed.a);
+    util::BigUInt gsPiece = gsPairPiece(gsSlot, params_.gsHash, n, sv, av, hRow);
     if (m2.h[j] >= bigP ||
         !chainLinkHoldsAt(
             gsPiece, children,
@@ -559,9 +566,7 @@ GniGenSecondMessage HonestGniGeneralProver::secondMessage(
         consATPieces[v] = batch.hashMatrixEntry(v, av, closedCount, n);
       }
     }
-    // gsPairPiece(sv, av, hRow) = innerRow(sv, pad(hRow)) +
-    // innerRow(n + sv, one-hot av) — the one-hot row is a single matrix
-    // entry of the 2n x 2n inner hash.
+    // gsPairPiece, with the n padded rows hashed in one call.
     gsBatch.hashMatrixRows(gsIdx, gsRows, width, gsPieces);
     for (graph::Vertex v = 0; v < n; ++v) {
       gsPieces[v] = params_.gsHash.combine(

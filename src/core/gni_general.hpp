@@ -48,6 +48,8 @@ struct GniGeneralParams {
   hash::EpsApiHash gsHash;             // Over (2n) x (2n) matrices.
   hash::LinearHashFamily checkFamily;  // Dimension n^2, fresh-seed checks.
 
+  // Throws std::invalid_argument for n < 2 and for n > 15, whose field is
+  // wider than the honest prover's search takes (kMaxSearchFieldBits).
   static GniGeneralParams choose(std::size_t n, util::Rng& rng);
 };
 

@@ -524,57 +524,9 @@ class LaneWalk {
   std::vector<Hit> hits_;                       // [repetition].
 };
 
-// ---- The BigUInt per-repetition loop ------------------------------------
-
-std::optional<GsPreimage> searchOneBig(const Space& space, const hash::EpsApiHash& gsHash,
-                                       const GniChallenge& target) {
-  const std::size_t n = space.g[0]->numVertices();
-  const std::size_t width = gsHash.n();
-  const util::BigUInt& bigP = gsHash.fieldPrime();
-  const hash::EpsApiHash::PowerTable table = gsHash.preparePowers(target.seed);
-  std::vector<util::DynBitset> rows(n);
-  for (std::uint8_t b = 0; b < 2; ++b) {
-    const graph::Graph& gb = *space.g[b];
-    graph::Permutation sigma = graph::identityPermutation(n);
-    do {
-      // Row sigma(v) of H = sigma(G_b) is {sigma(u) : u in N[v]}, padded to
-      // the hash's row width.
-      for (graph::Vertex v = 0; v < n; ++v) {
-        rows[sigma[v]] = util::DynBitset(width);
-        gb.closedRow(v).forEachSet([&](std::size_t u) { rows[sigma[v]].set(sigma[u]); });
-      }
-      if (!space.general()) {
-        if (gsHash.hashRowsPrepared(target.seed, table, rows) == target.y) {
-          return GsPreimage{sigma, {}, b};
-        }
-        continue;
-      }
-      util::BigUInt hPart;
-      for (graph::Vertex r = 0; r < n; ++r) {
-        hPart = util::addMod(hPart, gsHash.innerRowPrepared(table, r, rows[r]), bigP);
-      }
-      for (const graph::Permutation& beta : *space.aut[b]) {
-        // alpha = sigma . beta . sigma^-1 is an automorphism of H.
-        graph::Permutation alpha =
-            graph::compose(sigma, graph::compose(beta, graph::inverse(sigma)));
-        util::BigUInt full = hPart;
-        for (graph::Vertex u = 0; u < n; ++u) {
-          full = util::addMod(full, table.powers[(n + u) * width + alpha[u]], bigP);
-        }
-        if (gsHash.outer(target.seed, full) == target.y) {
-          return GsPreimage{sigma, std::move(alpha), b};
-        }
-      }
-    } while (std::next_permutation(sigma.begin(), sigma.end()));
-  }
-  return std::nullopt;
-}
-
-// The lane walk whenever laneWalkSupports() holds and `perRepetition` is
-// false, on the lanes laneWalkLaneBits() names; the BigUInt per-repetition
-// loop otherwise.
+// The lane walk on the lanes laneWalkLaneBits() names.
 GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
-                      std::span<const GniChallenge> targets, bool perRepetition) {
+                      std::span<const GniChallenge> targets) {
   const std::size_t n = space.g[0]->numVertices();
   if (space.g[1]->numVertices() != n || gsHash.n() != (space.general() ? 2 * n : n)) {
     throw std::invalid_argument("searchGsPreimages: graph and hash sizes disagree");
@@ -586,14 +538,16 @@ GsSearchResult search(const Space& space, const hash::EpsApiHash& gsHash,
       }
     }
   }
+  if (!laneWalkSupports(gsHash, n)) {
+    throw std::invalid_argument(
+        "searchGsPreimages: the lane walk cannot hold this hash (P >= 2^63, ell >= 64 or "
+        "n > 32)");
+  }
   if (targets.empty()) return {};
-  const std::size_t laneBits = perRepetition ? 0 : laneWalkLaneBits(gsHash, n);
-  if (laneBits == 32) return LaneWalk<std::uint32_t>(space, gsHash, targets).run();
-  if (laneBits == 64) return LaneWalk<std::uint64_t>(space, gsHash, targets).run();
-  GsSearchResult out;
-  out.reserve(targets.size());
-  for (const GniChallenge& target : targets) out.push_back(searchOneBig(space, gsHash, target));
-  return out;
+  if (laneWalkLaneBits(gsHash, n) == 32) {
+    return LaneWalk<std::uint32_t>(space, gsHash, targets).run();
+  }
+  return LaneWalk<std::uint64_t>(space, gsHash, targets).run();
 }
 
 }  // namespace
@@ -611,30 +565,14 @@ std::size_t laneWalkLaneBits(const hash::EpsApiHash& gsHash, std::size_t n) {
 
 GsSearchResult searchGsPreimages(const GniInstance& instance, const hash::EpsApiHash& gsHash,
                                  std::span<const GniChallenge> targets) {
-  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets,
-                false);
+  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets);
 }
 
 GsSearchResult searchGsPreimages(const GniInstance& instance, const hash::EpsApiHash& gsHash,
                                  std::span<const GniChallenge> targets,
                                  const std::vector<graph::Permutation>& aut0,
                                  const std::vector<graph::Permutation>& aut1) {
-  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets, false);
-}
-
-GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
-                                              const hash::EpsApiHash& gsHash,
-                                              std::span<const GniChallenge> targets) {
-  return search(Space{{&instance.g0, &instance.g1}, {nullptr, nullptr}}, gsHash, targets,
-                true);
-}
-
-GsSearchResult searchGsPreimagesPerRepetition(const GniInstance& instance,
-                                              const hash::EpsApiHash& gsHash,
-                                              std::span<const GniChallenge> targets,
-                                              const std::vector<graph::Permutation>& aut0,
-                                              const std::vector<graph::Permutation>& aut1) {
-  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets, true);
+  return search(Space{{&instance.g0, &instance.g1}, {&aut0, &aut1}}, gsHash, targets);
 }
 
 }  // namespace dip::core

@@ -23,23 +23,6 @@ inline std::size_t colexSlot(std::size_t j, std::size_t k) {
   return k * (k - 1) / 2 + j;
 }
 
-// Colex upper-triangle bits of g relabeled by perm, packed MSB-first so a
-// byte-wise lexicographic compare is a bit-wise one.
-std::vector<std::uint8_t> encodeUnder(const Graph& g, const Permutation& perm) {
-  const std::size_t n = g.numVertices();
-  const std::size_t slots = n * (n - 1) / 2;
-  std::vector<std::uint8_t> bytes((slots + 7) / 8, 0);
-  for (std::size_t k = 1; k < n; ++k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (g.hasEdge(perm[j], perm[k])) {
-        const std::size_t index = colexSlot(j, k);
-        bytes[index / 8] |= static_cast<std::uint8_t>(1u << (7 - index % 8));
-      }
-    }
-  }
-  return bytes;
-}
-
 // Branch-and-bound lex-min search over vertex placements. Position k
 // contributes a k-bit adjacency pattern against the placed prefix; numeric
 // comparison of patterns equals lexicographic comparison of the revealed
@@ -254,26 +237,6 @@ std::vector<std::uint8_t> canonicalForm(const Graph& g) {
   IrSolver solver;
   CanonicalSearcher searcher(g, solver.automorphismGenerators(g));
   return searcher.run();
-}
-
-std::vector<std::uint8_t> bruteForceCanonicalForm(const Graph& g) {
-  const std::size_t n = g.numVertices();
-  if (n > 8) {
-    throw std::invalid_argument("bruteForceCanonicalForm: brute force limited to n <= 8");
-  }
-  Permutation perm = identityPermutation(n);
-  std::vector<std::uint8_t> best = encodeUnder(g, perm);
-  while (std::next_permutation(perm.begin(), perm.end())) {
-    std::vector<std::uint8_t> candidate = encodeUnder(g, perm);
-    // Element-wise comparison (same length by construction).
-    for (std::size_t i = 0; i < best.size(); ++i) {
-      if (candidate[i] != best[i]) {
-        if (candidate[i] < best[i]) best = std::move(candidate);
-        break;
-      }
-    }
-  }
-  return best;
 }
 
 std::vector<std::uint8_t> cachedCanonicalForm(const Graph& g) {

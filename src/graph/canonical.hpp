@@ -23,13 +23,9 @@ namespace dip::graph {
 
 // The canonical form of g: minimum colex encoding over all n! relabelings,
 // computed by branch-and-bound with automorphism orbit pruning (generators
-// from the IR engine). Exact for any graph with n <= 64.
+// from the IR engine). Exact for any graph with n <= 64. Its oracle is the
+// all-permutations sweep in tests/canonical_ref.
 std::vector<std::uint8_t> canonicalForm(const Graph& g);
-
-// Reference implementation: minimum over an explicit sweep of all n!
-// permutations. Intended for n <= 8; the differential-testing oracle for
-// canonicalForm.
-std::vector<std::uint8_t> bruteForceCanonicalForm(const Graph& g);
 
 // Process-wide memoized canonicalForm, single-flight per distinct graph:
 // when many trial-engine workers ask for the same graph's form

@@ -1,10 +1,10 @@
 #include "hash/batch_eval.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <deque>
 #include <stdexcept>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -333,17 +333,17 @@ void BatchLinearHashEvaluator::rebind(const util::BigUInt& p, std::uint64_t dime
     if (p < util::BigUInt{2}) {
       throw std::invalid_argument("BatchLinearHashEvaluator: p < 2");
     }
+    if (!p.fitsU64() && !p.isOdd()) {
+      throw std::invalid_argument("BatchLinearHashEvaluator: even p >= 2^64");
+    }
     p_ = p;
     if (p_.fitsU64()) {
       backend_ = Backend::kU64;
       p64_ = p_.toU64();
       ctx_.reset();
-    } else if (p_.isOdd()) {
+    } else {
       backend_ = Backend::kMontgomery;
       ctx_ = util::cachedMontgomeryContext(p_);
-    } else {
-      backend_ = Backend::kPlain;
-      ctx_.reset();
     }
   }
   m_ = dimension;
@@ -356,28 +356,19 @@ void BatchLinearHashEvaluator::rebind(const util::BigUInt& p, std::uint64_t dime
   rowBaseN_ = 0;
   colPow64_ = rowBase64_ = nullptr;
   colPowM_ = rowBaseM_ = nullptr;
-  colPowP_.clear();
-  rowBaseP_.clear();
-  switch (backend_) {
-    case Backend::kU64:
-      a64_ = a.modU64(p64_);
-      break;
-    case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      headroomBits_ = mont::kLimbBits * k - p_.bitLength();
-      aM_ = arena_.allocateArray<Limb>(k);
-      spareM_ = arena_.allocateArray<Limb>(3 * k + 2);
-      ctx_->toRaw(a, aM_);
-      break;
-    }
-    case Backend::kPlain:
-      aPlain_ = a % p_;
-      break;
-    case Backend::kUnbound:
-      break;
+  if (backend_ == Backend::kU64) {
+    a64_ = a.modU64(p64_);
+    return;
   }
+  const std::size_t k = ctx_->numLimbs();
+  headroomBits_ = mont::kLimbBits * k - p_.bitLength();
+  aM_ = arena_.allocateArray<Limb>(k);
+  spareM_ = arena_.allocateArray<Limb>(3 * k + 2);
+  ctx_->toRaw(a, aM_);
 }
 
+// Every public entry point comes through here before it reads a backend, so
+// past this check the backend is kU64 or kMontgomery.
 void BatchLinearHashEvaluator::prepareTables(std::size_t count, std::uint64_t n) {
   if (backend_ == Backend::kUnbound) {
     throw std::logic_error("BatchLinearHashEvaluator: used before rebind");
@@ -386,69 +377,42 @@ void BatchLinearHashEvaluator::prepareTables(std::size_t count, std::uint64_t n)
   const bool needRows = n != 0 && n != rowBaseN_;
   if (!needCols && !needRows) return;
   const std::size_t cols = std::max(count, colCount_);
-  switch (backend_) {
-    case Backend::kU64: {
-      if (needCols) {
-        colPow64_ = arena_.allocateArray<std::uint64_t>(cols);
-        std::uint64_t power = a64_;
-        for (std::size_t w = 0; w < cols; ++w) {
-          colPow64_[w] = power;
-          if (w + 1 < cols) power = mulModU64(power, a64_, p64_);
-        }
-        colCount_ = cols;
+  if (backend_ == Backend::kU64) {
+    if (needCols) {
+      colPow64_ = arena_.allocateArray<std::uint64_t>(cols);
+      std::uint64_t power = a64_;
+      for (std::size_t w = 0; w < cols; ++w) {
+        colPow64_[w] = power;
+        if (w + 1 < cols) power = mulModU64(power, a64_, p64_);
       }
-      if (needRows) {
-        rowBase64_ = arena_.allocateArray<std::uint64_t>(n);
-        const std::uint64_t step = powModU64(a64_, n, p64_);
-        std::uint64_t base = 1 % p64_;
-        for (std::uint64_t r = 0; r < n; ++r) {
-          rowBase64_[r] = base;
-          if (r + 1 < n) base = mulModU64(base, step, p64_);
-        }
-        rowBaseN_ = n;
-      }
-      break;
+      colCount_ = cols;
     }
-    case Backend::kMontgomery: {
-      const std::size_t k = ctx_->numLimbs();
-      Limb* newCols = needCols ? arena_.allocateArray<Limb>(cols * k) : nullptr;
-      Limb* newRows = needRows ? arena_.allocateArray<Limb>(n * k) : nullptr;
-      mont::dispatch(k, [&](auto width) {
-        montBuildTables<decltype(width)::value>(ctx_->kernelModulus(), aM_, spareM_,
-                                                newCols, cols, newRows, n);
-      });
-      if (needCols) {
-        colPowM_ = newCols;
-        colCount_ = cols;
+    if (needRows) {
+      rowBase64_ = arena_.allocateArray<std::uint64_t>(n);
+      const std::uint64_t step = powModU64(a64_, n, p64_);
+      std::uint64_t base = 1 % p64_;
+      for (std::uint64_t r = 0; r < n; ++r) {
+        rowBase64_[r] = base;
+        if (r + 1 < n) base = mulModU64(base, step, p64_);
       }
-      if (needRows) {
-        rowBaseM_ = newRows;
-        rowBaseN_ = n;
-      }
-      break;
+      rowBaseN_ = n;
     }
-    default: {
-      if (needCols) {
-        colPowP_.resize(cols);
-        util::BigUInt power = aPlain_;
-        for (std::size_t w = 0; w < cols; ++w) {
-          colPowP_[w] = power;
-          if (w + 1 < cols) power = util::mulMod(power, aPlain_, p_);
-        }
-        colCount_ = cols;
-      }
-      if (needRows) {
-        rowBaseP_.resize(n);
-        const util::BigUInt step = util::powMod(aPlain_, util::BigUInt{n}, p_);
-        util::BigUInt base = util::BigUInt{1} % p_;
-        for (std::uint64_t r = 0; r < n; ++r) {
-          rowBaseP_[r] = base;
-          if (r + 1 < n) base = util::mulMod(base, step, p_);
-        }
-        rowBaseN_ = n;
-      }
-      break;
-    }
+    return;
+  }
+  const std::size_t k = ctx_->numLimbs();
+  Limb* newCols = needCols ? arena_.allocateArray<Limb>(cols * k) : nullptr;
+  Limb* newRows = needRows ? arena_.allocateArray<Limb>(n * k) : nullptr;
+  mont::dispatch(k, [&](auto width) {
+    montBuildTables<decltype(width)::value>(ctx_->kernelModulus(), aM_, spareM_, newCols,
+                                            cols, newRows, n);
+  });
+  if (needCols) {
+    colPowM_ = newCols;
+    colCount_ = cols;
+  }
+  if (needRows) {
+    rowBaseM_ = newRows;
+    rowBaseN_ = n;
   }
 }
 
@@ -487,87 +451,52 @@ void BatchLinearHashEvaluator::hashMatrixRows(std::span<const std::uint64_t> row
   // Rewrite out in place: resize keeps the elements' limb buffers alive, so
   // a steady-state caller (the per-trial verifier loops) allocates nothing.
   out.resize(rows.size());
-  switch (backend_) {
-    case Backend::kU64: {
-      const bool lazy = lazyRowSums64(n);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::uint64_t sum =
-            bitsResidueSum(rowWords(rowIndices[i], rows[i]), colPow64_, p64_, lazy);
-        out[i].assignU64(mulModU64(rowBase64_[rowIndices[i]], sum, p64_));
-      }
-      break;
+  if (backend_ == Backend::kU64) {
+    const bool lazy = lazyRowSums64(n);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::uint64_t sum =
+          bitsResidueSum(rowWords(rowIndices[i], rows[i]), colPow64_, p64_, lazy);
+      out[i].assignU64(mulModU64(rowBase64_[rowIndices[i]], sum, p64_));
     }
-    case Backend::kMontgomery: {
-      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
-                            lazySums(n)};
-      mont::dispatch(view.mod.k, [&](auto width) {
-        montHashRows<decltype(width)::value>(view, rowIndices, rows, out);
-      });
-      break;
-    }
-    default: {
-      util::BigUInt row;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        row = util::BigUInt{};
-        rows[i].forEachSet([&](std::size_t w) {
-          row = util::addMod(row, colPowP_[w], p_);
-        });
-        out[i] = util::mulMod(row, rowBaseP_[rowIndices[i]], p_);
-      }
-      break;
-    }
+    return;
   }
+  const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_, lazySums(n)};
+  mont::dispatch(view.mod.k, [&](auto width) {
+    montHashRows<decltype(width)::value>(view, rowIndices, rows, out);
+  });
 }
 
 template <typename RowAt>
 util::BigUInt BatchLinearHashEvaluator::accumulateRows(std::size_t count, std::uint64_t n,
                                                        RowAt&& rowAt) {
-  switch (backend_) {
-    case Backend::kU64: {
-      // Unreduced row sums (below n p) and, when count of their products
-      // cannot overflow 128 bits, an unreduced total: one division for the
-      // whole accumulate, and the same residue as reducing every step.
-      const bool lazy = lazyRowSums64(n);
-      const int termBits = 2 * static_cast<int>(std::bit_width(p64_)) +
-                           (lazy ? static_cast<int>(std::bit_width(n)) : 0);
-      if (termBits + static_cast<int>(std::bit_width(count)) <= 128) {
-        U128 acc = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          const RowWords row = rowAt(i);
-          acc += static_cast<U128>(rowBase64_[row.rowIndex]) *
-                 bitsResidueSum(row, colPow64_, p64_, lazy);
-        }
-        return util::BigUInt{static_cast<std::uint64_t>(acc % p64_)};
-      }
-      std::uint64_t acc = 0;
+  if (backend_ == Backend::kU64) {
+    // Unreduced row sums (below n p) and, when count of their products
+    // cannot overflow 128 bits, an unreduced total: one division for the
+    // whole accumulate, and the same residue as reducing every step.
+    const bool lazy = lazyRowSums64(n);
+    const int termBits = 2 * static_cast<int>(std::bit_width(p64_)) +
+                         (lazy ? static_cast<int>(std::bit_width(n)) : 0);
+    if (termBits + static_cast<int>(std::bit_width(count)) <= 128) {
+      U128 acc = 0;
       for (std::size_t i = 0; i < count; ++i) {
         const RowWords row = rowAt(i);
-        const std::uint64_t sum = bitsResidueSum(row, colPow64_, p64_, lazy);
-        acc = addModTrick(acc, mulModU64(rowBase64_[row.rowIndex], sum, p64_), p64_);
+        acc += static_cast<U128>(rowBase64_[row.rowIndex]) *
+               bitsResidueSum(row, colPow64_, p64_, lazy);
       }
-      return util::BigUInt{acc};
+      return util::BigUInt{static_cast<std::uint64_t>(acc % p64_)};
     }
-    case Backend::kMontgomery: {
-      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
-                            lazySums(n)};
-      return mont::dispatch(view.mod.k, [&](auto width) {
-        return montAccumulateRows<decltype(width)::value>(view, count, rowAt);
-      });
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const RowWords row = rowAt(i);
+      const std::uint64_t sum = bitsResidueSum(row, colPow64_, p64_, lazy);
+      acc = addModTrick(acc, mulModU64(rowBase64_[row.rowIndex], sum, p64_), p64_);
     }
-    default: {
-      util::BigUInt acc;
-      util::BigUInt sum;
-      for (std::size_t i = 0; i < count; ++i) {
-        const RowWords row = rowAt(i);
-        sum = util::BigUInt{};
-        forEachSetBit(row.words, row.wordCount, [&](std::size_t w) {
-          sum = util::addMod(sum, colPowP_[w], p_);
-        });
-        acc = util::addMod(acc, util::mulMod(sum, rowBaseP_[row.rowIndex], p_), p_);
-      }
-      return acc;
-    }
+    return util::BigUInt{acc};
   }
+  const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_, lazySums(n)};
+  return mont::dispatch(view.mod.k, [&](auto width) {
+    return montAccumulateRows<decltype(width)::value>(view, count, rowAt);
+  });
 }
 
 util::BigUInt BatchLinearHashEvaluator::accumulateMatrixRows(
@@ -682,30 +611,22 @@ util::BigUInt BatchLinearHashEvaluator::hashMatrixEntry(std::uint64_t rowIndex,
                                                         std::uint64_t n) {
   prepareTables(n, n);
   checkEntry(rowIndex, colIndex, n);
-  switch (backend_) {
-    case Backend::kU64: {
-      // rowBase[r] * colPow[c] = a^(r*n) * a^(c+1) = a^(r*n + c + 1).
-      std::uint64_t term = mulModU64(rowBase64_[rowIndex], colPow64_[colIndex], p64_);
-      return util::BigUInt{mulModU64(term, coefficient % p64_, p64_)};
-    }
-    case Backend::kMontgomery: {
-      // Plain row base times Montgomery column power: a plain term, and a
-      // plain term times Mont(coefficient) stays plain.
-      const std::size_t k = ctx_->numLimbs();
-      Limb* term = spareM_;
-      ctx_->mulRaw(rowBaseM_ + rowIndex * k, colPowM_ + colIndex * k, term);
-      if (coefficient != 1) {
-        Limb* coefficientM = spareM_ + k;
-        ctx_->toRaw(util::BigUInt{coefficient}, coefficientM);
-        ctx_->mulRaw(term, coefficientM, term);
-      }
-      return util::BigUInt::fromWords(std::span<const Limb>(term, k));
-    }
-    default: {
-      util::BigUInt term = util::mulMod(rowBaseP_[rowIndex], colPowP_[colIndex], p_);
-      return util::mulMod(term, util::BigUInt{coefficient} % p_, p_);
-    }
+  if (backend_ == Backend::kU64) {
+    // rowBase[r] * colPow[c] = a^(r*n) * a^(c+1) = a^(r*n + c + 1).
+    std::uint64_t term = mulModU64(rowBase64_[rowIndex], colPow64_[colIndex], p64_);
+    return util::BigUInt{mulModU64(term, coefficient % p64_, p64_)};
   }
+  // Plain row base times Montgomery column power: a plain term, and a plain
+  // term times Mont(coefficient) stays plain.
+  const std::size_t k = ctx_->numLimbs();
+  Limb* term = spareM_;
+  ctx_->mulRaw(rowBaseM_ + rowIndex * k, colPowM_ + colIndex * k, term);
+  if (coefficient != 1) {
+    Limb* coefficientM = spareM_ + k;
+    ctx_->toRaw(util::BigUInt{coefficient}, coefficientM);
+    ctx_->mulRaw(term, coefficientM, term);
+  }
+  return util::BigUInt::fromWords(std::span<const Limb>(term, k));
 }
 
 util::BigUInt BatchLinearHashEvaluator::accumulateMatrixEntries(
@@ -718,33 +639,18 @@ util::BigUInt BatchLinearHashEvaluator::accumulateMatrixEntries(
   for (std::size_t i = 0; i < rowIndices.size(); ++i) {
     checkEntry(rowIndices[i], colIndices[i], n);
   }
-  switch (backend_) {
-    case Backend::kU64: {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < rowIndices.size(); ++i) {
-        acc = addModTrick(
-            acc, mulModU64(rowBase64_[rowIndices[i]], colPow64_[colIndices[i]], p64_),
-            p64_);
-      }
-      return util::BigUInt{acc};
+  if (backend_ == Backend::kU64) {
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < rowIndices.size(); ++i) {
+      acc = addModTrick(
+          acc, mulModU64(rowBase64_[rowIndices[i]], colPow64_[colIndices[i]], p64_), p64_);
     }
-    case Backend::kMontgomery: {
-      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
-                            lazySums(n)};
-      return mont::dispatch(view.mod.k, [&](auto width) {
-        return montAccumulateEntries<decltype(width)::value>(view, rowIndices, colIndices);
-      });
-    }
-    default: {
-      util::BigUInt acc;
-      for (std::size_t i = 0; i < rowIndices.size(); ++i) {
-        acc = util::addMod(
-            acc, util::mulMod(rowBaseP_[rowIndices[i]], colPowP_[colIndices[i]], p_),
-            p_);
-      }
-      return acc;
-    }
+    return util::BigUInt{acc};
   }
+  const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_, lazySums(n)};
+  return mont::dispatch(view.mod.k, [&](auto width) {
+    return montAccumulateEntries<decltype(width)::value>(view, rowIndices, colIndices);
+  });
 }
 
 void BatchLinearHashEvaluator::hashBitsMany(std::span<const util::DynBitset> inputs,
@@ -756,97 +662,29 @@ void BatchLinearHashEvaluator::hashBitsMany(std::span<const util::DynBitset> inp
   }
   prepareTables(maxSize, 0);
   out.resize(inputs.size());
-  switch (backend_) {
-    case Backend::kU64: {
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        out[i].assignU64(bitsResidueSum(rowWords(0, inputs[i]), colPow64_, p64_));
-      }
-      break;
-    }
-    case Backend::kMontgomery: {
-      const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
-                            lazySums(maxSize)};
-      mont::dispatch(view.mod.k, [&](auto width) {
-        montHashBits<decltype(width)::value>(view, inputs, out);
-      });
-      break;
-    }
-    default: {
-      util::BigUInt row;
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        row = util::BigUInt{};
-        inputs[i].forEachSet([&](std::size_t w) {
-          row = util::addMod(row, colPowP_[w], p_);
-        });
-        out[i] = row;
-      }
-      break;
-    }
-  }
-}
-
-void BatchLinearHashEvaluator::hashBitsManySeeds(const util::BigUInt& p,
-                                                 std::uint64_t dimension,
-                                                 std::span<const util::BigUInt> seeds,
-                                                 const util::DynBitset& input,
-                                                 std::vector<util::BigUInt>& out) {
-  if (input.size() > dimension) {
-    throw std::out_of_range("hashBits: bits exceed dimension");
-  }
-  out.resize(seeds.size());
-  if (!p.fitsU64()) {
-    // Wide fields: no table is shareable across distinct indices, so this is
-    // the scalar walk per seed (rebind keeps the Montgomery context).
-    thread_local LinearHashEvaluator evaluator;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      evaluator.rebind(p, dimension, seeds[i]);
-      out[i] = evaluator.hashBits(input);
+  if (backend_ == Backend::kU64) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      out[i].assignU64(bitsResidueSum(rowWords(0, inputs[i]), colPow64_, p64_));
     }
     return;
   }
-  const std::uint64_t p64 = p.toU64();
-  // Gather the walk once: every lane visits the same positions.
-  thread_local std::vector<std::uint32_t> positions;
-  positions.clear();
-  positions.reserve(input.size());
-  input.forEachSet([&](std::size_t w) {
-    positions.push_back(static_cast<std::uint32_t>(w));
+  const MontTables view{ctx_->kernelModulus(), colPowM_, rowBaseM_, spareM_,
+                        lazySums(maxSize)};
+  mont::dispatch(view.mod.k, [&](auto width) {
+    montHashBits<decltype(width)::value>(view, inputs, out);
   });
-  for (std::size_t base = 0; base < seeds.size(); base += kLanes) {
-    const std::size_t lanes = std::min(kLanes, seeds.size() - base);
-    std::array<std::uint64_t, kLanes> aL{};
-    std::array<std::uint64_t, kLanes> powL{};
-    std::array<std::uint64_t, kLanes> rowL{};
-    for (std::size_t j = 0; j < lanes; ++j) {
-      aL[j] = seeds[base + j].modU64(p64);
-      powL[j] = aL[j];  // Exponent 1, matching the scalar walk's start.
-      rowL[j] = 0;
-    }
-    // The lane block advances all power chains position by position: the
-    // chains are independent, so the kLanes 128-bit products overlap in the
-    // pipeline instead of serializing like the scalar evaluator's single
-    // Horner chain.
-    std::size_t exponent = 1;
-    for (std::uint32_t w : positions) {
-      const std::size_t target = static_cast<std::size_t>(w) + 1;
-      for (; exponent < target; ++exponent) {
-        for (std::size_t j = 0; j < lanes; ++j) {
-          powL[j] = mulModU64(powL[j], aL[j], p64);
-        }
-      }
-      for (std::size_t j = 0; j < lanes; ++j) {
-        rowL[j] = addModTrick(rowL[j], powL[j], p64);
-      }
-    }
-    for (std::size_t j = 0; j < lanes; ++j) {
-      out[base + j].assignU64(rowL[j]);
-    }
-  }
 }
 
 BatchLinearHashEvaluator& threadChainEvaluator() {
   thread_local BatchLinearHashEvaluator evaluator;
   return evaluator;
+}
+
+BatchLinearHashEvaluator& threadRepetitionEvaluator(std::size_t j) {
+  // A deque: growing it keeps the slots already handed out in place.
+  thread_local std::deque<BatchLinearHashEvaluator> slots;
+  if (slots.size() <= j) slots.resize(j + 1);
+  return slots[j];
 }
 
 }  // namespace dip::hash

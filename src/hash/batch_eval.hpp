@@ -1,8 +1,9 @@
-// Batch evaluation engine for the Theorem 3.2 linear hash family.
+// Batch evaluation engine for the Theorem 3.2 linear hash family: the one
+// hash evaluator of the library.
 //
-// The scalar LinearHashEvaluator walks each row's bits with one modular
-// multiply per column position: hashing a full n x n matrix costs ~n^2
-// multiplies. The batch engine exploits the factorization
+// Walking each row's bits with one modular multiply per column position
+// costs ~n^2 multiplies for a full n x n matrix. The batch engine exploits
+// the factorization
 //
 //     h_a([r, bits]) = a^(r*n) * sum_{w in bits} a^(w+1)   (mod p)
 //
@@ -13,17 +14,15 @@
 // multiplies; protocol trial paths evaluate thousands of rows per pinned
 // index, so the tables amortize to near-zero.
 //
-// Backends mirror the scalar evaluator exactly — results are bit-identical
-// (both produce the canonical residue < p; tests/batch_eval_test.cpp proves
-// it differentially over 10^4 seeded matrices):
+// Every value is the canonical residue < p; tests/batch_eval_test.cpp checks
+// each entry point against the bit-walking reference evaluator in tests/
+// over 10^4 seeded matrices. Two backends:
 //   - kU64 (p < 2^64): tables are flat uint64 slices, row sums use
 //     add-with-conditional-subtract (no multiply), one 128-bit product per
 //     row. When n residues cannot overflow 64 bits (bitLength(p) +
 //     bitWidth(n) <= 64) the serial row sum skips the per-add reduction,
 //     and an accumulate whose products cannot overflow 128 bits sums them
-//     unreduced and divides once. The many-seeds entry point runs kLanes
-//     parallel power chains so independent Horner walks overlap in the
-//     pipeline.
+//     unreduced and divides once.
 //   - kMontgomery (p odd, wider): tables are flat raw-limb residues run
 //     through the flat-limb kernels (util/mont_kernels.hpp). Each span call
 //     picks the kernel width once and runs a templated loop in which the
@@ -32,21 +31,19 @@
 //     (Mont(s) * b * R^-1 = s * b) is also its convert-out. Row sums skip
 //     the per-add reduction whenever n of them cannot reach R
 //     (bitLength(p) + bitWidth(n) <= 64k, a property of (p, n)).
-//   - kPlain (p even, wider — placeholder fields only): BigUInt tables.
+// An even p >= 2^64 is not prime, and rebind() rejects it.
 //
 // All table storage lives in a private util::Arena, reset on every rebind:
 // the hot loops allocate nothing, and a stale table pointer after rebind is
 // an ASan-diagnosable error rather than silent reuse. Not thread-safe; use
 // one batch evaluator per thread. The call sites keep thread_local
 // instances; the Sym chain sites share one (threadChainEvaluator), so a
-// trial's prover and verifier build an index's tables once.
+// trial's prover and verifier build an index's tables once, and the GNI
+// verifiers keep one per repetition (threadRepetitionEvaluator).
 //
-// This engine is the one hash path of the protocol trials: every call site
-// that hashes many rows or entries under one index goes through it. The
-// scalar LinearHashEvaluator remains the per-call evaluator where the index
-// changes on every call (LinearHashFamily's methods, eps_api's innerRow,
-// distributed_seed's rowPiece, wide-field hashBitsManySeeds) and the
-// differential oracle in tests.
+// A call site whose index changes on every call rebinds before each call:
+// its first hash then builds the two n-entry tables, about 2n multiplies,
+// against the n of a direct bit walk over the one row.
 #pragma once
 
 #include <cstdint>
@@ -72,22 +69,19 @@ void setAvx2Enabled(bool enabled);
 
 class BatchLinearHashEvaluator {
  public:
-  // Lane width of the u64 many-seeds path: enough independent multiply
-  // chains to cover the 128-bit product latency, small enough to stay in
-  // registers.
-  static constexpr std::size_t kLanes = 8;
-
   BatchLinearHashEvaluator() = default;
 
   // (Re)pins (p, dimension, a). No-op when nothing changed (tables and the
   // Montgomery context survive); otherwise the arena resets and tables
-  // rebuild lazily on first use.
+  // rebuild lazily on first use. Throws std::invalid_argument for p < 2 and
+  // for an even p >= 2^64.
   void rebind(const util::BigUInt& p, std::uint64_t dimension, const util::BigUInt& a);
   void rebind(const LinearHashFamily& family, const util::BigUInt& a);
 
   // out[i] = hashMatrixRow(rowIndices[i], rows[i], n) under the pinned
-  // index; same argument checks as the scalar evaluator. rowIndices and
-  // rows must have equal lengths.
+  // index. Throws std::invalid_argument when n * n != dimension or the
+  // lengths of rowIndices and rows differ, and std::out_of_range for a row
+  // index >= n or a row that is not n bits wide.
   void hashMatrixRows(std::span<const std::uint64_t> rowIndices,
                       std::span<const util::DynBitset> rows, std::uint64_t n,
                       std::vector<util::BigUInt>& out);
@@ -116,12 +110,12 @@ class BatchLinearHashEvaluator {
   util::BigUInt hashMappedRow(std::span<const std::uint32_t> sigma, std::uint64_t v,
                               const util::DynBitset& openRow, std::uint64_t n);
 
-  // Single-call forms under the pinned index — same values and argument
-  // checks as the scalar evaluator, but every power is a table lookup
-  // (row base times column power). These serve call sites that interleave
-  // row and entry hashes per node (sym_input's piecesFor, the GNI check
-  // pieces), where the work per call is too mixed for the span entry points
-  // but the index is pinned across thousands of calls.
+  // Single-call forms under the pinned index, with hashMatrixRows' checks
+  // (an entry needs both indices < n). Every power is a table lookup (row
+  // base times column power). These serve call sites that hash one row or
+  // entry per node (sym_input's piecesFor, the GNI verifiers' pieces),
+  // where the index is pinned across many calls, and the sites that
+  // rebind for every call.
   util::BigUInt hashMatrixRow(std::uint64_t rowIndex, const util::DynBitset& columnBits,
                               std::uint64_t n);
   util::BigUInt hashMatrixEntry(std::uint64_t rowIndex, std::uint64_t colIndex,
@@ -134,21 +128,19 @@ class BatchLinearHashEvaluator {
                                         std::span<const std::uint64_t> colIndices,
                                         std::uint64_t n);
 
-  // One seed x many inputs: out[i] = hashBits(inputs[i]) (start exponent 1,
-  // coefficient 1; each input.size() <= dimension).
+  // out[i] = sum over set bits w of inputs[i] of a^(w+1): the inputs read
+  // as positions 0.. with coefficient 1. Throws std::out_of_range when an
+  // input is wider than the dimension.
   void hashBitsMany(std::span<const util::DynBitset> inputs,
                     std::vector<util::BigUInt>& out);
 
-  // Many seeds x one input: out[j] = h_{seeds[j]}(input). The u64 backend
-  // interleaves kLanes independent power chains; wider fields fall back to
-  // per-seed scalar walks (the table trick cannot span distinct indices).
-  static void hashBitsManySeeds(const util::BigUInt& p, std::uint64_t dimension,
-                                std::span<const util::BigUInt> seeds,
-                                const util::DynBitset& input,
-                                std::vector<util::BigUInt>& out);
-
  private:
-  enum class Backend { kUnbound, kU64, kMontgomery, kPlain };
+  enum class Backend { kUnbound, kU64, kMontgomery };
+
+  // The arena's first block. The GNI verifiers keep one evaluator per
+  // repetition and thread, each holding two tables of at most 2n words, so
+  // the block is sized for those; larger tables chain larger blocks.
+  static constexpr std::size_t kArenaFirstBlockBytes = 256;
 
   // Ensures P[w] = a^(w+1) for w in [0, count) and, when n > 0, B[r] =
   // a^(r*n) for r in [0, n). Growth rebuilds from scratch (arena bump);
@@ -177,7 +169,7 @@ class BatchLinearHashEvaluator {
   util::BigUInt p_;
   std::uint64_t m_ = 0;
   util::BigUInt aBound_;
-  util::Arena arena_;
+  util::Arena arena_{kArenaFirstBlockBytes};
   std::size_t colCount_ = 0;   // Entries built in the column power table.
   std::uint64_t rowBaseN_ = 0; // n the row-base table was built for (0 = none).
   // kU64 backend.
@@ -193,10 +185,6 @@ class BatchLinearHashEvaluator {
   util::mont::Limb* colPowM_ = nullptr;
   util::mont::Limb* rowBaseM_ = nullptr;
   util::mont::Limb* spareM_ = nullptr;  // 3k + 2 limbs of kernel working space.
-  // kPlain backend.
-  util::BigUInt aPlain_;
-  std::vector<util::BigUInt> colPowP_;
-  std::vector<util::BigUInt> rowBaseP_;
   std::vector<std::uint64_t> mask_;
 };
 
@@ -208,5 +196,13 @@ class BatchLinearHashEvaluator {
 // node that was sent a different index rebinds to it. Only those tables
 // are shared: every caller still computes its own row hashes.
 BatchLinearHashEvaluator& threadChainEvaluator();
+
+// The calling thread's evaluator for repetition j of the GNI verifiers'
+// Goldwasser-Sipser pieces (GniAmamProtocol and GniGeneralProtocol
+// nodeDecision). Under the honest broadcast all n nodes echo the same k
+// seeds, so slot j stays pinned to seed j and its tables are built once per
+// trial; a node that echoes a different seed rebinds only slot j. Slots are
+// made on first use and live as long as the thread.
+BatchLinearHashEvaluator& threadRepetitionEvaluator(std::size_t j);
 
 }  // namespace dip::hash

@@ -1,15 +1,18 @@
 #include "hash/distributed_seed.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "hash/batch_eval.hpp"
-#include "hash/linear_hash.hpp"
 
 namespace dip::hash {
 
 DistributedSeedHash::DistributedSeedHash(util::BigUInt fieldPrime, std::size_t n)
     : p_(std::move(fieldPrime)), n_(n) {
   if (p_ < util::BigUInt{2}) throw std::invalid_argument("DistributedSeedHash: P < 2");
+  if (!p_.fitsU64() && !p_.isOdd()) {
+    throw std::invalid_argument("DistributedSeedHash: even P >= 2^64");
+  }
 }
 
 double DistributedSeedHash::collisionBound() const {
@@ -21,11 +24,13 @@ util::BigUInt DistributedSeedHash::rowPiece(const util::BigUInt& nodeSeed,
   if (rowBits.size() != n_) {
     throw std::invalid_argument("DistributedSeedHash::rowPiece: row size mismatch");
   }
-  // poly(row, a) = sum over set bits w of a^(w+1), evaluated incrementally
-  // in the evaluator's backend domain (hashBits starts the walk at a^1).
-  thread_local LinearHashEvaluator evaluator;
-  evaluator.rebind(p_, n_, nodeSeed);
-  return evaluator.hashBits(rowBits);
+  // poly(row, a) = sum over set bits w of a^(w+1): the one-row form of
+  // hashBitsMany, under this node's own seed.
+  thread_local BatchLinearHashEvaluator batch;
+  thread_local std::vector<util::BigUInt> piece;
+  batch.rebind(p_, n_, nodeSeed);
+  batch.hashBitsMany(std::span<const util::DynBitset>(&rowBits, 1), piece);
+  return piece.front();
 }
 
 util::BigUInt DistributedSeedHash::combine(const util::BigUInt& left,

@@ -33,7 +33,8 @@ namespace dip::hash {
 
 class DistributedSeedHash {
  public:
-  // Hash of n x n 0/1 matrices into Z_P; P prime (not re-verified).
+  // Hash of n x n 0/1 matrices into Z_P; P prime (not re-verified). Throws
+  // std::invalid_argument for P < 2 and for an even P >= 2^64.
   DistributedSeedHash(util::BigUInt fieldPrime, std::size_t n);
 
   const util::BigUInt& fieldPrime() const { return p_; }

@@ -16,11 +16,15 @@ EpsApiHash EpsApiHash::create(std::size_t n, std::size_t outputBits, util::Rng& 
                               unsigned slackBits) {
   if (n < 1) throw std::invalid_argument("EpsApiHash: n < 1");
   if (outputBits < 1) throw std::invalid_argument("EpsApiHash: outputBits < 1");
+  return withPrime(n, outputBits,
+                   util::findPrimeWithBits(fieldBits(n, outputBits, slackBits), rng));
+}
+
+std::size_t EpsApiHash::fieldBits(std::size_t n, std::size_t outputBits,
+                                  unsigned slackBits) {
   // P prime with about outputBits + 2 log2(n) + slackBits + 1 bits, so that
   // P >= 2^outputBits * n^2 * 2^slackBits.
-  std::size_t nBits = util::BigUInt{n}.bitLength();
-  std::size_t fieldBits = outputBits + 2 * nBits + slackBits + 1;
-  return withPrime(n, outputBits, util::findPrimeWithBits(fieldBits, rng));
+  return outputBits + 2 * util::BigUInt{n}.bitLength() + slackBits + 1;
 }
 
 EpsApiHash EpsApiHash::withPrime(std::size_t n, std::size_t outputBits, util::BigUInt prime) {
@@ -52,19 +56,6 @@ EpsApiHash::Seed EpsApiHash::randomSeed(util::Rng& rng) const {
   return seed;
 }
 
-util::BigUInt EpsApiHash::innerRow(const Seed& seed, std::uint64_t rowIndex,
-                                   const util::DynBitset& rowBits) const {
-  return inner_.hashMatrixRow(seed.a, rowIndex, rowBits, n_);
-}
-
-EpsApiHash::RowHasher::RowHasher(const EpsApiHash& hash, const Seed& seed)
-    : n_(hash.n()), evaluator_(hash.inner(), seed.a) {}
-
-util::BigUInt EpsApiHash::RowHasher::innerRow(std::uint64_t rowIndex,
-                                              const util::DynBitset& rowBits) {
-  return evaluator_.hashMatrixRow(rowIndex, rowBits, n_);
-}
-
 util::BigUInt EpsApiHash::combine(const util::BigUInt& left,
                                   const util::BigUInt& right) const {
   return util::addMod(left, right, inner_.prime());
@@ -91,34 +82,6 @@ util::BigUInt EpsApiHash::hashRows(const Seed& seed,
     std::iota(rowIndices.begin(), rowIndices.end(), 0);
   }
   return outer(seed, batch.accumulateMatrixRows(rowIndices, rows, n_));
-}
-
-EpsApiHash::PowerTable EpsApiHash::preparePowers(const Seed& seed) const {
-  PowerTable table;
-  const std::size_t count = n_ * n_;
-  LinearHashEvaluator evaluator(inner_, seed.a);
-  evaluator.powerTable(count, table.powers);
-  return table;
-}
-
-util::BigUInt EpsApiHash::innerRowPrepared(const PowerTable& table,
-                                           std::uint64_t rowIndex,
-                                           const util::DynBitset& rowBits) const {
-  util::BigUInt acc;
-  const util::BigUInt& p = inner_.prime();
-  rowBits.forEachSet([&](std::size_t w) {
-    acc = util::addMod(acc, table.powers[rowIndex * n_ + w], p);
-  });
-  return acc;
-}
-
-util::BigUInt EpsApiHash::hashRowsPrepared(const Seed& seed, const PowerTable& table,
-                                           const std::vector<util::DynBitset>& rows) const {
-  util::BigUInt acc;
-  for (std::size_t u = 0; u < n_; ++u) {
-    acc = combine(acc, innerRowPrepared(table, u, rows[u]));
-  }
-  return outer(seed, acc);
 }
 
 }  // namespace dip::hash

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "hash/linear_hash.hpp"
 #include "util/biguint.hpp"
@@ -54,9 +55,13 @@ class EpsApiHash {
   EpsApiHash() : EpsApiHash(1, 1, LinearHashFamily{}) {}
 
   // A hash from n x n 0/1 matrices to {0,1}^outputBits, with field size
-  // P >= 2^outputBits * n^2 * 2^slackBits (prime).
+  // P >= 2^outputBits * n^2 * 2^slackBits (prime), fieldBits() bits wide.
   static EpsApiHash create(std::size_t n, std::size_t outputBits,
                            util::Rng& rng, unsigned slackBits = 7);
+  // The bit length of create()'s P: outputBits + 2 bitLength(n) +
+  // slackBits + 1. Callers can size a field without searching for it.
+  static std::size_t fieldBits(std::size_t n, std::size_t outputBits,
+                               unsigned slackBits = 7);
   // The same hash over a caller-chosen odd prime P (primality is the
   // caller's to ensure). The eps bound above holds only when
   // P >= 2^outputBits * n^2 * 2^slackBits; a smaller P still gives a
@@ -78,45 +83,17 @@ class EpsApiHash {
 
   Seed randomSeed(util::Rng& rng) const;
 
-  // Node-side: inner hash of the matrix [rowIndex, rowBits] (one row).
-  util::BigUInt innerRow(const Seed& seed, std::uint64_t rowIndex,
-                         const util::DynBitset& rowBits) const;
-  // In-domain row hasher pinned to one seed: each innerRow costs one
-  // convert-out and no steady-state heap allocation. Hoist one of these
-  // outside any loop that hashes many rows under the same seed.
-  class RowHasher {
-   public:
-    RowHasher(const EpsApiHash& hash, const Seed& seed);
-    util::BigUInt innerRow(std::uint64_t rowIndex, const util::DynBitset& rowBits);
-
-   private:
-    std::size_t n_;
-    LinearHashEvaluator evaluator_;
-  };
+  // Node-side, the inner hash of the matrix [rowIndex, rowBits] is inner()'s
+  // row hash under seed.a: BatchLinearHashEvaluator::hashMatrixRow(rowIndex,
+  // rowBits, n()) after rebind(inner(), seed.a).
   // Tree combination: sum of child subtree inner values plus own row term.
   util::BigUInt combine(const util::BigUInt& left, const util::BigUInt& right) const;
   // Root-side: outer layer applied to the completed inner value.
   util::BigUInt outer(const Seed& seed, const util::BigUInt& innerValue) const;
 
-  // Full hash of an explicit matrix given as n row bitsets (test helper /
-  // prover-side preimage search).
+  // Full hash of an explicit matrix given as n row bitsets.
   util::BigUInt hashRows(const Seed& seed,
                          const std::vector<util::DynBitset>& rows) const;
-
-  // Precomputed powers a^1 .. a^(n^2) of a seed's evaluation point. The
-  // per-repetition Goldwasser-Sipser search (the path for fields the lane
-  // walk cannot hold) hashes ~n! candidate matrices per repetition; with the
-  // table each candidate costs only modular additions. `powers` stays in the
-  // plain domain on purpose: prover-side code adds table entries straight
-  // into plain accumulators.
-  struct PowerTable {
-    std::vector<util::BigUInt> powers;  // powers[j] = a^(j+1) mod P.
-  };
-  PowerTable preparePowers(const Seed& seed) const;
-  util::BigUInt innerRowPrepared(const PowerTable& table, std::uint64_t rowIndex,
-                                 const util::DynBitset& rowBits) const;
-  util::BigUInt hashRowsPrepared(const Seed& seed, const PowerTable& table,
-                                 const std::vector<util::DynBitset>& rows) const;
 
  private:
   EpsApiHash(std::size_t n, std::size_t ell, LinearHashFamily inner);

@@ -1,333 +1,18 @@
 #include "hash/linear_hash.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/primes.hpp"
 
 namespace dip::hash {
 
-namespace {
-
-__extension__ using U128 = unsigned __int128;
-
-std::uint64_t mulModU64(std::uint64_t x, std::uint64_t y, std::uint64_t m) {
-  return static_cast<std::uint64_t>(static_cast<U128>(x) * y % m);
-}
-
-std::uint64_t addModU64(std::uint64_t x, std::uint64_t y, std::uint64_t m) {
-  U128 sum = static_cast<U128>(x) + y;
-  if (sum >= m) sum -= m;
-  return static_cast<std::uint64_t>(sum);
-}
-
-std::uint64_t powModU64(std::uint64_t base, std::uint64_t exponent, std::uint64_t m) {
-  std::uint64_t result = 1 % m;
-  std::uint64_t square = base % m;
-  while (exponent != 0) {
-    if (exponent & 1) result = mulModU64(result, square, m);
-    exponent >>= 1;
-    if (exponent != 0) square = mulModU64(square, square, m);
-  }
-  return result;
-}
-
-// One evaluator per thread backing the family's per-call methods, so legacy
-// call sites get the backend dispatch without holding an evaluator
-// themselves. rebind() short-circuits when (p, dimension, a) are unchanged,
-// which is the common case inside protocol loops.
-LinearHashEvaluator& threadEvaluator(const util::BigUInt& p, std::uint64_t dimension,
-                                     const util::BigUInt& a) {
-  thread_local LinearHashEvaluator evaluator;
-  evaluator.rebind(p, dimension, a);
-  return evaluator;
-}
-
-}  // namespace
-
-// --- LinearHashEvaluator --------------------------------------------------
-
-LinearHashEvaluator::LinearHashEvaluator(const LinearHashFamily& family,
-                                         const util::BigUInt& a) {
-  rebind(family, a);
-}
-
-void LinearHashEvaluator::rebind(const LinearHashFamily& family, const util::BigUInt& a) {
-  rebind(family.prime(), family.dimension(), a);
-}
-
-void LinearHashEvaluator::rebind(const util::BigUInt& p, std::uint64_t dimension,
-                                 const util::BigUInt& a) {
-  const bool sameP = backend_ != Backend::kUnbound && p == p_;
-  if (sameP && dimension == m_ && a == aBound_) return;
-  if (!sameP) {
-    if (p < util::BigUInt{2}) {
-      throw std::invalid_argument("LinearHashEvaluator: p < 2");
-    }
-    p_ = p;
-    if (p_.fitsU64()) {
-      backend_ = Backend::kU64;
-      p64_ = p_.toU64();
-      ctx_.reset();
-    } else if (p_.isOdd()) {
-      backend_ = Backend::kMontgomery;
-      ctx_ = util::cachedMontgomeryContext(p_);
-    } else {
-      backend_ = Backend::kPlain;
-      ctx_.reset();
-    }
-  }
-  m_ = dimension;
-  aBound_ = a;
-  switch (backend_) {
-    case Backend::kU64:
-      a64_ = a.modU64(p64_);
-      break;
-    case Backend::kMontgomery:
-      ctx_->toValue(a, aV_, scratch_);
-      aWindow_.limbs = 0;  // Base changed: rebuild lazily on first pow.
-      break;
-    case Backend::kPlain:
-      aPlain_ = a % p_;
-      break;
-    case Backend::kUnbound:
-      break;
-  }
-  resetAccumulator();
-}
-
-void LinearHashEvaluator::clearRow() {
-  switch (backend_) {
-    case Backend::kU64:
-      row64_ = 0;
-      break;
-    case Backend::kMontgomery:
-      rowV_ = ctx_->zeroValue();
-      break;
-    case Backend::kPlain:
-      rowPlain_ = util::BigUInt{};
-      break;
-    case Backend::kUnbound:
-      throw std::logic_error("LinearHashEvaluator: used before rebind");
-  }
-}
-
-util::BigUInt LinearHashEvaluator::rowValue() {
-  switch (backend_) {
-    case Backend::kU64:
-      return util::BigUInt{row64_};
-    case Backend::kMontgomery:
-      return ctx_->fromValue(rowV_);
-    default:
-      return rowPlain_;
-  }
-}
-
-void LinearHashEvaluator::walkBits(std::uint64_t startExponent,
-                                   const util::DynBitset& bits) {
-  clearRow();
-  std::size_t previous = 0;
-  bool first = true;
-  switch (backend_) {
-    case Backend::kU64: {
-      std::uint64_t power = powModU64(a64_, startExponent, p64_);
-      bits.forEachSet([&](std::size_t w) {
-        std::size_t gap = first ? w : w - previous;
-        for (std::size_t step = 0; step < gap; ++step) {
-          power = mulModU64(power, a64_, p64_);
-        }
-        row64_ = addModU64(row64_, power, p64_);
-        previous = w;
-        first = false;
-      });
-      break;
-    }
-    case Backend::kMontgomery: {
-      exponent_ = util::BigUInt{startExponent};
-      powPinnedA(exponent_, powerV_);
-      bits.forEachSet([&](std::size_t w) {
-        std::size_t gap = first ? w : w - previous;
-        for (std::size_t step = 0; step < gap; ++step) {
-          ctx_->mulValue(powerV_, aV_, powerV_, scratch_);
-        }
-        ctx_->addValue(rowV_, powerV_, rowV_);
-        previous = w;
-        first = false;
-      });
-      break;
-    }
-    default: {
-      powerPlain_ = util::powMod(aPlain_, util::BigUInt{startExponent}, p_);
-      bits.forEachSet([&](std::size_t w) {
-        std::size_t gap = first ? w : w - previous;
-        for (std::size_t step = 0; step < gap; ++step) {
-          powerPlain_ = util::mulMod(powerPlain_, aPlain_, p_);
-        }
-        rowPlain_ = util::addMod(rowPlain_, powerPlain_, p_);
-        previous = w;
-        first = false;
-      });
-      break;
-    }
-  }
-}
-
-void LinearHashEvaluator::powPinnedA(const util::BigUInt& exponent,
-                                     util::MontgomeryValue& out) {
-  if (aWindow_.limbs == 0) ctx_->prepareWindow(aV_, aWindow_, scratch_);
-  ctx_->powValueWindowed(aWindow_, exponent, out, scratch_);
-}
-
-void LinearHashEvaluator::addTerm(std::uint64_t position, std::uint64_t coefficient) {
-  switch (backend_) {
-    case Backend::kU64: {
-      std::uint64_t term = powModU64(a64_, position + 1, p64_);
-      term = mulModU64(term, coefficient % p64_, p64_);
-      row64_ = addModU64(row64_, term, p64_);
-      break;
-    }
-    case Backend::kMontgomery: {
-      exponent_ = util::BigUInt{position + 1};
-      powPinnedA(exponent_, powerV_);
-      if (coefficient != 1) {
-        coeffBig_ = util::BigUInt{coefficient};
-        ctx_->toValue(coeffBig_, coeffV_, scratch_);
-        ctx_->mulValue(powerV_, coeffV_, powerV_, scratch_);
-      }
-      ctx_->addValue(rowV_, powerV_, rowV_);
-      break;
-    }
-    default: {
-      powerPlain_ = util::powMod(aPlain_, util::BigUInt{position + 1}, p_);
-      powerPlain_ = util::mulMod(powerPlain_, util::BigUInt{coefficient} % p_, p_);
-      rowPlain_ = util::addMod(rowPlain_, powerPlain_, p_);
-      break;
-    }
-  }
-}
-
-util::BigUInt LinearHashEvaluator::hashSparse(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> entries) {
-  clearRow();
-  for (const auto& [position, coefficient] : entries) {
-    if (position >= m_) throw std::out_of_range("hashSparse: position out of range");
-    addTerm(position, coefficient);
-  }
-  return rowValue();
-}
-
-util::BigUInt LinearHashEvaluator::hashMatrixRow(std::uint64_t rowIndex,
-                                                 const util::DynBitset& columnBits,
-                                                 std::uint64_t n) {
-  if (n * n != m_) throw std::invalid_argument("hashMatrixRow: dimension mismatch");
-  if (rowIndex >= n || columnBits.size() != n) {
-    throw std::out_of_range("hashMatrixRow: bad row");
-  }
-  walkBits(rowIndex * n + 1, columnBits);
-  return rowValue();
-}
-
-util::BigUInt LinearHashEvaluator::hashMatrixEntry(std::uint64_t rowIndex,
-                                                   std::uint64_t colIndex,
-                                                   std::uint64_t coefficient,
-                                                   std::uint64_t n) {
-  if (n * n != m_) throw std::invalid_argument("hashMatrixEntry: dimension mismatch");
-  if (rowIndex >= n || colIndex >= n) throw std::out_of_range("hashMatrixEntry: bad entry");
-  clearRow();
-  addTerm(rowIndex * n + colIndex, coefficient);
-  return rowValue();
-}
-
-util::BigUInt LinearHashEvaluator::hashBits(const util::DynBitset& bits) {
-  if (bits.size() > m_) throw std::out_of_range("hashBits: bits exceed dimension");
-  walkBits(1, bits);
-  return rowValue();
-}
-
-void LinearHashEvaluator::powerTable(std::size_t count,
-                                     std::vector<util::BigUInt>& out) {
-  out.clear();
-  out.reserve(count);
-  switch (backend_) {
-    case Backend::kU64: {
-      std::uint64_t power = a64_;
-      for (std::size_t j = 0; j < count; ++j) {
-        out.push_back(util::BigUInt{power});
-        if (j + 1 < count) power = mulModU64(power, a64_, p64_);
-      }
-      break;
-    }
-    case Backend::kMontgomery: {
-      powerV_ = aV_;
-      for (std::size_t j = 0; j < count; ++j) {
-        out.push_back(ctx_->fromValue(powerV_));
-        if (j + 1 < count) ctx_->mulValue(powerV_, aV_, powerV_, scratch_);
-      }
-      break;
-    }
-    default: {
-      powerPlain_ = aPlain_;
-      for (std::size_t j = 0; j < count; ++j) {
-        out.push_back(powerPlain_);
-        if (j + 1 < count) powerPlain_ = util::mulMod(powerPlain_, aPlain_, p_);
-      }
-      break;
-    }
-  }
-}
-
-void LinearHashEvaluator::resetAccumulator() {
-  switch (backend_) {
-    case Backend::kU64:
-      acc64_ = 0;
-      break;
-    case Backend::kMontgomery:
-      accV_ = ctx_->zeroValue();
-      break;
-    case Backend::kPlain:
-      accPlain_ = util::BigUInt{};
-      break;
-    case Backend::kUnbound:
-      break;
-  }
-}
-
-void LinearHashEvaluator::accumulateMatrixRow(std::uint64_t rowIndex,
-                                              const util::DynBitset& columnBits,
-                                              std::uint64_t n) {
-  if (n * n != m_) throw std::invalid_argument("hashMatrixRow: dimension mismatch");
-  if (rowIndex >= n || columnBits.size() != n) {
-    throw std::out_of_range("hashMatrixRow: bad row");
-  }
-  walkBits(rowIndex * n + 1, columnBits);
-  switch (backend_) {
-    case Backend::kU64:
-      acc64_ = addModU64(acc64_, row64_, p64_);
-      break;
-    case Backend::kMontgomery:
-      ctx_->addValue(accV_, rowV_, accV_);
-      break;
-    default:
-      accPlain_ = util::addMod(accPlain_, rowPlain_, p_);
-      break;
-  }
-}
-
-util::BigUInt LinearHashEvaluator::accumulatedValue() {
-  switch (backend_) {
-    case Backend::kU64:
-      return util::BigUInt{acc64_};
-    case Backend::kMontgomery:
-      return ctx_->fromValue(accV_);
-    default:
-      return accPlain_;
-  }
-}
-
-// --- LinearHashFamily -----------------------------------------------------
-
 LinearHashFamily::LinearHashFamily(util::BigUInt p, std::uint64_t dimension)
     : p_(std::move(p)), m_(dimension) {
   if (p_ < util::BigUInt{2}) throw std::invalid_argument("LinearHashFamily: p < 2");
+  if (!p_.fitsU64() && !p_.isOdd()) {
+    throw std::invalid_argument("LinearHashFamily: even p >= 2^64");
+  }
   valueBits_ = p_.bitLength();
 }
 
@@ -337,27 +22,6 @@ double LinearHashFamily::collisionBound() const {
 
 util::BigUInt LinearHashFamily::randomIndex(util::Rng& rng) const {
   return rng.nextBigBelow(p_);
-}
-
-util::BigUInt LinearHashFamily::hashSparse(
-    const util::BigUInt& a,
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> entries) const {
-  return threadEvaluator(p_, m_, a).hashSparse(entries);
-}
-
-util::BigUInt LinearHashFamily::hashMatrixRow(const util::BigUInt& a,
-                                              std::uint64_t rowIndex,
-                                              const util::DynBitset& columnBits,
-                                              std::uint64_t n) const {
-  return threadEvaluator(p_, m_, a).hashMatrixRow(rowIndex, columnBits, n);
-}
-
-util::BigUInt LinearHashFamily::hashMatrixEntry(const util::BigUInt& a,
-                                                std::uint64_t rowIndex,
-                                                std::uint64_t colIndex,
-                                                std::uint64_t coefficient,
-                                                std::uint64_t n) const {
-  return threadEvaluator(p_, m_, a).hashMatrixEntry(rowIndex, colIndex, coefficient, n);
 }
 
 LinearHashFamily makeProtocol1Family(std::size_t n, util::Rng& rng) {

@@ -14,18 +14,15 @@
 // Matrix convention: an n x n matrix over Z_p is the m = n^2 dimensional
 // vector with entry (row u, column w) at position u*n + w. The paper's
 // [v, N(v)] (the matrix whose v-th row is the closed neighborhood of v and
-// which is zero elsewhere) hashes via hashMatrixRow.
+// which is zero elsewhere) is the row hash hashMatrixRow(v, N(v), n).
+//
+// The family holds parameters only. Every hash value is computed by the
+// batch engine (hash/batch_eval.hpp), pinned to (p, m, a).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "util/biguint.hpp"
-#include "util/bitset.hpp"
-#include "util/montgomery.hpp"
 #include "util/rng.hpp"
 
 namespace dip::hash {
@@ -36,6 +33,8 @@ class LinearHashFamily {
   // carry a family by value need this before real parameters are chosen.
   LinearHashFamily() : LinearHashFamily(util::BigUInt{2}, 1) {}
   // Family over Z_p^dimension. Requires p prime (not re-verified here).
+  // Throws std::invalid_argument for p < 2 and for an even p >= 2^64, which
+  // is not prime and which no evaluator backend serves.
   LinearHashFamily(util::BigUInt p, std::uint64_t dimension);
 
   const util::BigUInt& prime() const { return p_; }
@@ -51,123 +50,10 @@ class LinearHashFamily {
   // Draws a random index a in [0, p).
   util::BigUInt randomIndex(util::Rng& rng) const;
 
-  // h_a of a sparse vector given as (position, coefficient) entries.
-  util::BigUInt hashSparse(
-      const util::BigUInt& a,
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> entries) const;
-
-  // h_a of the matrix [rowIndex, columnBits]: the n x n 0/1 matrix whose
-  // rowIndex-th row is columnBits and which is zero elsewhere. Requires
-  // dimension() == n * n. Incremental powers: O(n) modular multiplications.
-  util::BigUInt hashMatrixRow(const util::BigUInt& a, std::uint64_t rowIndex,
-                              const util::DynBitset& columnBits,
-                              std::uint64_t n) const;
-
-  // h_a of coefficient * e_(rowIndex*n + colIndex) — a single matrix entry.
-  util::BigUInt hashMatrixEntry(const util::BigUInt& a, std::uint64_t rowIndex,
-                                std::uint64_t colIndex, std::uint64_t coefficient,
-                                std::uint64_t n) const;
-
  private:
   util::BigUInt p_;
   std::uint64_t m_;
   std::size_t valueBits_;
-};
-
-// In-domain evaluator for one evaluation point of a LinearHashFamily.
-//
-// The family's per-call methods re-derive everything from (a, p) on every
-// invocation; protocol hot loops call them thousands of times with the SAME
-// index. The evaluator pins the index once and picks the cheapest backend
-// for the field:
-//   - p < 2^64: all arithmetic in native 64-bit words (128-bit products),
-//     zero BigUInt traffic until the final value;
-//   - p odd and wider: the process-wide memoized Montgomery context — Horner
-//     chains run at one REDC per multiply, with a single convert-in (the
-//     index) and one convert-out per hash value;
-//   - p even and wider (placeholder fields only): plain BigUInt arithmetic.
-// Steady-state evaluation allocates nothing: scratch, running power, and
-// accumulators are members, and rebind() reuses them across indices (and
-// across families sharing a prime). Values are bit-identical to the family
-// methods' — the backends differ only in representation.
-//
-// Not thread-safe; use one evaluator per thread (thread_local is fine).
-class LinearHashEvaluator {
- public:
-  LinearHashEvaluator() = default;  // Unbound; rebind() before use.
-  LinearHashEvaluator(const LinearHashFamily& family, const util::BigUInt& a);
-
-  // (Re)pins the evaluator to family parameters (p, dimension) and the
-  // evaluation point a. A no-op when nothing changed; keeps the Montgomery
-  // context and all scratch when only the index changed.
-  void rebind(const util::BigUInt& p, std::uint64_t dimension, const util::BigUInt& a);
-  void rebind(const LinearHashFamily& family, const util::BigUInt& a);
-
-  // Family-method equivalents (same values, same argument checks).
-  util::BigUInt hashSparse(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> entries);
-  util::BigUInt hashMatrixRow(std::uint64_t rowIndex, const util::DynBitset& columnBits,
-                              std::uint64_t n);
-  util::BigUInt hashMatrixEntry(std::uint64_t rowIndex, std::uint64_t colIndex,
-                                std::uint64_t coefficient, std::uint64_t n);
-
-  // Sum over set bits w of a^(w+1): the hash of `bits` read as positions
-  // 0..size-1 with coefficient 1 (the distributed-seed hash's per-row
-  // polynomial). Requires bits.size() <= dimension.
-  util::BigUInt hashBits(const util::DynBitset& bits);
-
-  // Fills out[j] = a^(j+1) mod p for j in [0, count) — the EpsApiHash power
-  // table, built with one in-domain multiply per entry.
-  void powerTable(std::size_t count, std::vector<util::BigUInt>& out);
-
-  // In-domain fingerprint accumulation: sums hashMatrixRow values without
-  // converting intermediate rows out of the backend domain; one convert-out
-  // total, in accumulatedValue().
-  void resetAccumulator();
-  void accumulateMatrixRow(std::uint64_t rowIndex, const util::DynBitset& columnBits,
-                           std::uint64_t n);
-  util::BigUInt accumulatedValue();
-
- private:
-  enum class Backend { kUnbound, kU64, kMontgomery, kPlain };
-
-  // Row walk shared by every hash shape: the row accumulator collects the
-  // running power over set bits, the power starting at a^startExponent and
-  // advancing by one multiply per position.
-  void walkBits(std::uint64_t startExponent, const util::DynBitset& bits);
-  // a^(position+1) * (coefficient mod p), added into the row accumulator.
-  void addTerm(std::uint64_t position, std::uint64_t coefficient);
-  void clearRow();
-  util::BigUInt rowValue();  // Converts the row accumulator out.
-  // a^exponent in-domain via the pinned-base window (built lazily on first
-  // use after a rebind, then shared by every pow until the index changes).
-  void powPinnedA(const util::BigUInt& exponent, util::MontgomeryValue& out);
-
-  Backend backend_ = Backend::kUnbound;
-  util::BigUInt p_;
-  std::uint64_t m_ = 0;
-  util::BigUInt aBound_;  // The currently pinned index, pre-reduction.
-  // kU64 backend.
-  std::uint64_t p64_ = 0;
-  std::uint64_t a64_ = 0;
-  std::uint64_t row64_ = 0;
-  std::uint64_t acc64_ = 0;
-  // kMontgomery backend.
-  std::shared_ptr<const util::MontgomeryContext> ctx_;
-  util::MontgomeryContext::Scratch scratch_;
-  util::MontgomeryValue aV_;
-  util::MontgomeryContext::PowWindow aWindow_;  // limbs == 0 until built.
-  util::MontgomeryValue powerV_;
-  util::MontgomeryValue coeffV_;
-  util::MontgomeryValue rowV_;
-  util::MontgomeryValue accV_;
-  util::BigUInt exponent_;  // Hoisted exponent / coefficient staging.
-  util::BigUInt coeffBig_;
-  // kPlain backend.
-  util::BigUInt aPlain_;
-  util::BigUInt powerPlain_;
-  util::BigUInt rowPlain_;
-  util::BigUInt accPlain_;
 };
 
 // Protocol 1's parameters: p prime in [10 n^3, 100 n^3], dimension n^2.

@@ -233,22 +233,6 @@ void MontgomeryContext::powValue(const MontgomeryValue& base, const BigUInt& exp
   powWithTable(scratch.table.data(), exponent, out);
 }
 
-void MontgomeryContext::prepareWindow(const MontgomeryValue& base, PowWindow& window,
-                                      Scratch& /*scratch*/) const {
-  window.table.resize(16 * numLimbs_);
-  buildWindowTable(base.limbs_.data(), 15, window.table.data());
-  window.limbs = numLimbs_;
-}
-
-void MontgomeryContext::powValueWindowed(const PowWindow& window,
-                                         const BigUInt& exponent, MontgomeryValue& out,
-                                         Scratch& /*scratch*/) const {
-  if (window.limbs != numLimbs_) {
-    throw std::logic_error("powValueWindowed: window not built for this context");
-  }
-  powWithTable(window.table.data(), exponent, out);
-}
-
 BigUInt MontgomeryContext::mulMod(const BigUInt& a, const BigUInt& b) const {
   thread_local Scratch scratch;
   thread_local MontgomeryValue bMont;

@@ -97,22 +97,6 @@ class MontgomeryContext {
   void powValue(const MontgomeryValue& base, const BigUInt& exponent,
                 MontgomeryValue& out, Scratch& scratch) const;
 
-  // Precomputed fixed-window table for a pinned base. powValue rebuilds its
-  // 16-entry power table on every call (15 multiplies); when the same base
-  // is raised to many exponents — the hash evaluators re-exponentiate the
-  // pinned index a across a whole trial batch — prepareWindow pays that
-  // build once and powValueWindowed runs just the ladder. Results are
-  // identical to powValue. A window is bound to the context (limb count)
-  // and base it was built from; rebuild it when either changes.
-  struct PowWindow {
-    std::vector<Limb> table;  // 16 * k limbs: Mont(base^w), w in [0, 16).
-    std::size_t limbs = 0;    // k at build time; 0 = unbuilt.
-  };
-  void prepareWindow(const MontgomeryValue& base, PowWindow& window,
-                     Scratch& scratch) const;
-  void powValueWindowed(const PowWindow& window, const BigUInt& exponent,
-                        MontgomeryValue& out, Scratch& scratch) const;
-
   // --- Raw-limb API ------------------------------------------------------
   //
   // One-off calls on flat numLimbs()-limb little-endian residues in

@@ -1,15 +1,14 @@
-// Randomized differential suite: the batch hash engine against the scalar
-// LinearHashEvaluator, the same oracle pattern as biguint_diff_test. Every
-// batch entry point runs seeded random (seed, input) matrices through both
-// engines and demands bit-identical results, across all three backends:
+// Randomized differential suite: the batch hash engine against the
+// reference LinearHashEvaluator of tests/linear_hash_ref, the same oracle
+// pattern as biguint_diff_test. Every batch entry point runs seeded random
+// (seed, input) matrices through both engines and demands bit-identical
+// results, on both backends:
 //   - kU64: random moduli anywhere below 2^64 (k = 1 limb);
 //   - kMontgomery: random ODD wider moduli at k = 2, 3, 4, 8 and 16 limbs —
 //     the fixed-k CIOS kernel widths — and at 5 and 17, which run the
 //     runtime-k instance (the context does not require primality, so no
-//     prime search in the hot test loop);
-//   - kPlain: random EVEN wider moduli (the placeholder-field backend).
-// The many-seeds path additionally sweeps every lane remainder around
-// kLanes so partial final blocks are exercised, not just full ones.
+//     prime search in the hot test loop).
+// An even modulus wider than 64 bits is rejected.
 //
 // The single-call forms (hashMatrixEntry, hashMatrixRow) and the
 // entry-series accumulator — the shapes behind sym_input's piecesFor
@@ -41,6 +40,7 @@
 #include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "hash/linear_hash.hpp"
+#include "linear_hash_ref.hpp"
 #include "net/spanning.hpp"
 #include "util/biguint.hpp"
 #include "util/bitset.hpp"
@@ -63,7 +63,8 @@ util::DynBitset randomBits(util::Rng& rng, std::size_t size) {
 }
 
 // A modulus of exactly `limbs` 64-bit limbs (top limb nonzero) with the
-// requested parity — wide enough to force the Montgomery/plain backends.
+// requested parity: odd ones run the Montgomery backend, even ones are
+// refused.
 util::BigUInt randomWideModulus(util::Rng& rng, std::size_t limbs, bool odd) {
   std::vector<std::uint64_t> words(limbs);
   for (auto& word : words) word = rng.nextU64();
@@ -155,16 +156,25 @@ TEST(batch_eval, MontgomeryMatrixRowsMatchScalarAllKernelWidths) {
   }
 }
 
-TEST(batch_eval, PlainBackendMatchesScalar) {
+TEST(batch_eval, EvenWideModulusIsRejected) {
+  // No prime is even and wider than 64 bits: rebind refuses such a p and
+  // leaves the evaluator bound to its previous field.
   util::Rng rng(0xBA7C4003ull);
   BatchLinearHashEvaluator batch;
   LinearHashEvaluator scalar;
-  for (int i = 0; i < 500; ++i) {
+  const util::BigUInt p{1009};
+  batch.rebind(p, 16, util::BigUInt{7});
+  scalar.rebind(p, 16, util::BigUInt{7});
+  util::DynBitset row(4);
+  row.set(1);
+  row.set(3);
+  for (int i = 0; i < 100; ++i) {
     const std::size_t k = 2 + rng.nextBelow(3);
-    const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/false);
-    const util::BigUInt a = randomBelow(rng, p, k);
-    runMatrixCase(rng, p, a, batch, scalar);
+    const util::BigUInt even = randomWideModulus(rng, k, /*odd=*/false);
+    EXPECT_THROW(batch.rebind(even, 16, randomBelow(rng, even, k)), std::invalid_argument);
+    EXPECT_THROW(scalar.rebind(even, 16, util::BigUInt{3}), std::invalid_argument);
   }
+  EXPECT_EQ(batch.hashMatrixRow(2, row, 4).toHex(), scalar.hashMatrixRow(2, row, 4).toHex());
 }
 
 // One differential case for the single-call forms and the entry-series
@@ -220,8 +230,7 @@ TEST(batch_eval, WideEntrySeriesMatchScalar) {
   LinearHashEvaluator scalar;
   for (int i = 0; i < 400; ++i) {
     const std::size_t k = 2 + rng.nextBelow(3);
-    // Alternate odd (Montgomery) and even (plain) wide moduli.
-    const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/(i % 2) == 0);
+    const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/true);
     const util::BigUInt a = randomBelow(rng, p, k);
     runEntryCase(rng, p, a, batch, scalar);
   }
@@ -316,87 +325,24 @@ TEST(batch_eval, HashBitsManyMatchesScalar) {
   }
 }
 
-TEST(batch_eval, ManySeedsCoversEveryLaneRemainder) {
-  util::Rng rng(0xBA7C4005ull);
-  LinearHashEvaluator scalar;
-  // Seed counts 1..2*kLanes+1: full lane blocks, the empty-tail boundary,
-  // and every partial final block width.
-  for (std::size_t seedCount = 1; seedCount <= 2 * BatchLinearHashEvaluator::kLanes + 1;
-       ++seedCount) {
-    for (int rep = 0; rep < 40; ++rep) {
-      std::uint64_t p = rng.nextU64();
-      if (p < 2) p = 2;
-      const std::uint64_t dim = 1 + rng.nextBelow(40);
-      const util::BigUInt pBig{p};
-      std::vector<util::BigUInt> seeds;
-      for (std::size_t j = 0; j < seedCount; ++j) {
-        seeds.push_back(util::BigUInt{rng.nextU64() % p});
-      }
-      const util::DynBitset input = randomBits(rng, 1 + rng.nextBelow(dim));
-      std::vector<util::BigUInt> got;
-      BatchLinearHashEvaluator::hashBitsManySeeds(pBig, dim, seeds, input, got);
-      ASSERT_EQ(got.size(), seedCount);
-      for (std::size_t j = 0; j < seedCount; ++j) {
-        scalar.rebind(pBig, dim, seeds[j]);
-        EXPECT_EQ(got[j].toHex(), scalar.hashBits(input).toHex())
-            << "seedCount=" << seedCount << " lane " << j;
-      }
-    }
-  }
-}
-
-TEST(batch_eval, ManySeedsWideFieldFallbackMatchesScalar) {
-  util::Rng rng(0xBA7C4006ull);
-  LinearHashEvaluator scalar;
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t k = 2 + rng.nextBelow(3);
-    const util::BigUInt p = randomWideModulus(rng, k, /*odd=*/true);
-    const std::uint64_t dim = 1 + rng.nextBelow(30);
-    const std::size_t seedCount = 1 + rng.nextBelow(11);
-    std::vector<util::BigUInt> seeds;
-    for (std::size_t j = 0; j < seedCount; ++j) {
-      seeds.push_back(randomBelow(rng, p, k));
-    }
-    const util::DynBitset input = randomBits(rng, 1 + rng.nextBelow(dim));
-    std::vector<util::BigUInt> got;
-    BatchLinearHashEvaluator::hashBitsManySeeds(p, dim, seeds, input, got);
-    ASSERT_EQ(got.size(), seedCount);
-    for (std::size_t j = 0; j < seedCount; ++j) {
-      scalar.rebind(p, dim, seeds[j]);
-      EXPECT_EQ(got[j].toHex(), scalar.hashBits(input).toHex());
-    }
-  }
-}
-
 TEST(batch_eval, RebindAcrossBackendsKeepsValuesRight) {
-  // Alternating u64 / Montgomery / plain rebinds on ONE evaluator: stale
-  // table state from a previous backend must never leak into the next.
+  // Alternating u64 / Montgomery rebinds on ONE evaluator: stale table
+  // state from a previous backend must never leak into the next.
   util::Rng rng(0xBA7C4007ull);
   BatchLinearHashEvaluator batch;
   LinearHashEvaluator scalar;
   for (int i = 0; i < 300; ++i) {
     util::BigUInt p;
     util::BigUInt a;
-    switch (i % 3) {
-      case 0: {
-        std::uint64_t p64 = rng.nextU64();
-        if (p64 < 2) p64 = 2;
-        p = util::BigUInt{p64};
-        a = util::BigUInt{rng.nextU64() % p64};
-        break;
-      }
-      case 1: {
-        const std::size_t k = 2 + rng.nextBelow(3);
-        p = randomWideModulus(rng, k, /*odd=*/true);
-        a = randomBelow(rng, p, k);
-        break;
-      }
-      default: {
-        const std::size_t k = 2 + rng.nextBelow(3);
-        p = randomWideModulus(rng, k, /*odd=*/false);
-        a = randomBelow(rng, p, k);
-        break;
-      }
+    if (i % 2 == 0) {
+      std::uint64_t p64 = rng.nextU64();
+      if (p64 < 2) p64 = 2;
+      p = util::BigUInt{p64};
+      a = util::BigUInt{rng.nextU64() % p64};
+    } else {
+      const std::size_t k = 2 + rng.nextBelow(3);
+      p = randomWideModulus(rng, k, /*odd=*/true);
+      a = randomBelow(rng, p, k);
     }
     runMatrixCase(rng, p, a, batch, scalar);
   }

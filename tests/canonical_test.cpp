@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "canonical_ref.hpp"
 #include "graph/canonical.hpp"
 #include "graph/generators.hpp"
 #include "graph/isomorphism.hpp"

@@ -7,10 +7,12 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "core/gni_general.hpp"
 #include "graph/generators.hpp"
 #include "graph/isomorphism.hpp"
+#include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
 namespace dip::core {
@@ -59,6 +61,19 @@ TEST_F(GniGeneralTest, ParameterDerivation) {
   EXPECT_GT(params_->repetitions, 0u);
   // The GS hash covers (2n x 2n) matrices.
   EXPECT_EQ(params_->gsHash.n(), 12u);
+}
+
+TEST_F(GniGeneralTest, ParametersRefuseSizesTheSearchCannotHold) {
+  // The hash is over 2n x 2n matrices: n = 15 gives a 61-bit field, which
+  // the lane walk takes, and n = 16 would need 67 bits (P > 2^63); choose
+  // refuses it before any prime search.
+  Rng rng(179);
+  const GniGeneralParams largest = GniGeneralParams::choose(15, rng);
+  EXPECT_EQ(largest.gsHash.fieldPrime().bitLength(), 61u);
+  EXPECT_TRUE(laneWalkSupports(largest.gsHash, 15));
+  EXPECT_EQ(hash::EpsApiHash::fieldBits(32, util::factorial(16).bitLength() + 2), 67u);
+  EXPECT_THROW(GniGeneralParams::choose(16, rng), std::invalid_argument);
+  EXPECT_THROW(GniGeneralParams::choose(40, rng), std::invalid_argument);
 }
 
 TEST_F(GniGeneralTest, PerRoundGapSurvivesSymmetricInputs) {

@@ -1,14 +1,15 @@
 // Differential tests for the honest GNI provers' preimage search
 // (core/gni_search): the lane walk must return, lane by lane, the same
 // first hit (sigma, alpha, b) — or the same miss — as the BigUInt
-// per-repetition search (searchGsPreimagesPerRepetition), for every lane
-// count and both lane kernels.
+// per-repetition search of tests/gni_search_ref, for every lane count and
+// both lane kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/gni_general.hpp"
 #include "core/gni_search.hpp"
+#include "gni_search_ref.hpp"
 #include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
 #include "util/rng.hpp"
@@ -371,7 +372,7 @@ TEST(gni_search, PrimesAboveTwoToTheThirtyOneTakeSixtyFourBitLanes) {
   expectBothFormsMatchAt(util::BigUInt{(std::uint64_t{1} << 32) - 5}, 30, 31, 64, rng);
 }
 
-TEST(gni_search, WideFieldTakesTheBigUIntPath) {
+TEST(gni_search, WideFieldIsRefused) {
   // 50 output bits over 6 x 6 matrices: P has 50 + 2*3 + 7 + 1 = 64 bits, so
   // it fits a u64 but not the walk's carry-free P < 2^63.
   Rng rng(807);
@@ -383,27 +384,21 @@ TEST(gni_search, WideFieldTakesTheBigUIntPath) {
   const hash::EpsApiHash wider = hash::EpsApiHash::create(6, 60, rng);
   EXPECT_FALSE(wider.fieldPrime().fitsU64());
   EXPECT_FALSE(laneWalkSupports(wider, 6));
+  // The same P > 2^63 under a 20-bit outer layer: the field alone refuses.
+  const hash::EpsApiHash narrowOutput = hash::EpsApiHash::withPrime(6, 20, wide.fieldPrime());
+  EXPECT_FALSE(laneWalkSupports(narrowOutput, 6));
 
   Rng setup(808);
   EXPECT_TRUE(laneWalkSupports(GniParams::choose(6, setup).gsHash, 6));
 
-  // The wide field finds exactly the per-repetition answer: a planted b = 0
-  // candidate early in lex order.
   const GniInstance instance = gniYesInstance(6, rng);
-  GniChallenge target;
-  target.seed = wide.randomSeed(rng);
-  Candidate planted;
-  planted.sigma = {0, 1, 2, 5, 3, 4};
-  target.y = hashOf(instance, wide, target.seed, planted, nullptr);
-
-  const GsSearchResult found = searchGsPreimages(instance, wide, std::span(&target, 1));
-  const GsSearchResult reference =
-      searchGsPreimagesPerRepetition(instance, wide, std::span(&target, 1));
-  ASSERT_TRUE(found.front().has_value());
-  ASSERT_TRUE(reference.front().has_value());
-  EXPECT_EQ(found.front()->sigma, planted.sigma);
-  EXPECT_EQ(found.front()->sigma, reference.front()->sigma);
-  EXPECT_EQ(found.front()->b, 0u);
+  for (const hash::EpsApiHash* refused : {&wide, &wider, &narrowOutput}) {
+    GniChallenge target;
+    target.seed = refused->randomSeed(rng);
+    EXPECT_THROW(searchGsPreimages(instance, *refused, std::span(&target, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(searchGsPreimages(instance, *refused, {}), std::invalid_argument);
+  }
 }
 
 TEST(gni_search, RejectsMismatchedInputs) {

@@ -5,11 +5,14 @@
 #include <cmath>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/gni_amam.hpp"
+#include "core/gni_search.hpp"
 #include "graph/generators.hpp"
 #include "graph/isomorphism.hpp"
 #include "pls/gni_fullinfo.hpp"
+#include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
 namespace dip::core {
@@ -48,6 +51,18 @@ TEST_F(GniTest, ParameterDerivation) {
   EXPECT_LT(util::binomialTailGE(params.repetitions, params.perRoundNoUb,
                                  params.threshold),
             1.0 / 3.0);
+}
+
+TEST_F(GniTest, ParametersRefuseSizesTheSearchCannotHold) {
+  // n = 15: a 59-bit field, which the lane walk takes. n = 16 would need 65
+  // bits (P > 2^63); choose refuses it before any prime search.
+  Rng rng(159);
+  const GniParams largest = GniParams::choose(15, rng);
+  EXPECT_EQ(largest.gsHash.fieldPrime().bitLength(), 59u);
+  EXPECT_TRUE(laneWalkSupports(largest.gsHash, 15));
+  EXPECT_EQ(hash::EpsApiHash::fieldBits(16, util::factorial(16).bitLength() + 2), 65u);
+  EXPECT_THROW(GniParams::choose(16, rng), std::invalid_argument);
+  EXPECT_THROW(GniParams::choose(40, rng), std::invalid_argument);
 }
 
 TEST_F(GniTest, InstanceGenerators) {

@@ -1,10 +1,18 @@
 // Tests for the hashing substrate: the linear family of Theorem 3.2 and the
-// distributed eps-almost-pairwise-independent hash of Section 4.
+// distributed eps-almost-pairwise-independent hash of Section 4. Row and
+// entry hashes come from the batch engine; sparse vectors, which only the
+// reference evaluator of tests/linear_hash_ref hashes, check them.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <utility>
+
 #include "graph/generators.hpp"
+#include "hash/batch_eval.hpp"
 #include "hash/eps_api.hpp"
 #include "hash/linear_hash.hpp"
+#include "linear_hash_ref.hpp"
 #include "util/bitio.hpp"
 #include "util/mathutil.hpp"
 #include "util/primes.hpp"
@@ -21,6 +29,18 @@ LinearHashFamily smallFamily(std::uint64_t p, std::uint64_t n) {
   return LinearHashFamily(BigUInt{p}, n * n);
 }
 
+BigUInt hashSparse(const LinearHashFamily& family, const BigUInt& a,
+                   std::span<const std::pair<std::uint64_t, std::uint64_t>> entries) {
+  return LinearHashEvaluator(family, a).hashSparse(entries);
+}
+
+BigUInt hashMatrixRow(const LinearHashFamily& family, const BigUInt& a,
+                      std::uint64_t rowIndex, const DynBitset& row, std::uint64_t n) {
+  BatchLinearHashEvaluator batch;
+  batch.rebind(family, a);
+  return batch.hashMatrixRow(rowIndex, row, n);
+}
+
 TEST(LinearHash, Linearity) {
   // Theorem 3.2 property (1): h(x + x') = h(x) + h(x') — verified on
   // disjoint matrix rows, which is exactly how the protocols use it.
@@ -35,10 +55,10 @@ TEST(LinearHash, Linearity) {
   for (graph::Vertex v = 0; v < n; ++v) {
     DynBitset closed = g.closedRow(v);
     sumOfRowHashes =
-        util::addMod(sumOfRowHashes, family.hashMatrixRow(a, v, closed, n), family.prime());
+        util::addMod(sumOfRowHashes, hashMatrixRow(family, a, v, closed, n), family.prime());
     closed.forEachSet([&](std::size_t w) { allEntries.push_back({v * n + w, 1}); });
   }
-  EXPECT_EQ(family.hashSparse(a, allEntries), sumOfRowHashes);
+  EXPECT_EQ(hashSparse(family, a, allEntries), sumOfRowHashes);
 }
 
 TEST(LinearHash, RowHashMatchesSparseHash) {
@@ -52,7 +72,7 @@ TEST(LinearHash, RowHashMatchesSparseHash) {
   BigUInt a{1234};
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries{
       {2 * n + 0, 1}, {2 * n + 3, 1}, {2 * n + 5, 1}};
-  EXPECT_EQ(family.hashMatrixRow(a, 2, row, n), family.hashSparse(a, entries));
+  EXPECT_EQ(hashMatrixRow(family, a, 2, row, n), hashSparse(family, a, entries));
 }
 
 TEST(LinearHash, MatrixEntryWithCoefficient) {
@@ -62,7 +82,21 @@ TEST(LinearHash, MatrixEntryWithCoefficient) {
   // coefficient * a^(position+1) mod p, position = 3*n+2 = 17.
   BigUInt expect = util::mulMod(util::powMod(a, BigUInt{18}, family.prime()),
                                 BigUInt{4}, family.prime());
-  EXPECT_EQ(family.hashMatrixEntry(a, 3, 2, 4, n), expect);
+  BatchLinearHashEvaluator batch;
+  batch.rebind(family, a);
+  EXPECT_EQ(batch.hashMatrixEntry(3, 2, 4, n), expect);
+}
+
+TEST(LinearHash, RejectsEvenModulusAboveTwoToTheSixtyFour) {
+  // An even p >= 2^64 is not prime and no evaluator backend serves it; p = 2
+  // (the default family's) fits the u64 backend.
+  const BigUInt even = (BigUInt{1} << 64) + BigUInt{2};
+  EXPECT_THROW(LinearHashFamily(even, 4), std::invalid_argument);
+  EXPECT_THROW(LinearHashFamily(BigUInt{1}, 4), std::invalid_argument);
+  const LinearHashFamily placeholder;
+  DynBitset row(1);
+  row.set(0);
+  EXPECT_EQ(hashMatrixRow(placeholder, BigUInt{1}, 0, row, 1), BigUInt{1});
 }
 
 TEST(LinearHash, EmpiricalCollisionRateWithinBound) {
@@ -80,7 +114,7 @@ TEST(LinearHash, EmpiricalCollisionRateWithinBound) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> x2{{rng.nextBelow(m), 1}};
     if (x1 == x2) continue;
     BigUInt a = family.randomIndex(rng);
-    if (family.hashSparse(a, x1) == family.hashSparse(a, x2)) ++collisions;
+    if (hashSparse(family, a, x1) == hashSparse(family, a, x2)) ++collisions;
   }
   double rate = static_cast<double>(collisions) / trials;
   EXPECT_LE(rate, family.collisionBound() * 2.0 + 0.005);
@@ -129,11 +163,11 @@ TEST(LinearHash, DistinctMatricesRarelyCollideUnderProtocolFamilies) {
     BigUInt a = family.randomIndex(rng);
     BigUInt lhs, rhs;
     for (graph::Vertex v = 0; v < n; ++v) {
-      lhs = util::addMod(lhs, family.hashMatrixRow(a, v, g.closedRow(v), n),
+      lhs = util::addMod(lhs, hashMatrixRow(family, a, v, g.closedRow(v), n),
                          family.prime());
       rhs = util::addMod(
           rhs,
-          family.hashMatrixRow(a, rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n),
+          hashMatrixRow(family, a, rho[v], graph::Graph::imageOf(g.closedRow(v), rho), n),
           family.prime());
     }
     if (lhs == rhs) ++collisions;
@@ -167,26 +201,12 @@ TEST(EpsApi, TreeCombineMatchesDirectHash) {
   std::vector<DynBitset> rows;
   for (graph::Vertex v = 0; v < n; ++v) rows.push_back(g.closedRow(v));
 
+  LinearHashEvaluator inner(h.inner(), seed.a);
   BigUInt combined;
   for (graph::Vertex v = 0; v < n; ++v) {
-    combined = h.combine(combined, h.innerRow(seed, v, rows[v]));
+    combined = h.combine(combined, inner.hashMatrixRow(v, rows[v], n));
   }
   EXPECT_EQ(h.outer(seed, combined), h.hashRows(seed, rows));
-}
-
-TEST(EpsApi, PreparedPowersMatchDirect) {
-  Rng rng(69);
-  const std::size_t n = 6;
-  EpsApiHash h = EpsApiHash::create(n, 11, rng);
-  EpsApiHash::Seed seed = h.randomSeed(rng);
-  EpsApiHash::PowerTable table = h.preparePowers(seed);
-  graph::Graph g = graph::randomConnected(n, 4, rng);
-  std::vector<DynBitset> rows;
-  for (graph::Vertex v = 0; v < n; ++v) rows.push_back(g.closedRow(v));
-  EXPECT_EQ(h.hashRowsPrepared(seed, table, rows), h.hashRows(seed, rows));
-  for (graph::Vertex v = 0; v < n; ++v) {
-    EXPECT_EQ(h.innerRowPrepared(table, v, rows[v]), h.innerRow(seed, v, rows[v]));
-  }
 }
 
 TEST(EpsApi, OutputsInRange) {

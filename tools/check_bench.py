@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""CI gate for the benchmark JSON documents: flag regressions.
+"""CI gate for the committed benchmark documents: flag regressions.
 
-Compares a fresh --json run against its committed baseline. The document's
-"benchmark" field selects the rule set:
+Compares a fresh --json run against its committed baseline. The baseline's
+"benchmark" field selects the check, and the current run must carry the
+same field (a wrong file pairing is refused):
 
 bench_throughput (BENCH_throughput.json)
     Digests are machine-independent and must match the baseline EXACTLY — a
@@ -23,11 +24,19 @@ bench_e16_distributed (BENCH_distributed.json)
     scaling_vs_1 ratio (again dimensionless) must stay at or above the
     baseline row's committed min_scaling floor.
 
-In both modes a baseline row missing from the current run is a failure —
+bench_e15_dryrun (BENCH_memory.json)
+    The CSR graph engine's bytes-per-node budget. Rows are keyed by
+    (family, n). The report is fully deterministic (fixed seeds, no timing),
+    so there is no tolerance band: a row fails when its bytesPerNode exceeds
+    the committed "ceiling" of its "maxBytesPerNode" entry, and the ceilings
+    carry the headroom explicitly.
+
+In every mode a baseline row missing from the current run is a failure —
 silently dropping a cell is how coverage rots.
 
-Usage: check_throughput.py BASELINE.json CURRENT.json
-Exit 0 when every cell is within tolerance, 1 otherwise.
+Usage: check_bench.py BASELINE.json CURRENT.json
+Exit 0 when every row is present and within its bound, 1 on a regression,
+2 on a refused pairing.
 """
 import json
 import sys
@@ -40,20 +49,10 @@ def load_doc(path):
         return json.load(handle)
 
 
-def row_key(doc, cell):
-    if doc.get("benchmark") == "bench_e16_distributed":
-        return (cell["protocol"], int(cell["workers"]))
-    return cell["protocol"]
-
-
 def key_str(key):
     if isinstance(key, tuple):
-        return f"{key[0]} @ {key[1]}w"
+        return f"{key[0]} @ {key[1]}"
     return key
-
-
-def load_cells(doc):
-    return {row_key(doc, cell): cell for cell in doc["cells"]}
 
 
 def check_digest(key, base, cur, failed):
@@ -101,14 +100,49 @@ def check_distributed(key, base, cur, failed):
         )
 
 
+def check_memory(key, base, cur, failed):
+    measured = float(cur["bytesPerNode"])
+    ceiling = float(base["ceiling"])
+    status = "ok" if measured <= ceiling else "OVER BUDGET"
+    print(f"{key_str(key):18s}  {measured:6.2f} B/node  ceiling {ceiling:6.2f}  {status}")
+    if measured > ceiling:
+        failed.append(f"{key_str(key)}: {measured:.3f} B/node exceeds ceiling {ceiling:.3f}")
+
+
+# benchmark field -> (baseline rows, current rows, row key, check).
+CHECKS = {
+    "bench_throughput": (
+        lambda doc: doc["cells"],
+        lambda doc: doc["cells"],
+        lambda row: row["protocol"],
+        check_throughput,
+    ),
+    "bench_e16_distributed": (
+        lambda doc: doc["cells"],
+        lambda doc: doc["cells"],
+        lambda row: (row["protocol"], f"{int(row['workers'])}w"),
+        check_distributed,
+    ),
+    "bench_e15_dryrun": (
+        lambda doc: doc["maxBytesPerNode"],
+        lambda doc: doc["rows"],
+        lambda row: (row["family"], int(row["n"])),
+        check_memory,
+    ),
+}
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     base_doc = load_doc(argv[1])
     cur_doc = load_doc(argv[2])
-    kind = base_doc.get("benchmark", "bench_throughput")
-    if cur_doc.get("benchmark", "bench_throughput") != kind:
+    kind = base_doc.get("benchmark")
+    if kind not in CHECKS:
+        print(f"baseline names no known benchmark ({kind!r})", file=sys.stderr)
+        return 2
+    if cur_doc.get("benchmark") != kind:
         print(
             f"baseline is {kind} but current run is "
             f"{cur_doc.get('benchmark')!r} — wrong file pairing",
@@ -122,26 +156,27 @@ def main(argv):
             file=sys.stderr,
         )
         return 2
-    baseline = load_cells(base_doc)
-    current = load_cells(cur_doc)
-    check = check_distributed if kind == "bench_e16_distributed" else check_throughput
+    base_rows, cur_rows, row_key, check = CHECKS[kind]
+    baseline = {row_key(row): row for row in base_rows(base_doc)}
+    current = {row_key(row): row for row in cur_rows(cur_doc)}
 
     failed = []
     for key, base in sorted(baseline.items()):
         cur = current.get(key)
         if cur is None:
+            print(f"{key_str(key):18s}  MISSING from current run")
             failed.append(f"{key_str(key)}: missing from current run")
             continue
         check(key, base, cur, failed)
     for key in sorted(set(current) - set(baseline)):
-        print(f"{key_str(key):18s}  new cell (not in baseline) — add it to the baseline")
+        print(f"{key_str(key):18s}  new row (not in baseline) — add it to the baseline")
 
     if failed:
         print(f"\n{kind} regression gate FAILED:", file=sys.stderr)
         for line in failed:
             print(f"  - {line}", file=sys.stderr)
         return 1
-    print(f"\n{kind} regression gate passed.")
+    print(f"\n{kind} regression gate passed ({len(baseline)} rows).")
     return 0
 
 
