@@ -27,6 +27,8 @@
 using namespace dip;
 
 static void BM_BigUIntMulMod(benchmark::State& state) {
+  // Free util::mulMod on a prime field: one 128-bit product and remainder up
+  // to 64 bits, schoolbook multiply plus Knuth division above.
   util::Rng rng(1);
   std::size_t bits = static_cast<std::size_t>(state.range(0));
   util::BigUInt m = util::findPrimeWithBits(bits, rng);
@@ -61,17 +63,15 @@ static util::BigUInt randomOddModulus(util::Rng& rng, std::size_t bits) {
 }
 
 static void BM_BigMul(benchmark::State& state) {
-  // Plain product through the allocation-free mulInto entry point:
-  // schoolbook below kKaratsubaThresholdLimbs, Karatsuba above (4096-bit
-  // operands are 64 limbs, well past the threshold).
+  // Plain schoolbook product through the allocation-free mulInto entry
+  // point (4096-bit operands are 64 limbs).
   util::Rng rng(20);
   std::size_t bits = static_cast<std::size_t>(state.range(0));
   util::BigUInt a = rng.nextBigBits(bits);
   util::BigUInt b = rng.nextBigBits(bits);
   util::BigUInt out;
-  std::vector<util::BigUInt::Limb> scratch;
   for (auto _ : state) {
-    util::BigUInt::mulInto(a, b, out, scratch);
+    util::BigUInt::mulInto(a, b, out);
     benchmark::DoNotOptimize(out);
   }
 }

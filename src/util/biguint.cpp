@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/montgomery.hpp"
 
@@ -53,11 +54,6 @@ Limb addRaw(Limb* dst, std::size_t dstLen, const Limb* src, std::size_t srcLen) 
   return carry;
 }
 
-// dst[0..dstLen) += src[0..srcLen) where the sum is known to fit dstLen limbs.
-void addRawAt(Limb* dst, std::size_t dstLen, const Limb* src, std::size_t srcLen) {
-  addRaw(dst, dstLen, src, srcLen);
-}
-
 // dst[0..dstLen) -= src[0..srcLen); requires dst >= src as numbers.
 void subRaw(Limb* dst, std::size_t dstLen, const Limb* src, std::size_t srcLen) {
   Limb borrow = 0;
@@ -77,9 +73,14 @@ void subRaw(Limb* dst, std::size_t dstLen, const Limb* src, std::size_t srcLen) 
   }
 }
 
-// out[0..an+bn) = a * b, schoolbook. Overwrites out.
+// out[0..an+bn) = a * b, schoolbook, the longer operand in the outer loop.
+// Overwrites out.
 void mulSchoolbookRaw(const Limb* a, std::size_t an, const Limb* b, std::size_t bn,
                       Limb* out) {
+  if (an < bn) {
+    std::swap(a, b);
+    std::swap(an, bn);
+  }
   std::fill(out, out + an + bn, 0);
   for (std::size_t i = 0; i < an; ++i) {
     Limb ai = a[i];
@@ -91,87 +92,6 @@ void mulSchoolbookRaw(const Limb* a, std::size_t an, const Limb* b, std::size_t 
       carry = static_cast<Limb>(cur >> kLimbBits);
     }
     out[i + bn] = carry;
-  }
-}
-
-// out[0..2n) = a * b for equal-length operands; scratch must provide
-// karatsubaScratchLimbs(n) limbs. Overwrites out.
-void karatsubaEqualRaw(const Limb* a, const Limb* b, std::size_t n, Limb* out,
-                       Limb* scratch) {
-  if (n < BigUInt::kKaratsubaThresholdLimbs) {
-    mulSchoolbookRaw(a, n, b, n, out);
-    return;
-  }
-  const std::size_t lo = n / 2;
-  const std::size_t hi = n - lo;
-  // z0 = a0*b0 and z2 = a1*b1 land in disjoint halves of out.
-  karatsubaEqualRaw(a, b, lo, out, scratch);
-  karatsubaEqualRaw(a + lo, b + lo, hi, out + 2 * lo, scratch);
-  Limb* asum = scratch;
-  Limb* bsum = asum + (hi + 1);
-  Limb* prod = bsum + (hi + 1);
-  Limb* rest = prod + 2 * (hi + 1);
-  std::copy(a + lo, a + n, asum);
-  asum[hi] = addRaw(asum, hi, a, lo);
-  std::copy(b + lo, b + n, bsum);
-  bsum[hi] = addRaw(bsum, hi, b, lo);
-  karatsubaEqualRaw(asum, bsum, hi + 1, prod, rest);
-  // z1 = (a0+a1)(b0+b1) - z0 - z2 = a0*b1 + a1*b0, added at offset lo. Limbs
-  // of prod beyond 2n - lo are provably zero (z1 < 2*B^n), so clamping the
-  // add length is safe.
-  subRaw(prod, 2 * (hi + 1), out, 2 * lo);
-  subRaw(prod, 2 * (hi + 1), out + 2 * lo, 2 * hi);
-  addRawAt(out + lo, 2 * n - lo, prod, std::min(2 * (hi + 1), 2 * n - lo));
-}
-
-std::size_t karatsubaScratchLimbs(std::size_t n) {
-  std::size_t total = 0;
-  while (n >= BigUInt::kKaratsubaThresholdLimbs) {
-    std::size_t hi = n - n / 2;
-    total += 4 * (hi + 1);
-    n = hi + 1;
-  }
-  return total;
-}
-
-std::size_t mulScratchLimbs(std::size_t an, std::size_t bn) {
-  if (an < bn) std::swap(an, bn);
-  if (bn < BigUInt::kKaratsubaThresholdLimbs) return 0;
-  if (an == bn) return karatsubaScratchLimbs(an);
-  std::size_t rec = karatsubaScratchLimbs(bn);
-  std::size_t tail = an % bn;
-  if (tail != 0) rec = std::max(rec, mulScratchLimbs(bn, tail));
-  return 2 * bn + rec;
-}
-
-// out[0..an+bn) = a * b; dispatches schoolbook / Karatsuba / chopped
-// Karatsuba for unbalanced operands. Overwrites out.
-void mulRaw(const Limb* a, std::size_t an, const Limb* b, std::size_t bn, Limb* out,
-            Limb* scratch) {
-  if (an < bn) {
-    std::swap(a, b);
-    std::swap(an, bn);
-  }
-  if (bn < BigUInt::kKaratsubaThresholdLimbs) {
-    mulSchoolbookRaw(a, an, b, bn, out);
-    return;
-  }
-  if (an == bn) {
-    karatsubaEqualRaw(a, b, an, out, scratch);
-    return;
-  }
-  // Chop the longer operand into bn-limb blocks, each multiplied balanced.
-  std::fill(out, out + an + bn, 0);
-  Limb* temp = scratch;
-  Limb* rest = scratch + 2 * bn;
-  for (std::size_t offset = 0; offset < an; offset += bn) {
-    std::size_t blockLen = std::min(bn, an - offset);
-    if (blockLen == bn) {
-      karatsubaEqualRaw(a + offset, b, bn, temp, rest);
-    } else {
-      mulRaw(a + offset, blockLen, b, bn, temp, rest);
-    }
-    addRawAt(out + offset, an + bn - offset, temp, blockLen + bn);
   }
 }
 
@@ -351,8 +271,7 @@ BigUInt& BigUInt::operator-=(const BigUInt& rhs) {
   return *this;
 }
 
-void BigUInt::mulInto(const BigUInt& lhs, const BigUInt& rhs, BigUInt& out,
-                      std::vector<Limb>& scratch) {
+void BigUInt::mulInto(const BigUInt& lhs, const BigUInt& rhs, BigUInt& out) {
   if (&out == &lhs || &out == &rhs) {
     out = lhs * rhs;
     return;
@@ -363,18 +282,14 @@ void BigUInt::mulInto(const BigUInt& lhs, const BigUInt& rhs, BigUInt& out,
   }
   const std::size_t an = lhs.limbs_.size();
   const std::size_t bn = rhs.limbs_.size();
-  std::size_t need = mulScratchLimbs(an, bn);
-  if (scratch.size() < need) scratch.resize(need);
   out.limbs_.resize(an + bn);
-  mulRaw(lhs.limbs_.data(), an, rhs.limbs_.data(), bn, out.limbs_.data(),
-         scratch.data());
+  mulSchoolbookRaw(lhs.limbs_.data(), an, rhs.limbs_.data(), bn, out.limbs_.data());
   out.normalize();
 }
 
 BigUInt operator*(const BigUInt& lhs, const BigUInt& rhs) {
   BigUInt out;
-  std::vector<BigUInt::Limb> scratch;
-  BigUInt::mulInto(lhs, rhs, out, scratch);
+  BigUInt::mulInto(lhs, rhs, out);
   return out;
 }
 
@@ -560,22 +475,12 @@ void addModInPlace(BigUInt& acc, const BigUInt& term, const BigUInt& m) {
   if (acc >= m) acc -= m;
 }
 
-BigUInt subMod(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
-  if (a >= b) return a - b;
-  return a + m - b;
-}
-
 BigUInt mulMod(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
   if (m.isZero()) throw std::domain_error("mulMod: zero modulus");
   if (m.fitsU64() && a.fitsU64() && b.fitsU64()) {
     __extension__ using U128 = unsigned __int128;
     U128 product = static_cast<U128>(a.toU64()) * b.toU64();
     return BigUInt{static_cast<std::uint64_t>(product % m.toU64())};
-  }
-  if (m.isOdd()) {
-    // Two REDC passes via the memoized context beat a Karatsuba multiply
-    // followed by Knuth-D division.
-    return cachedMontgomeryContext(m)->mulMod(a, b);
   }
   return (a * b) % m;
 }
@@ -599,8 +504,8 @@ BigUInt powMod(const BigUInt& base, const BigUInt& exponent, const BigUInt& m) {
     }
     return BigUInt{result};
   }
-  if (m.isOdd()) return cachedMontgomeryContext(m)->powMod(base, exponent);
-  return BarrettContext(m).powMod(base, exponent);
+  if (!m.isOdd()) throw std::invalid_argument("powMod: even modulus wider than 64 bits");
+  return cachedMontgomeryContext(m)->powMod(base, exponent);
 }
 
 }  // namespace dip::util

@@ -14,10 +14,9 @@
 // u64 fields and Protocol 2's 78-bit field at n = 16 -- is built, copied and
 // destroyed without touching the heap; wider values move to one heap block
 // that copy-assignment reuses. sizeof(BigUInt) is 32 bytes. Products use
-// unsigned __int128 double-limbs. Multiplication is schoolbook below
-// kKaratsubaThresholdLimbs and Karatsuba above it. The frozen seed
-// implementation lives on as BigUIntRef in tests/, the differential-test
-// oracle for this engine.
+// unsigned __int128 double-limbs and are always schoolbook: the widest field
+// any workload runs is two limbs. The frozen seed implementation lives on as
+// BigUIntRef in tests/, the differential-test oracle for this engine.
 #pragma once
 
 #include <compare>
@@ -25,7 +24,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/limb_buffer.hpp"
 
@@ -41,11 +39,6 @@ class BigUInt {
   using Limb = detail::LimbBuffer::Limb;
   __extension__ using DLimb = unsigned __int128;
   static constexpr unsigned kLimbBits = 64;
-
-  // Operands with at least this many limbs on both sides go through
-  // Karatsuba; below it schoolbook wins (tuned on the 1-CPU bench container;
-  // boundary behavior is pinned by tests/biguint_diff_test.cpp).
-  static constexpr std::size_t kKaratsubaThresholdLimbs = 24;
 
   BigUInt() = default;
   BigUInt(std::uint64_t value) {  // NOLINT(google-explicit-constructor)
@@ -106,12 +99,10 @@ class BigUInt {
   friend BigUInt operator<<(BigUInt lhs, std::size_t bits) { return lhs <<= bits; }
   friend BigUInt operator>>(BigUInt lhs, std::size_t bits) { return lhs >>= bits; }
 
-  // out = lhs * rhs without touching the heap once out and scratch have
-  // warmed up to the working size. out must not alias lhs or rhs (falls back
-  // to an allocating multiply if it does). scratch is resized as needed and
-  // can be shared across calls of any size.
-  static void mulInto(const BigUInt& lhs, const BigUInt& rhs, BigUInt& out,
-                      std::vector<Limb>& scratch);
+  // out = lhs * rhs without touching the heap once out has warmed up to the
+  // working size. out must not alias lhs or rhs (falls back to an allocating
+  // multiply if it does).
+  static void mulInto(const BigUInt& lhs, const BigUInt& rhs, BigUInt& out);
 
   // Fast path: remainder by a non-zero 32-bit modulus.
   std::uint32_t modU32(std::uint32_t modulus) const;
@@ -122,7 +113,7 @@ class BigUInt {
   // Raises base to the given (machine-word) exponent; no modulus.
   static BigUInt pow(const BigUInt& base, std::uint64_t exponent);
 
-  // The native limbs, little-endian (for Montgomery/Barrett kernels).
+  // The native limbs, little-endian (for the Montgomery kernels and the codec).
   std::span<const Limb> words() const { return {limbs_.data(), limbs_.size()}; }
   // The value of little-endian limbs; trailing zero limbs are allowed.
   static BigUInt fromWords(std::span<const Limb> words);
@@ -168,12 +159,12 @@ BigUInt addMod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
 // form reuses acc's limb storage — the protocols' per-node chain folds call
 // this thousands of times per trial, so the temporary-free variant matters.
 void addModInPlace(BigUInt& acc, const BigUInt& term, const BigUInt& m);
-// (a - b) mod m. Requires a, b < m.
-BigUInt subMod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-// (a * b) mod m. Requires m != 0. Has a 64-bit fast path when m fits a word.
+// (a * b) mod m. Requires m != 0. Has a 64-bit fast path when m and both
+// operands fit a word; otherwise multiplies and divides.
 BigUInt mulMod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-// (base ^ exponent) mod m. Requires m != 0. Dispatches to a word-sized fast
-// path, Montgomery (odd m) or Barrett (even m) — see montgomery.hpp.
+// (base ^ exponent) mod m. Requires m != 0. A u64 ladder when m fits a word,
+// otherwise the memoized Montgomery context (montgomery.hpp); throws
+// std::invalid_argument for an even m >= 2^64, which no field needs.
 BigUInt powMod(const BigUInt& base, const BigUInt& exponent, const BigUInt& m);
 
 }  // namespace dip::util

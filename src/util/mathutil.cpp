@@ -1,20 +1,8 @@
 #include "util/mathutil.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace dip::util {
-
-unsigned floorLog2(std::uint64_t value) {
-  if (value == 0) throw std::invalid_argument("floorLog2: zero");
-  return 63u - static_cast<unsigned>(__builtin_clzll(value));
-}
-
-unsigned ceilLog2(std::uint64_t value) {
-  if (value == 0) throw std::invalid_argument("ceilLog2: zero");
-  unsigned floorBits = floorLog2(value);
-  return ((value & (value - 1)) == 0) ? floorBits : floorBits + 1;
-}
 
 BigUInt factorial(std::uint64_t n) {
   BigUInt result{1};

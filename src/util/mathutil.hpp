@@ -7,11 +7,6 @@
 
 namespace dip::util {
 
-// Floor of log2(value); requires value > 0.
-unsigned floorLog2(std::uint64_t value);
-// Ceiling of log2(value); requires value > 0. ceilLog2(1) == 0.
-unsigned ceilLog2(std::uint64_t value);
-
 // n! as a BigUInt (the Goldwasser-Sipser set sizes are n! and 2 n!).
 BigUInt factorial(std::uint64_t n);
 

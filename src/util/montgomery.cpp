@@ -1,7 +1,6 @@
 #include "util/montgomery.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -13,7 +12,6 @@ namespace dip::util {
 namespace {
 
 using Limb = BigUInt::Limb;
-using DLimb = BigUInt::DLimb;
 constexpr unsigned kLimbBits = BigUInt::kLimbBits;
 
 // Inverse of an odd limb modulo 2^kLimbBits, by Newton iteration
@@ -93,13 +91,6 @@ void MontgomeryContext::padReduced(const BigUInt& x, Limb* out) const {
   }
 }
 
-const MontgomeryContext::Limb* MontgomeryContext::stagePlain(const BigUInt& x,
-                                                             Scratch& scratch) const {
-  if (scratch.stage.size() < numLimbs_) scratch.stage.resize(numLimbs_);
-  padReduced(x, scratch.stage.data());
-  return scratch.stage.data();
-}
-
 void MontgomeryContext::toRaw(const BigUInt& x, Limb* out) const {
   padReduced(x, out);
   mulRaw(out, rSquared_.limbs_.data(), out);
@@ -143,34 +134,6 @@ void MontgomeryContext::addValue(const MontgomeryValue& a, const MontgomeryValue
   addRaw(a.limbs_.data(), b.limbs_.data(), out.limbs_.data());
 }
 
-void MontgomeryContext::subValue(const MontgomeryValue& a, const MontgomeryValue& b,
-                                 MontgomeryValue& out) const {
-  const std::size_t k = numLimbs_;
-  const Limb* m = m_.words().data();
-  out.limbs_.resize(k);
-  const Limb* ap = a.limbs_.data();
-  const Limb* bp = b.limbs_.data();
-  Limb* op = out.limbs_.data();
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    Limb t1 = ap[i] - bp[i];
-    Limb b1 = t1 > ap[i];
-    Limb t2 = t1 - borrow;
-    Limb b2 = t2 > t1;
-    op[i] = t2;
-    borrow = b1 | b2;
-  }
-  if (borrow) {
-    // Wrapped below zero: add m back (the final carry cancels the borrow).
-    Limb carry = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      DLimb cur = static_cast<DLimb>(op[i]) + m[i] + carry;
-      op[i] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> kLimbBits);
-    }
-  }
-}
-
 void MontgomeryContext::addRaw(const Limb* a, const Limb* b, Limb* out) const {
   const mont::Modulus mod = kernelModulus();
   mont::dispatch(numLimbs_, [&](auto width) {
@@ -188,14 +151,20 @@ void MontgomeryContext::buildWindowTable(const Limb* base, unsigned wMax,
   }
 }
 
-void MontgomeryContext::powWithTable(const Limb* table, const BigUInt& exponent,
-                                     MontgomeryValue& out) const {
+void MontgomeryContext::powValue(const MontgomeryValue& base, const BigUInt& exponent,
+                                 MontgomeryValue& out, Scratch& scratch) const {
   const std::size_t k = numLimbs_;
   const std::size_t bits = exponent.bitLength();
   if (bits == 0) {
     out.limbs_ = one_.limbs_;
     return;
   }
+  if (scratch.table.size() < 16 * k) scratch.table.resize(16 * k);
+  // table[w] = base^w in-domain; small exponents only need a prefix. The
+  // table is built before out is written, so out may alias base.
+  Limb* table = scratch.table.data();
+  const unsigned wMax = bits >= 4 ? 15u : static_cast<unsigned>((1u << bits) - 1);
+  buildWindowTable(base.limbs_.data(), wMax, table);
 
   auto windowAt = [&](std::size_t w) {
     unsigned value = 0;
@@ -218,33 +187,6 @@ void MontgomeryContext::powWithTable(const Limb* table, const BigUInt& exponent,
   }
 }
 
-void MontgomeryContext::powValue(const MontgomeryValue& base, const BigUInt& exponent,
-                                 MontgomeryValue& out, Scratch& scratch) const {
-  const std::size_t k = numLimbs_;
-  const std::size_t bits = exponent.bitLength();
-  if (bits == 0) {
-    out.limbs_ = one_.limbs_;
-    return;
-  }
-  if (scratch.table.size() < 16 * k) scratch.table.resize(16 * k);
-  // table[w] = base^w in-domain; small exponents only need a prefix.
-  const unsigned wMax = bits >= 4 ? 15u : static_cast<unsigned>((1u << bits) - 1);
-  buildWindowTable(base.limbs_.data(), wMax, scratch.table.data());
-  powWithTable(scratch.table.data(), exponent, out);
-}
-
-BigUInt MontgomeryContext::mulMod(const BigUInt& a, const BigUInt& b) const {
-  thread_local Scratch scratch;
-  thread_local MontgomeryValue bMont;
-  // a * Mont(b) under one more REDC is a * b * R * R^-1 = a * b mod m: two
-  // REDC passes total and no convert-out.
-  toValue(b, bMont, scratch);
-  const Limb* staged = stagePlain(a, scratch);
-  return BigUInt::fromWords(numLimbs_, [&](std::span<Limb> out) {
-    mulRaw(staged, bMont.limbs_.data(), out.data());
-  });
-}
-
 BigUInt MontgomeryContext::powMod(const BigUInt& base, const BigUInt& exponent) const {
   thread_local Scratch scratch;
   thread_local MontgomeryValue baseMont;
@@ -252,78 +194,6 @@ BigUInt MontgomeryContext::powMod(const BigUInt& base, const BigUInt& exponent) 
   toValue(base, baseMont, scratch);
   powValue(baseMont, exponent, resultMont, scratch);
   return fromValue(resultMont);
-}
-
-BigUInt MontgomeryContext::toMontgomery(const BigUInt& x) const {
-  return BigUInt::fromWords(toValue(x).limbs_);
-}
-
-BigUInt MontgomeryContext::fromMontgomery(const BigUInt& x) const {
-  thread_local Scratch scratch;
-  return rawToPlain(stagePlain(x, scratch));
-}
-
-// --- BarrettContext -------------------------------------------------------
-
-namespace {
-
-// The low n limbs of x (x mod B^n).
-BigUInt lowWords(const BigUInt& x, std::size_t n) {
-  const auto words = x.words();
-  if (words.size() <= n) return x;
-  return BigUInt::fromWords(words.first(n));
-}
-
-}  // namespace
-
-BarrettContext::BarrettContext(BigUInt modulus) : m_(std::move(modulus)) {
-  if (m_ < BigUInt{2}) {
-    throw std::invalid_argument("BarrettContext: modulus must be >= 2");
-  }
-  k_ = m_.words().size();
-  mu_ = (BigUInt{1} << (2 * k_ * kLimbBits)) / m_;
-}
-
-BigUInt BarrettContext::reduce(const BigUInt& x) const {
-  if (x < m_) return x;
-  // HAC 14.42 requires x < b^(2k); anything wider (an unreduced caller
-  // input -- products of two reduced values always fit) would corrupt the
-  // quotient estimate and turn the correction loop into ~b^k subtractions.
-  if (x.words().size() > 2 * k_) return x % m_;
-  // HAC Algorithm 14.42.
-  BigUInt q = ((x >> ((k_ - 1) * kLimbBits)) * mu_) >> ((k_ + 1) * kLimbBits);
-  BigUInt r1 = lowWords(x, k_ + 1);
-  BigUInt r2 = lowWords(q * m_, k_ + 1);
-  BigUInt r;
-  if (r1 >= r2) {
-    r = r1 - r2;
-  } else {
-    r = (BigUInt{1} << ((k_ + 1) * kLimbBits)) + r1 - r2;
-  }
-  while (r >= m_) r -= m_;  // At most two iterations.
-  return r;
-}
-
-BigUInt BarrettContext::mulMod(const BigUInt& a, const BigUInt& b) const {
-  return reduce(reduce(a) * reduce(b));
-}
-
-BigUInt BarrettContext::powMod(const BigUInt& base, const BigUInt& exponent) const {
-  BigUInt result{1};
-  BigUInt square = reduce(base);
-  BigUInt product;
-  const std::size_t bits = exponent.bitLength();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (exponent.bit(i)) {
-      product = result * square;
-      result = reduce(product);
-    }
-    if (i + 1 < bits) {
-      product = square * square;
-      square = reduce(product);
-    }
-  }
-  return result;
 }
 
 // --- Memoized Montgomery contexts ----------------------------------------
@@ -352,7 +222,6 @@ struct LimbsLess {
 struct MontgomeryCacheState {
   std::mutex tableLock;
   std::map<std::vector<Limb>, std::shared_ptr<MontgomeryCacheEntry>, LimbsLess> table;
-  std::atomic<std::size_t> builds{0};
 };
 
 MontgomeryCacheState& montgomeryCacheState() {
@@ -390,7 +259,6 @@ std::shared_ptr<const MontgomeryContext> cachedMontgomeryContext(const BigUInt& 
     // (the modulus was validated above, so construction cannot throw and
     // strand the waiters).
     auto context = std::make_shared<const MontgomeryContext>(modulus);
-    state.builds.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> guard(entry->lock);
     entry->context = std::move(context);
     entry->done = true;
@@ -403,15 +271,10 @@ std::shared_ptr<const MontgomeryContext> cachedMontgomeryContext(const BigUInt& 
   return entry->context;
 }
 
-std::size_t montgomeryCacheBuildCount() {
-  return montgomeryCacheState().builds.load(std::memory_order_relaxed);
-}
-
 void montgomeryCacheResetForTests() {
   MontgomeryCacheState& state = montgomeryCacheState();
   std::lock_guard<std::mutex> guard(state.tableLock);
   state.table.clear();
-  state.builds.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dip::util

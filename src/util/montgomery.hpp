@@ -1,4 +1,4 @@
-// Montgomery and Barrett modular arithmetic for fixed moduli.
+// Montgomery modular arithmetic for a fixed odd modulus.
 //
 // Miller-Rabin primality testing and the protocols' Horner hash chains spend
 // nearly all of their time in modular multiplications with a FIXED modulus.
@@ -7,21 +7,17 @@
 // (CIOS, coarsely integrated operand scanning) costs ~2k^2 word
 // multiplications and no division, versus mul + Knuth-D division otherwise.
 //
-// Two usage tiers:
-//  - Plain compat API (mulMod/powMod on BigUInt): one context per modulus,
-//    conversions handled internally per call.
-//  - In-domain value API (MontgomeryValue + Scratch): pin operands in the
-//    Montgomery domain once, chain multiplies/adds at one REDC per multiply
-//    and zero heap allocations after scratch warm-up, convert out once at
-//    the end. Montgomery form is linear, so in-domain add/sub are ordinary
-//    modular add/sub, and equality in-domain is equality of residues.
+// Callers pin operands in the Montgomery domain once (MontgomeryValue, or
+// raw limbs in their own storage), chain multiplies/adds at one REDC per
+// multiply and zero heap allocations after scratch warm-up, and convert out
+// once at the end. Montgomery form is linear, so in-domain add is ordinary
+// modular add, and equality in-domain is equality of residues. powMod is
+// the one plain-domain entry point: it converts in, runs the windowed
+// ladder in-domain and converts out.
 //
 // Every product, sum and convert-out runs through the flat-limb kernels of
 // util/mont_kernels.hpp; the context's methods are thin dispatchers that
 // pick the kernel width and stage through stack accumulators.
-//
-// BarrettContext covers fixed moduli of either parity (HAC Algorithm 14.42)
-// for the paths Montgomery cannot serve (even moduli).
 #pragma once
 
 #include <memory>
@@ -56,14 +52,12 @@ class MontgomeryContext {
   using Limb = BigUInt::Limb;
 
   // Flat caller-provided scratch, lazily sized to the context: table is
-  // the fixed-window powMod table (16 * k limbs), stage the padded
-  // plain-operand buffer (k limbs). CIOS accumulators live on the stack, so
-  // the calls that only multiply take a Scratch without touching it.
-  // Reusing one Scratch across a hash chain keeps the steady state
-  // allocation-free; a Scratch may serve contexts of any size.
+  // the fixed-window powMod table (16 * k limbs). CIOS accumulators live on
+  // the stack, so the calls that only multiply take a Scratch without
+  // touching it. Reusing one Scratch across a hash chain keeps the steady
+  // state allocation-free; a Scratch may serve contexts of any size.
   struct Scratch {
     std::vector<Limb> table;
-    std::vector<Limb> stage;
   };
 
   // Requires an odd modulus >= 3.
@@ -87,10 +81,8 @@ class MontgomeryContext {
   // out = a * b in-domain (one REDC); out may alias a or b.
   void mulValue(const MontgomeryValue& a, const MontgomeryValue& b,
                 MontgomeryValue& out, Scratch& scratch) const;
-  // In-domain linear ops: Mont(x) ± Mont(y) = Mont(x ± y).
+  // In-domain linear op: Mont(x) + Mont(y) = Mont(x + y).
   void addValue(const MontgomeryValue& a, const MontgomeryValue& b,
-                MontgomeryValue& out) const;
-  void subValue(const MontgomeryValue& a, const MontgomeryValue& b,
                 MontgomeryValue& out) const;
   // out = base ^ exponent in-domain, fixed 4-bit windows (4 squarings plus
   // at most one table multiply per window).
@@ -114,28 +106,18 @@ class MontgomeryContext {
   void toRaw(const BigUInt& x, Limb* out) const;
   BigUInt rawToPlain(const Limb* v) const;  // Convert-out (one REDC).
 
-  // --- Plain-domain compat API -------------------------------------------
+  // --- Plain domain -----------------------------------------------------
 
-  // (a * b) mod m: two REDC passes (stage a, fold b into the domain), no
-  // convert-out needed.
-  BigUInt mulMod(const BigUInt& a, const BigUInt& b) const;
   // (base ^ exponent) mod m; the whole windowed ladder runs in-domain.
   BigUInt powMod(const BigUInt& base, const BigUInt& exponent) const;
 
-  // Representation converters (exposed for tests).
-  BigUInt toMontgomery(const BigUInt& x) const;    // x * R mod m, R = B^k.
-  BigUInt fromMontgomery(const BigUInt& x) const;  // x * R^-1 mod m.
-
  private:
-  // Fills table[w] = Mont(base^w) for w in [0, wMax]. The shared ladder
-  // below only dereferences entries a window of the exponent can name, so
-  // small exponents get away with a prefix.
+  // Fills table[w] = Mont(base^w) for w in [0, wMax]. powValue's ladder
+  // only dereferences entries a window of the exponent can name, so small
+  // exponents get away with a prefix.
   void buildWindowTable(const Limb* base, unsigned wMax, Limb* table) const;
-  // The 4-bit-window ladder over a prepared table (powValue's second half).
-  void powWithTable(const Limb* table, const BigUInt& exponent, MontgomeryValue& out) const;
-  // x mod m, zero-padded to k limbs, into out / into scratch.stage.
+  // x mod m, zero-padded to k limbs.
   void padReduced(const BigUInt& x, Limb* out) const;
-  const Limb* stagePlain(const BigUInt& x, Scratch& scratch) const;
 
   BigUInt m_;
   std::size_t numLimbs_ = 0;    // k: limbs of m.
@@ -145,31 +127,10 @@ class MontgomeryContext {
   MontgomeryValue rSquared_;    // R^2 mod m (raw limbs; toValue multiplier).
 };
 
-// Barrett reduction for a fixed modulus of any parity (HAC 14.42): one
-// precomputed mu = floor(B^2k / m) turns each reduction into two
-// multiplications and a couple of subtractions.
-class BarrettContext {
- public:
-  // Requires modulus >= 2.
-  explicit BarrettContext(BigUInt modulus);
-
-  const BigUInt& modulus() const { return m_; }
-
-  // x mod m; requires x < B^2k (always true for products of reduced values).
-  BigUInt reduce(const BigUInt& x) const;
-  BigUInt mulMod(const BigUInt& a, const BigUInt& b) const;
-  BigUInt powMod(const BigUInt& base, const BigUInt& exponent) const;
-
- private:
-  BigUInt m_;
-  BigUInt mu_;        // floor(B^2k / m).
-  std::size_t k_ = 0; // Limbs of m.
-};
-
 // --- Memoized Montgomery contexts ----------------------------------------
 //
-// Hash families and the free mulMod/powMod fast paths all reduce by the same
-// handful of field primes; constructing a context costs a full divMod for
+// The hash engine and the free powMod all reduce by the same handful of
+// field primes; constructing a context costs a full divMod for
 // R^2 mod m. The cache memoizes one immutable context per modulus with
 // single-flight locking (same discipline as util::cachedPrimeInRange):
 // concurrent first-users of a modulus block on the one thread building it.
@@ -177,9 +138,7 @@ class BarrettContext {
 // < 3) before touching the cache.
 std::shared_ptr<const MontgomeryContext> cachedMontgomeryContext(const BigUInt& modulus);
 
-// Observability hooks for tests: how many contexts were actually built since
-// process start (or the last reset), and a test-only reset.
-std::size_t montgomeryCacheBuildCount();
+// Drops every memoized context (tests and perfbench's cold-setup timing).
 void montgomeryCacheResetForTests();
 
 }  // namespace dip::util

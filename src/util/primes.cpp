@@ -268,13 +268,6 @@ BigUInt cachedPrimeInRange(const BigUInt& lo, const BigUInt& hi) {
   return entry->value;
 }
 
-BigUInt cachedPrimeWithBits(std::size_t bits) {
-  if (bits < 2) throw std::invalid_argument("cachedPrimeWithBits: need >= 2 bits");
-  BigUInt lo = BigUInt{1} << (bits - 1);
-  BigUInt hi = (BigUInt{1} << bits) - BigUInt{1};
-  return cachedPrimeInRange(lo, hi);
-}
-
 std::size_t primeCacheSearchCount() {
   return primeCacheState().searches.load(std::memory_order_relaxed);
 }

@@ -5,7 +5,9 @@
 // p in [10 n^(n+2), 100 n^(n+2)] (whose existence the paper gets from
 // Bertrand's postulate), and the GNI protocol's eps-API hash needs a prime
 // field of ~ log2(n!) + O(log n) bits. findPrimeInRange performs a
-// randomized search with Miller-Rabin certification.
+// randomized search with Miller-Rabin certification; each witness round runs
+// in the Montgomery domain of the candidate (MontgomeryContext's value API,
+// the same windowed ladder as powMod).
 #pragma once
 
 #include <cstdint>
@@ -56,9 +58,8 @@ BigUInt findPrimeWithBits(std::size_t bits, Rng& rng);
 // the cold search bit-for-bit).
 std::uint64_t primeSearchSeed(const BigUInt& lo, const BigUInt& hi);
 
-// Memoized equivalents of findPrimeInRange / findPrimeWithBits.
+// Memoized equivalent of findPrimeInRange.
 BigUInt cachedPrimeInRange(const BigUInt& lo, const BigUInt& hi);
-BigUInt cachedPrimeWithBits(std::size_t bits);
 
 // Observability hooks for tests: how many real window searches ran since
 // process start (or the last reset), and a test-only reset that drops every

@@ -45,14 +45,6 @@ TEST(prime_cache, SecondLookupIsAHit) {
   EXPECT_EQ(primeCacheSearchCount(), searches + 1);
 }
 
-TEST(prime_cache, CachedPrimeWithBitsIsStable) {
-  primeCacheResetForTests();
-  BigUInt p = cachedPrimeWithBits(24);
-  EXPECT_EQ(p.bitLength(), 24u);
-  EXPECT_EQ(p, cachedPrimeWithBits(24));
-  EXPECT_EQ(primeCacheSearchCount(), 1u);
-}
-
 TEST(prime_cache, ConcurrentFirstUseRunsExactlyOneSearch) {
   primeCacheResetForTests();
   const BigUInt lo{7000000};

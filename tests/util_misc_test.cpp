@@ -281,17 +281,6 @@ TEST(Primes, FindPrimeWithBitsHasExactWidth) {
 
 // ---- Math helpers ----
 
-TEST(MathUtil, Logs) {
-  EXPECT_EQ(floorLog2(1), 0u);
-  EXPECT_EQ(floorLog2(2), 1u);
-  EXPECT_EQ(floorLog2(1023), 9u);
-  EXPECT_EQ(ceilLog2(1), 0u);
-  EXPECT_EQ(ceilLog2(2), 1u);
-  EXPECT_EQ(ceilLog2(3), 2u);
-  EXPECT_EQ(ceilLog2(1024), 10u);
-  EXPECT_THROW(floorLog2(0), std::invalid_argument);
-}
-
 TEST(MathUtil, Factorial) {
   EXPECT_EQ(factorial(0).toU64(), 1u);
   EXPECT_EQ(factorial(5).toU64(), 120u);
