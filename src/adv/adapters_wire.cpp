@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/gni_general_wire.hpp"
 #include "core/gni_wire.hpp"
 #include "core/sym_input_wire.hpp"
 #include "sim/trial.hpp"
@@ -263,11 +262,12 @@ class SymInputSecondSurface final : public FieldSurface {
   const hash::LinearHashFamily& family_;
 };
 
-class GniFirstSurface final : public FieldSurface {
+template <typename Shape>
+class GsFirstSurface final : public FieldSurface {
  public:
-  GniFirstSurface(core::GniFirstMessage message, std::size_t n, std::size_t ell)
+  GsFirstSurface(typename Shape::First message, std::size_t n, std::size_t ell)
       : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)), ell_(ell) {}
-  const core::GniFirstMessage& message() const { return message_; }
+  const typename Shape::First& message() const { return message_; }
 
   bool rewriteParent(util::Rng& rng) override {
     message_.perNode[rng.nextBelow(n_)].parent = randomId(rng, idBits_);
@@ -275,7 +275,7 @@ class GniFirstSurface final : public FieldSurface {
     return true;
   }
   bool skewDistance(util::Rng& rng) override {
-    core::GniM1PerNode& m1 = message_.perNode[rng.nextBelow(n_)];
+    typename Shape::M1& m1 = message_.perNode[rng.nextBelow(n_)];
     m1.dist = skewedDistance(m1.dist, idBits_, rng);
     markDirty();
     return true;
@@ -288,30 +288,31 @@ class GniFirstSurface final : public FieldSurface {
     if (k == 0) return false;
     const std::size_t j = rng.nextBelow(k);
     util::BigUInt y = rng.nextBigBits(ell_);
-    for (core::GniM1PerNode& m1 : message_.perNode) m1.echo[j].y = y;
+    for (typename Shape::M1& m1 : message_.perNode) m1.echo[j].y = y;
     markDirty();
     return true;
   }
   bool swapRoot(util::Rng& rng) override {
     graph::Vertex root = randomId(rng, idBits_);
-    for (core::GniM1PerNode& m1 : message_.perNode) m1.root = root;
+    for (typename Shape::M1& m1 : message_.perNode) m1.root = root;
     markDirty();
     return true;
   }
 
  private:
-  core::GniFirstMessage message_;
+  typename Shape::First message_;
   std::size_t n_;
   unsigned idBits_;
   std::size_t ell_;
 };
 
-class GniSecondSurface final : public FieldSurface {
+template <typename Shape>
+class GsSecondSurface final : public FieldSurface {
  public:
-  GniSecondSurface(core::GniSecondMessage message, const core::GniParams& params,
-                   const std::vector<std::uint8_t>& claimedFlags)
+  GsSecondSurface(typename Shape::Second message, const core::GsParams<Shape>& params,
+                  const std::vector<std::uint8_t>& claimedFlags)
       : message_(std::move(message)), params_(params), claimedFlags_(claimedFlags) {}
-  const core::GniSecondMessage& message() const { return message_; }
+  const typename Shape::Second& message() const { return message_; }
 
   bool perturbHashValue(util::Rng& rng) override {
     // Prefer a claimed repetition's chain value (unclaimed entries never hit
@@ -323,107 +324,30 @@ class GniSecondSurface final : public FieldSurface {
     const std::size_t n = message_.perNode.size();
     if (claimed.empty() || rng.nextBelow(4) == 0) {
       util::BigUInt seed = rng.nextBigBits(params_.checkFamily.seedBits());
-      for (core::GniM2PerNode& m2 : message_.perNode) m2.checkSeed = seed;
+      for (typename Shape::M2& m2 : message_.perNode) m2.checkSeed = seed;
       markDirty();
       return true;
     }
     const std::size_t j = claimed[rng.nextBelow(claimed.size())];
-    core::GniM2PerNode& m2 = message_.perNode[rng.nextBelow(n)];
-    if (rng.nextBool()) {
+    typename Shape::M2& m2 = message_.perNode[rng.nextBelow(n)];
+    // The perturbed chain: h or the sigma-side permutation chain, and in the
+    // general shape also the automorphism check's alpha side. Two targets
+    // take one coin (the top bit), three a uniform draw.
+    const std::size_t pick = Shape::kCompensated ? rng.nextBelow(3) : (rng.nextBool() ? 0 : 1);
+    if (pick == 0) {
       m2.h[j] = rng.nextBigBits(params_.gsHash.innerValueBits());
-    } else {
+    } else if (pick == 1) {
       m2.permS[j] = rng.nextBigBits(params_.checkFamily.seedBits());
+    } else if constexpr (Shape::kCompensated) {
+      m2.autR[j] = rng.nextBigBits(params_.checkFamily.seedBits());
     }
     markDirty();
     return true;
   }
 
  private:
-  core::GniSecondMessage message_;
-  const core::GniParams& params_;
-  const std::vector<std::uint8_t>& claimedFlags_;
-};
-
-class GniGenFirstSurface final : public FieldSurface {
- public:
-  GniGenFirstSurface(core::GniGenFirstMessage message, std::size_t n, std::size_t ell)
-      : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)), ell_(ell) {}
-  const core::GniGenFirstMessage& message() const { return message_; }
-
-  bool rewriteParent(util::Rng& rng) override {
-    message_.perNode[rng.nextBelow(n_)].parent = randomId(rng, idBits_);
-    markDirty();
-    return true;
-  }
-  bool skewDistance(util::Rng& rng) override {
-    core::GniGenM1PerNode& m1 = message_.perNode[rng.nextBelow(n_)];
-    m1.dist = skewedDistance(m1.dist, idBits_, rng);
-    markDirty();
-    return true;
-  }
-  bool perturbHashValue(util::Rng& rng) override {
-    const std::size_t k = message_.perNode[0].echo.size();
-    if (k == 0) return false;
-    const std::size_t j = rng.nextBelow(k);
-    util::BigUInt y = rng.nextBigBits(ell_);
-    for (core::GniGenM1PerNode& m1 : message_.perNode) m1.echo[j].y = y;
-    markDirty();
-    return true;
-  }
-  bool swapRoot(util::Rng& rng) override {
-    graph::Vertex root = randomId(rng, idBits_);
-    for (core::GniGenM1PerNode& m1 : message_.perNode) m1.root = root;
-    markDirty();
-    return true;
-  }
-
- private:
-  core::GniGenFirstMessage message_;
-  std::size_t n_;
-  unsigned idBits_;
-  std::size_t ell_;
-};
-
-class GniGenSecondSurface final : public FieldSurface {
- public:
-  GniGenSecondSurface(core::GniGenSecondMessage message,
-                      const core::GniGeneralParams& params,
-                      const std::vector<std::uint8_t>& claimedFlags)
-      : message_(std::move(message)), params_(params), claimedFlags_(claimedFlags) {}
-  const core::GniGenSecondMessage& message() const { return message_; }
-
-  bool perturbHashValue(util::Rng& rng) override {
-    std::vector<std::size_t> claimed;
-    for (std::size_t j = 0; j < claimedFlags_.size(); ++j) {
-      if (claimedFlags_[j]) claimed.push_back(j);
-    }
-    const std::size_t n = message_.perNode.size();
-    if (claimed.empty() || rng.nextBelow(4) == 0) {
-      util::BigUInt seed = rng.nextBigBits(params_.checkFamily.seedBits());
-      for (core::GniGenM2PerNode& m2 : message_.perNode) m2.checkSeed = seed;
-      markDirty();
-      return true;
-    }
-    const std::size_t j = claimed[rng.nextBelow(claimed.size())];
-    core::GniGenM2PerNode& m2 = message_.perNode[rng.nextBelow(n)];
-    switch (rng.nextBelow(3)) {
-      case 0:
-        m2.h[j] = rng.nextBigBits(params_.gsHash.innerValueBits());
-        break;
-      case 1:
-        m2.permS[j] = rng.nextBigBits(params_.checkFamily.seedBits());
-        break;
-      default:
-        m2.autR[j] = rng.nextBigBits(params_.checkFamily.seedBits());
-        break;
-    }
-    markDirty();
-    return true;
-  }
-
- private:
-  core::GniGenSecondMessage message_;
-  const core::GniGeneralParams& params_;
+  typename Shape::Second message_;
+  const core::GsParams<Shape>& params_;
   const std::vector<std::uint8_t>& claimedFlags_;
 };
 
@@ -622,48 +546,48 @@ core::SymInputSecondMessage MutantSymInputProver::secondMessage(
   });
 }
 
-// ---- GNI (dAMAM: A1, M1, A2, M2) ----
+// ---- GNI, both shapes (dAMAM: A1, M1, A2, M2) ----
 
-MutantGniProver::MutantGniProver(std::unique_ptr<core::GniProver> base,
-                                 const MessageMutator& mutator,
-                                 const core::GniParams& params, util::Rng rng)
+template <typename Shape>
+MutantGsProver<Shape>::MutantGsProver(std::unique_ptr<core::GsProver<Shape>> base,
+                                      const MessageMutator& mutator,
+                                      const core::GsParams<Shape>& params, util::Rng rng)
     : base_(std::move(base)), mutator_(mutator), params_(params), rng_(rng) {}
 
-core::GniFirstMessage MutantGniProver::firstMessage(
+template <typename Shape>
+auto MutantGsProver<Shape>::firstMessage(
     const core::GniInstance& instance,
-    const std::vector<std::vector<core::GniChallenge>>& challenges) {
+    const std::vector<std::vector<core::GniChallenge>>& challenges) -> First {
   const std::size_t n = instance.g0.numVertices();
   honestFirst_ = base_->firstMessage(instance, challenges);
-  core::wire::EncodedRound round =
-      core::wire::encodeGniFirst(honestFirst_, instance, params_);
+  core::wire::EncodedRound round = core::wire::encodeGniFirst(honestFirst_, instance, params_);
   MutationContext ctx;
   ctx.roundIndex = 0;
   ctx.finalRound = false;
   ctx.numNodes = n;
   ctx.challengeDigest = digestGniChallenges(challenges, params_.gsHash, params_.ell);
   util::Rng stream = roundStream(rng_, ctx);
-  GniFirstSurface surface(honestFirst_, n, params_.ell);
+  GsFirstSurface<Shape> surface(honestFirst_, n, params_.ell);
   mutator_.mutate(round, &surface, ctx, stream);
   if (surface.dirty()) {
     round = core::wire::encodeGniFirst(surface.message(), instance, params_);
   }
   firstRound_ = round;
-  mutantFirst_ = decodeOrReject("Gni/M1", [&] {
+  mutantFirst_ = decodeOrReject((std::string(Shape::kName) + "/M1").c_str(), [&] {
     return core::wire::decodeGniFirst(round, instance, params_);
   });
   return mutantFirst_;
 }
 
-core::GniSecondMessage MutantGniProver::secondMessage(
+template <typename Shape>
+auto MutantGsProver<Shape>::secondMessage(
     const core::GniInstance& instance,
-    const std::vector<std::vector<core::GniChallenge>>& challenges,
-    const core::GniFirstMessage& /*first*/,
-    const std::vector<util::BigUInt>& checkChallenges) {
+    const std::vector<std::vector<core::GniChallenge>>& challenges, const First& /*first*/,
+    const std::vector<util::BigUInt>& checkChallenges) -> Second {
   // M2's wire layout is keyed on the claimed/b flags the VERIFIERS hold —
   // the decoded mutant M1 — while the base prover answers for what it
   // actually committed to (its honest first message).
-  core::GniSecondMessage honest =
-      base_->secondMessage(instance, challenges, honestFirst_, checkChallenges);
+  Second honest = base_->secondMessage(instance, challenges, honestFirst_, checkChallenges);
   core::wire::EncodedRound round =
       core::wire::encodeGniSecond(honest, mutantFirst_, instance, params_);
   MutationContext ctx;
@@ -676,76 +600,17 @@ core::GniSecondMessage MutantGniProver::secondMessage(
   ctx.challengeDigest = digest;
   ctx.previousRound = &firstRound_;
   util::Rng stream = roundStream(rng_, ctx);
-  GniSecondSurface surface(std::move(honest), params_, mutantFirst_.perNode[0].claimed);
+  GsSecondSurface<Shape> surface(std::move(honest), params_, mutantFirst_.perNode[0].claimed);
   mutator_.mutate(round, &surface, ctx, stream);
   if (surface.dirty()) {
     round = core::wire::encodeGniSecond(surface.message(), mutantFirst_, instance, params_);
   }
-  return decodeOrReject("Gni/M2", [&] {
+  return decodeOrReject((std::string(Shape::kName) + "/M2").c_str(), [&] {
     return core::wire::decodeGniSecond(round, mutantFirst_, instance, params_);
   });
 }
 
-// ---- GNI general (dAMAM: A1, M1, A2, M2) ----
-
-MutantGniGeneralProver::MutantGniGeneralProver(
-    std::unique_ptr<core::GniGeneralProver> base, const MessageMutator& mutator,
-    const core::GniGeneralParams& params, util::Rng rng)
-    : base_(std::move(base)), mutator_(mutator), params_(params), rng_(rng) {}
-
-core::GniGenFirstMessage MutantGniGeneralProver::firstMessage(
-    const core::GniInstance& instance,
-    const std::vector<std::vector<core::GniChallenge>>& challenges) {
-  const std::size_t n = instance.g0.numVertices();
-  honestFirst_ = base_->firstMessage(instance, challenges);
-  core::wire::EncodedRound round =
-      core::wire::encodeGniGenFirst(honestFirst_, instance, params_);
-  MutationContext ctx;
-  ctx.roundIndex = 0;
-  ctx.finalRound = false;
-  ctx.numNodes = n;
-  ctx.challengeDigest = digestGniChallenges(challenges, params_.gsHash, params_.ell);
-  util::Rng stream = roundStream(rng_, ctx);
-  GniGenFirstSurface surface(honestFirst_, n, params_.ell);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeGniGenFirst(surface.message(), instance, params_);
-  }
-  firstRound_ = round;
-  mutantFirst_ = decodeOrReject("GniGen/M1", [&] {
-    return core::wire::decodeGniGenFirst(round, instance, params_);
-  });
-  return mutantFirst_;
-}
-
-core::GniGenSecondMessage MutantGniGeneralProver::secondMessage(
-    const core::GniInstance& instance,
-    const std::vector<std::vector<core::GniChallenge>>& challenges,
-    const core::GniGenFirstMessage& /*first*/,
-    const std::vector<util::BigUInt>& checkChallenges) {
-  core::GniGenSecondMessage honest =
-      base_->secondMessage(instance, challenges, honestFirst_, checkChallenges);
-  core::wire::EncodedRound round =
-      core::wire::encodeGniGenSecond(honest, mutantFirst_, instance, params_);
-  MutationContext ctx;
-  ctx.roundIndex = 1;
-  ctx.finalRound = true;
-  ctx.numNodes = instance.g0.numVertices();
-  std::uint64_t digest = digestGniChallenges(challenges, params_.gsHash, params_.ell);
-  digest = sim::digestCombine(digest,
-                              digestLinearChallenges(checkChallenges, params_.checkFamily));
-  ctx.challengeDigest = digest;
-  ctx.previousRound = &firstRound_;
-  util::Rng stream = roundStream(rng_, ctx);
-  GniGenSecondSurface surface(std::move(honest), params_, mutantFirst_.perNode[0].claimed);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round =
-        core::wire::encodeGniGenSecond(surface.message(), mutantFirst_, instance, params_);
-  }
-  return decodeOrReject("GniGen/M2", [&] {
-    return core::wire::decodeGniGenSecond(round, mutantFirst_, instance, params_);
-  });
-}
+template class MutantGsProver<core::RigidGsShape>;
+template class MutantGsProver<core::GeneralGsShape>;
 
 }  // namespace dip::adv

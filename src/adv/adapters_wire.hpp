@@ -114,53 +114,36 @@ class MutantSymInputProver final : public core::SymInputProver {
   core::wire::EncodedRound firstRound_;
 };
 
-class MutantGniProver final : public core::GniProver {
+// Both GNI protocols share one adapter over the Goldwasser-Sipser frame's
+// rounds (core/gni_frame.hpp).
+template <typename Shape>
+class MutantGsProver final : public core::GsProver<Shape> {
  public:
-  MutantGniProver(std::unique_ptr<core::GniProver> base, const MessageMutator& mutator,
-                  const core::GniParams& params, util::Rng rng);
-  core::GniFirstMessage firstMessage(
-      const core::GniInstance& instance,
-      const std::vector<std::vector<core::GniChallenge>>& challenges) override;
-  core::GniSecondMessage secondMessage(
-      const core::GniInstance& instance,
-      const std::vector<std::vector<core::GniChallenge>>& challenges,
-      const core::GniFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) override;
+  using First = typename Shape::First;
+  using Second = typename Shape::Second;
+
+  MutantGsProver(std::unique_ptr<core::GsProver<Shape>> base, const MessageMutator& mutator,
+                 const core::GsParams<Shape>& params, util::Rng rng);
+  First firstMessage(const core::GniInstance& instance,
+                     const std::vector<std::vector<core::GniChallenge>>& challenges) override;
+  Second secondMessage(const core::GniInstance& instance,
+                       const std::vector<std::vector<core::GniChallenge>>& challenges,
+                       const First& first,
+                       const std::vector<util::BigUInt>& checkChallenges) override;
 
  private:
-  std::unique_ptr<core::GniProver> base_;
+  std::unique_ptr<core::GsProver<Shape>> base_;
   const MessageMutator& mutator_;
-  const core::GniParams& params_;
+  const core::GsParams<Shape>& params_;
   util::Rng rng_;
-  core::GniFirstMessage honestFirst_;
+  First honestFirst_;
   // M2's wire format is keyed on M1's claimed/b flags AS THE VERIFIERS SAW
   // THEM, i.e. the decoded mutant — kept here for the M2 encode/decode.
-  core::GniFirstMessage mutantFirst_;
+  First mutantFirst_;
   core::wire::EncodedRound firstRound_;
 };
 
-class MutantGniGeneralProver final : public core::GniGeneralProver {
- public:
-  MutantGniGeneralProver(std::unique_ptr<core::GniGeneralProver> base,
-                         const MessageMutator& mutator,
-                         const core::GniGeneralParams& params, util::Rng rng);
-  core::GniGenFirstMessage firstMessage(
-      const core::GniInstance& instance,
-      const std::vector<std::vector<core::GniChallenge>>& challenges) override;
-  core::GniGenSecondMessage secondMessage(
-      const core::GniInstance& instance,
-      const std::vector<std::vector<core::GniChallenge>>& challenges,
-      const core::GniGenFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) override;
-
- private:
-  std::unique_ptr<core::GniGeneralProver> base_;
-  const MessageMutator& mutator_;
-  const core::GniGeneralParams& params_;
-  util::Rng rng_;
-  core::GniGenFirstMessage honestFirst_;
-  core::GniGenFirstMessage mutantFirst_;
-  core::wire::EncodedRound firstRound_;
-};
+using MutantGniProver = MutantGsProver<core::RigidGsShape>;
+using MutantGniGeneralProver = MutantGsProver<core::GeneralGsShape>;
 
 }  // namespace dip::adv

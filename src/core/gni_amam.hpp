@@ -20,7 +20,7 @@
 // slack — a constant multiplicative gap, amplified to 2/3 vs 1/3 by k
 // parallel repetitions with a threshold count.
 //
-// Round structure (Arthur-Merlin-Arthur-Mertin; tree root fixed at node 0):
+// Round structure (Arthur-Merlin-Arthur-Merlin; tree root fixed at node 0):
 //   A1  every node sends, per repetition: an eps-API seed (A, alpha, beta)
 //       and a target y — the prover uses node 0's copies. O(k n log n) bits.
 //   M1  prover: broadcasts the echo of node 0's challenges, a claimed bit
@@ -45,59 +45,27 @@
 //     Z_p' equality holds iff every claim matches the owner's commitment.
 // Both hashes use the FRESH A2 seed, so each check fails to catch a lie
 // with probability <= n^2/p' — chosen negligible.
+//
+// The rounds, checks, codecs and honest prover are the Goldwasser-Sipser
+// frame's (core/gni_frame.hpp); this header defines the rigid shape.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "core/result.hpp"
+#include "core/gni_frame.hpp"
 #include "graph/graph.hpp"
-#include "hash/eps_api.hpp"
-#include "hash/linear_hash.hpp"
-#include "net/spanning.hpp"
 #include "util/rng.hpp"
 
 namespace dip::core {
-
-// A Graph Non-Isomorphism instance. g0 must be connected (it is the
-// network); g1 arrives row-by-row as node inputs.
-struct GniInstance {
-  graph::Graph g0;
-  graph::Graph g1;
-};
 
 // YES-instance: two rigid, connected, non-isomorphic graphs on n vertices.
 GniInstance gniYesInstance(std::size_t n, util::Rng& rng);
 // NO-instance: g1 is a scrambled isomorphic copy of a rigid connected g0.
 GniInstance gniNoInstance(std::size_t n, util::Rng& rng);
-
-// Protocol parameters, derived from n (see DESIGN.md 4.5 for the math).
-struct GniParams {
-  std::size_t n = 0;
-  std::size_t ell = 0;          // Output bits, 2^ell in [4 n!, 8 n!).
-  std::size_t repetitions = 0;  // k.
-  std::size_t threshold = 0;    // Accept iff >= threshold repetitions claimed+verified.
-  double perRoundYesLb = 0.0;
-  double perRoundNoUb = 0.0;
-  hash::EpsApiHash gsHash;           // Goldwasser-Sipser hash (shared; fresh seeds/rep).
-  hash::LinearHashFamily checkFamily;  // Fresh-seed commitment checks.
-
-  // Throws std::invalid_argument for n < 2 and for n > 15, whose field is
-  // wider than the honest prover's search takes (kMaxSearchFieldBits).
-  static GniParams choose(std::size_t n, util::Rng& rng);
-};
-
-// One node's A1 challenge content for one repetition.
-struct GniChallenge {
-  hash::EpsApiHash::Seed seed;
-  util::BigUInt y;
-
-  bool operator==(const GniChallenge& other) const {
-    return seed.a == other.seed.a && seed.alpha == other.seed.alpha &&
-           seed.beta == other.seed.beta && y == other.y;
-  }
-};
 
 // What one node receives in M1. Broadcast fields are per-node copies so
 // that adversarial provers can attempt inconsistent broadcasts.
@@ -132,116 +100,64 @@ struct GniSecondMessage {
   std::vector<GniM2PerNode> perNode;
 };
 
-class GniProver {
- public:
-  virtual ~GniProver() = default;
-  virtual GniFirstMessage firstMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges) = 0;
-  virtual GniSecondMessage secondMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges,
-      const GniFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) = 0;
-};
+// The rigid shape of the Goldwasser-Sipser frame (core/gni_frame.hpp): a
+// candidate is sigma(G_b), a node commits sigma(v), and the chains are the
+// GS hash plus the permutation check, with the claimed-image consistency
+// check for b = 1.
+struct RigidGsShape {
+  using M1 = GniM1PerNode;
+  using M2 = GniM2PerNode;
+  using First = GniFirstMessage;
+  using Second = GniSecondMessage;
+  using Chain = std::vector<util::BigUInt> M2::*;
 
-class GniAmamProtocol {
- public:
-  explicit GniAmamProtocol(GniParams params);
+  static constexpr const char* kName = "GniAmam";
+  static constexpr const char* kM1Round = "M1: echo + sigma commitments";
+  static constexpr std::size_t kHashSide = 1;
+  static constexpr bool kCompensated = false;
+  static constexpr double kCheckSlack = 3.0;
+  static constexpr std::uint64_t kCheckStream = 0x10000;
+  static constexpr std::array kCommitted{&M1::s};
+  static constexpr std::array kClaims{&M1::claims};
+  static constexpr std::array kChains{&M2::h, &M2::permI, &M2::permS};
+  static constexpr std::array kB1Chains{&M2::consC, &M2::consT};
+  static constexpr std::array kRootEqualities{std::pair{&M2::permI, &M2::permS}};
 
-  const GniParams& params() const { return params_; }
-
-  RunResult run(const GniInstance& instance, GniProver& prover, util::Rng& rng) const;
-
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const GniInstance& instance,
-                                     ProverFactory&& proverFactory, std::size_t trials,
-                                     util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(instance, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
+  static std::array<graph::Vertex, 1> commitOf(const GsPreimage& found, graph::Vertex u) {
+    return {found.sigma[u]};
   }
-
-  // Single-repetition variant: Pr[prover can claim one repetition] — the
-  // quantity with the 2q vs q gap; cheaper to estimate than the amplified
-  // protocol and what E5 reports alongside it.
-  AcceptanceStats estimatePerRoundHit(const GniInstance& instance, std::size_t trials,
-                                      util::Rng& rng) const;
-
-  // One per-repetition hit trial (the loop body of estimatePerRoundHit),
-  // exposed so the trial engine can run hits as independent seeded trials.
-  bool perRoundHitOnce(const GniInstance& instance, util::Rng& rng) const;
-
-  // Structural cost model (bits per node) for instance size n with k
-  // repetitions; no prime search. Theta(k * n log n).
-  static CostBreakdown costModel(std::size_t n, std::size_t repetitions);
-
-  bool nodeDecision(const GniInstance& instance, graph::Vertex v,
-                    const GniFirstMessage& first, const GniSecondMessage& second,
-                    const std::vector<GniChallenge>& ownChallenges,
-                    const util::BigUInt& ownCheckChallenge) const;
-
- private:
-  GniParams params_;
+  // (i) the GS row sigma(v) of sigma(G_b); (ii) the permutation check, the
+  // identity side [v, e_v] and the sigma side [sigma(v), e_sigma(v)].
+  static void chainPieces(const GsPieceContext& ctx, graph::Vertex v,
+                          std::span<const graph::Vertex, 1> own,
+                          std::span<const util::DynBitset, 1> rows,
+                          std::span<util::BigUInt, 3> out);
+  static GsSearchResult search(const GniInstance& instance, const hash::EpsApiHash& gsHash,
+                               std::span<const GniChallenge> targets);
 };
 
-// The honest (computationally unbounded) prover: decides isomorphism
-// outright, and per repetition enumerates all 2 n! candidates (sigma, b)
-// searching for a preimage of y; claims exactly the repetitions where one
-// exists.
-class HonestGniProver : public GniProver {
- public:
-  explicit HonestGniProver(const GniParams& params);
-  GniFirstMessage firstMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges) override;
-  GniSecondMessage secondMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges,
-      const GniFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) override;
-
-  // Exposed for analysis: did repetition j find a preimage in the last
-  // firstMessage call?
-  const std::vector<std::uint8_t>& lastClaims() const { return lastClaims_; }
-
- private:
-  struct Found {
-    graph::Permutation sigma;
-    std::uint8_t b = 0;
-  };
-  const GniParams& params_;
-  std::vector<std::uint8_t> lastClaims_;
-  std::vector<std::optional<Found>> lastFound_;
-  // The BFS tree of the last firstMessage call and its bottom-up order,
-  // which secondMessage sums along.
-  net::SpanningTreeAdvice tree_;
-  std::vector<graph::Vertex> order_;
-};
+using GniParams = GsParams<RigidGsShape>;
+using GniProver = GsProver<RigidGsShape>;
+using GniAmamProtocol = GsProtocol<RigidGsShape>;
+// Decides isomorphism outright and per repetition enumerates all 2 n!
+// candidates (sigma, b) for a preimage of y.
+using HonestGniProver = HonestGsProver<RigidGsShape>;
 
 // The optimal cheating prover IS the honest prover (every message is forced
 // given (sigma_j, b_j), and the honest search already maximizes the number
 // of claimable repetitions); on isomorphic instances its claim rate is the
-// soundness error. A separate adversary probes the commitment checks with a
-// non-permutation sigma, which the permutation check must catch.
-class NonPermutationGniProver : public GniProver {
+// soundness error. This adversary probes the commitment checks instead: it
+// claims every repetition with b = 0 and a random NON-permutation sigma and
+// sends the honest prover's consistent chains for it, so only the root's
+// permutation equality can catch it (and must, w.h.p.).
+class NonPermutationGniProver : public HonestGniProver {
  public:
   NonPermutationGniProver(const GniParams& params, std::uint64_t seed);
   GniFirstMessage firstMessage(
       const GniInstance& instance,
       const std::vector<std::vector<GniChallenge>>& challenges) override;
-  GniSecondMessage secondMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges,
-      const GniFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) override;
 
  private:
-  const GniParams& params_;
   util::Rng rng_;
 };
 

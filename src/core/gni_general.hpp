@@ -22,36 +22,23 @@
 //       automorphism check  sum_u [u, H_u] == sum_u [alpha(u), alpha(H_u)]
 //       (Lemma 3.1 applied to H); and, for b = 1, the claimed-commitment
 //       consistency checks.
-// Per-node cost stays O(n log n) per repetition.
+// Per-node cost stays O(n log n) per repetition. The rounds, checks, codecs
+// and honest prover are the Goldwasser-Sipser frame's (core/gni_frame.hpp);
+// this header defines the general shape, whose A2 stream, chain list and
+// root equalities extend the rigid one's with the alpha track.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "core/gni_amam.hpp"  // GniInstance, GniChallenge, AcceptanceStats.
+#include "core/gni_amam.hpp"  // The rigid shape and its generators.
+#include "core/gni_frame.hpp"
 #include "core/gni_search.hpp"
-#include "core/result.hpp"
-#include "hash/eps_api.hpp"
-#include "hash/linear_hash.hpp"
-#include "net/spanning.hpp"
-#include "util/rng.hpp"
 
 namespace dip::core {
-
-struct GniGeneralParams {
-  std::size_t n = 0;
-  std::size_t ell = 0;
-  std::size_t repetitions = 0;
-  std::size_t threshold = 0;
-  double perRoundYesLb = 0.0;
-  double perRoundNoUb = 0.0;
-  hash::EpsApiHash gsHash;             // Over (2n) x (2n) matrices.
-  hash::LinearHashFamily checkFamily;  // Dimension n^2, fresh-seed checks.
-
-  // Throws std::invalid_argument for n < 2 and for n > 15, whose field is
-  // wider than the honest prover's search takes (kMaxSearchFieldBits).
-  static GniGeneralParams choose(std::size_t n, util::Rng& rng);
-};
 
 struct GniGenM1PerNode {
   graph::Vertex root = 0;
@@ -87,88 +74,53 @@ struct GniGenSecondMessage {
   std::vector<GniGenM2PerNode> perNode;
 };
 
-class GniGeneralProver {
- public:
-  virtual ~GniGeneralProver() = default;
-  virtual GniGenFirstMessage firstMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges) = 0;
-  virtual GniGenSecondMessage secondMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges,
-      const GniGenFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) = 0;
-};
+// The general shape of the Goldwasser-Sipser frame: a candidate is the pair
+// (H, alpha), a node commits (sigma(v), alpha(sigma(v))), and the chains
+// add alpha's permutation check and the automorphism check to the rigid
+// ones, with a consistency check per committed map for b = 1.
+struct GeneralGsShape {
+  using M1 = GniGenM1PerNode;
+  using M2 = GniGenM2PerNode;
+  using First = GniGenFirstMessage;
+  using Second = GniGenSecondMessage;
+  using Chain = std::vector<util::BigUInt> M2::*;
 
-class GniGeneralProtocol {
- public:
-  explicit GniGeneralProtocol(GniGeneralParams params);
+  static constexpr const char* kName = "GniGeneral";
+  static constexpr const char* kM1Round = "M1: echo + (sigma, alpha) commitments";
+  static constexpr std::size_t kHashSide = 2;
+  static constexpr bool kCompensated = true;
+  static constexpr double kCheckSlack = 6.0;
+  static constexpr std::uint64_t kCheckStream = 0x20000;
+  static constexpr std::array kCommitted{&M1::s, &M1::a};
+  static constexpr std::array kClaims{&M1::sClaims, &M1::aClaims};
+  static constexpr std::array kChains{&M2::h,     &M2::identity, &M2::permS,
+                                      &M2::permA, &M2::autL,     &M2::autR};
+  static constexpr std::array kB1Chains{&M2::consSC, &M2::consST, &M2::consAC, &M2::consAT};
+  static constexpr std::array kRootEqualities{std::pair{&M2::identity, &M2::permS},  // sigma
+                                              std::pair{&M2::identity, &M2::permA},  // alpha
+                                              std::pair{&M2::autL, &M2::autR}};  // Aut(H)
 
-  const GniGeneralParams& params() const { return params_; }
-
-  RunResult run(const GniInstance& instance, GniGeneralProver& prover,
-                util::Rng& rng) const;
-
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const GniInstance& instance,
-                                     ProverFactory&& proverFactory, std::size_t trials,
-                                     util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(instance, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
+  static std::array<graph::Vertex, 2> commitOf(const GsPreimage& found, graph::Vertex u) {
+    return {found.sigma[u], found.alpha[found.sigma[u]]};
   }
-
-  // Pr[some (sigma, b, alpha) hits the target] per repetition — the 2q vs q
-  // quantity, now valid for symmetric inputs too.
-  AcceptanceStats estimatePerRoundHit(const GniInstance& instance, std::size_t trials,
-                                      util::Rng& rng) const;
-
-  // One hit trial against precomputed automorphism lists (compute them once
-  // with graph::allAutomorphisms and share across the trial engine's
-  // workers; the lists are read-only during trials).
-  bool perRoundHitOnce(const GniInstance& instance,
-                       const std::vector<graph::Permutation>& aut0,
-                       const std::vector<graph::Permutation>& aut1,
-                       util::Rng& rng) const;
-
-  static CostBreakdown costModel(std::size_t n, std::size_t repetitions);
-
-  bool nodeDecision(const GniInstance& instance, graph::Vertex v,
-                    const GniGenFirstMessage& first, const GniGenSecondMessage& second,
-                    const std::vector<GniChallenge>& ownChallenges,
-                    const util::BigUInt& ownCheckChallenge) const;
-
- private:
-  GniGeneralParams params_;
+  // (i) the GS piece of the pair (H, alpha): H's row sigma(v) plus alpha's
+  // permutation-matrix row n + sigma(v); (ii) the permutation checks of
+  // sigma and alpha against the identity; (iii) the automorphism check
+  // sum_u [u, H_u] == sum_u [alpha(u), alpha(H_u)] (Lemma 3.1 applied to H).
+  static void chainPieces(const GsPieceContext& ctx, graph::Vertex v,
+                          std::span<const graph::Vertex, 2> own,
+                          std::span<const util::DynBitset, 2> rows,
+                          std::span<util::BigUInt, 6> out);
+  // Enumerates (b, sigma, beta in Aut(G_b)), alpha = sigma beta sigma^-1.
+  static GsSearchResult search(const GniInstance& instance, const hash::EpsApiHash& gsHash,
+                               std::span<const GniChallenge> targets);
 };
 
-// Honest prover: precomputes Aut(G_0) and Aut(G_1), then per repetition
-// enumerates (b, sigma, beta in Aut(G_b)) — with alpha = sigma beta
-// sigma^{-1} — searching for a hash preimage of y.
-class HonestGniGeneralProver : public GniGeneralProver {
- public:
-  explicit HonestGniGeneralProver(const GniGeneralParams& params);
-  GniGenFirstMessage firstMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges) override;
-  GniGenSecondMessage secondMessage(
-      const GniInstance& instance,
-      const std::vector<std::vector<GniChallenge>>& challenges,
-      const GniGenFirstMessage& first,
-      const std::vector<util::BigUInt>& checkChallenges) override;
-
- private:
-  const GniGeneralParams& params_;
-  GsSearchResult lastFound_;
-  // The BFS tree of the last firstMessage call and its bottom-up order,
-  // which secondMessage sums along.
-  net::SpanningTreeAdvice tree_;
-  std::vector<graph::Vertex> order_;
-};
+using GniGeneralParams = GsParams<GeneralGsShape>;
+using GniGeneralProver = GsProver<GeneralGsShape>;
+using GniGeneralProtocol = GsProtocol<GeneralGsShape>;
+// Precomputes Aut(G_0) and Aut(G_1) per first message, then searches.
+using HonestGniGeneralProver = HonestGsProver<GeneralGsShape>;
 
 // Instance generators for the general protocol's distinguishing feature:
 // SYMMETRIC inputs (the basic protocol's counting breaks on these).

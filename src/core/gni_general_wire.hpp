@@ -1,10 +1,7 @@
-// Wire formats for the general-graph GNI dAMAM protocol (honest/consistent
-// message shape). Same layout as the rigid-instance formats in
-// gni_wire.hpp with the extra alpha-commitment fields: per repetition the
-// prover unicasts both sigma(v) and alpha(sigma(v)), and M2 carries the
-// five permutation/automorphism chains plus four b=1 consistency chains.
-// With these, every GniGeneralProtocol charge is backed by a real byte
-// stream (cross-checked under DIP_AUDIT).
+// Wire formats for the general-graph GNI dAMAM protocol: the frame's codecs
+// (gni_wire.hpp) at the general shape. Per repetition the prover unicasts
+// both sigma(v) and alpha(sigma(v)), and M2 carries the five
+// permutation/automorphism chains plus four b=1 consistency chains.
 #pragma once
 
 #include "core/gni_general.hpp"
@@ -12,23 +9,9 @@
 
 namespace dip::core::wire {
 
-// M1: broadcast = root + challenge echo + claimed/b bits; unicast = tree,
-// (sigma, alpha) values, and claims for claimed b=1 repetitions.
-EncodedRound encodeGniGenFirst(const GniGenFirstMessage& message,
-                               const GniInstance& instance,
-                               const GniGeneralParams& params);
-GniGenFirstMessage decodeGniGenFirst(const EncodedRound& round,
-                                     const GniInstance& instance,
-                                     const GniGeneralParams& params);
-
-// M2: broadcast = check-seed echo; unicast = per-claimed-repetition chains.
-EncodedRound encodeGniGenSecond(const GniGenSecondMessage& message,
-                                const GniGenFirstMessage& first,
-                                const GniInstance& instance,
-                                const GniGeneralParams& params);
-GniGenSecondMessage decodeGniGenSecond(const EncodedRound& round,
-                                       const GniGenFirstMessage& first,
-                                       const GniInstance& instance,
-                                       const GniGeneralParams& params);
+inline constexpr auto& encodeGniGenFirst = encodeGniFirst<GeneralGsShape>;
+inline constexpr auto& decodeGniGenFirst = decodeGniFirst<GeneralGsShape>;
+inline constexpr auto& encodeGniGenSecond = encodeGniSecond<GeneralGsShape>;
+inline constexpr auto& decodeGniGenSecond = decodeGniSecond<GeneralGsShape>;
 
 }  // namespace dip::core::wire

@@ -31,20 +31,11 @@
 #include <span>
 #include <vector>
 
-#include "core/gni_amam.hpp"
+#include "core/gni_frame.hpp"
 #include "graph/graph.hpp"
 #include "hash/eps_api.hpp"
 
 namespace dip::core {
-
-// One candidate x in S with H(x) = y.
-struct GsPreimage {
-  graph::Permutation sigma;
-  graph::Permutation alpha;  // sigma . beta . sigma^-1; empty in the rigid form.
-  std::uint8_t b = 0;
-};
-
-using GsSearchResult = std::vector<std::optional<GsPreimage>>;
 
 // The widest Goldwasser-Sipser field, in bits, that the search takes: every
 // prime of at most 63 bits is below 2^63. The GNI parameter choices refuse

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/gni_general.hpp"
+
 namespace dip::core::wire {
 
 namespace {
@@ -51,42 +53,32 @@ std::vector<GniChallenge> decodeGniChallenges(const util::BitWriter& encoded,
   return challenges;
 }
 
-util::BitWriter encodeGniChallenges(const std::vector<GniChallenge>& challenges,
-                                    const GniParams& params) {
-  return encodeGniChallenges(challenges, params.gsHash, params.ell);
-}
-
-std::vector<GniChallenge> decodeGniChallenges(const util::BitWriter& encoded,
-                                              const GniParams& params) {
-  return decodeGniChallenges(encoded, params.gsHash, params.ell, params.repetitions);
-}
-
-EncodedRound encodeGniFirst(const GniFirstMessage& message, const GniInstance& instance,
-                            const GniParams& params) {
+template <typename Shape>
+EncodedRound encodeGniFirst(const typename Shape::First& message, const GniInstance& instance,
+                            const GsParams<Shape>& params) {
   const std::size_t n = instance.g0.numVertices();
   const unsigned idBits = util::bitsFor(n);
   const std::size_t fieldBits = params.gsHash.innerValueBits();
+  const std::size_t k = params.repetitions;
   if (n == 0 || message.perNode.size() != n) {
     throw std::invalid_argument("encodeGniFirst: wrong per-node count");
   }
-  const GniM1PerNode& reference = message.perNode[0];
+  const typename Shape::M1& reference = message.perNode[0];
   for (graph::Vertex v = 0; v < n; ++v) {
-    const GniM1PerNode& m1 = message.perNode[v];
+    const typename Shape::M1& m1 = message.perNode[v];
     if (m1.root != reference.root || m1.echo != reference.echo ||
         m1.claimed != reference.claimed || m1.b != reference.b) {
       throw std::invalid_argument("encodeGniFirst: inconsistent broadcast fields");
     }
   }
-
-  if (reference.echo.size() != params.repetitions ||
-      reference.claimed.size() != params.repetitions ||
-      reference.b.size() != params.repetitions) {
+  if (reference.echo.size() != k || reference.claimed.size() != k ||
+      reference.b.size() != k) {
     throw std::invalid_argument("encodeGniFirst: wrong broadcast repetition count");
   }
 
   EncodedRound round;
   round.broadcast.writeUInt(reference.root, idBits);
-  for (std::size_t j = 0; j < params.repetitions; ++j) {
+  for (std::size_t j = 0; j < k; ++j) {
     writeSeed(round.broadcast, reference.echo[j].seed, fieldBits);
     round.broadcast.writeBig(reference.echo[j].y, params.ell);
     round.broadcast.writeBit(reference.claimed[j]);
@@ -94,26 +86,36 @@ EncodedRound encodeGniFirst(const GniFirstMessage& message, const GniInstance& i
   }
   round.unicast.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    const GniM1PerNode& m1 = message.perNode[v];
-    if (m1.s.size() != params.repetitions || m1.claims.size() != params.repetitions) {
-      throw std::invalid_argument("encodeGniFirst: wrong per-repetition count");
+    const typename Shape::M1& m1 = message.perNode[v];
+    for (auto field : Shape::kCommitted) {
+      if ((m1.*field).size() != k) {
+        throw std::invalid_argument("encodeGniFirst: wrong per-repetition count");
+      }
+    }
+    for (auto field : Shape::kClaims) {
+      if ((m1.*field).size() != k) {
+        throw std::invalid_argument("encodeGniFirst: wrong per-repetition count");
+      }
     }
     util::BitWriter& writer = round.unicast[v];
     writer.writeUInt(m1.parent, idBits);
     writer.writeUInt(m1.dist, idBits);
-    for (std::size_t j = 0; j < params.repetitions; ++j) {
-      writer.writeUInt(m1.s[j], idBits);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (auto field : Shape::kCommitted) writer.writeUInt((m1.*field)[j], idBits);
       if (reference.claimed[j] && reference.b[j] == 1) {
-        // Claim count is determined by the node's closed G1 neighborhood.
-        for (graph::Vertex image : m1.claims[j]) writer.writeUInt(image, idBits);
+        // Claim counts are determined by the node's closed G1 neighborhood.
+        for (auto field : Shape::kClaims) {
+          for (graph::Vertex image : (m1.*field)[j]) writer.writeUInt(image, idBits);
+        }
       }
     }
   }
   return round;
 }
 
-GniFirstMessage decodeGniFirst(const EncodedRound& round, const GniInstance& instance,
-                               const GniParams& params) {
+template <typename Shape>
+typename Shape::First decodeGniFirst(const EncodedRound& round, const GniInstance& instance,
+                                     const GsParams<Shape>& params) {
   const std::size_t n = instance.g0.numVertices();
   const unsigned idBits = util::bitsFor(n);
   const std::size_t fieldBits = params.gsHash.innerValueBits();
@@ -134,10 +136,10 @@ GniFirstMessage decodeGniFirst(const EncodedRound& round, const GniInstance& ins
     b[j] = broadcast.readBit() ? 1 : 0;
   }
 
-  GniFirstMessage message;
+  typename Shape::First message;
   message.perNode.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    GniM1PerNode& m1 = message.perNode[v];
+    typename Shape::M1& m1 = message.perNode[v];
     m1.root = root;
     m1.echo = echo;
     m1.claimed = claimed;
@@ -145,14 +147,18 @@ GniFirstMessage decodeGniFirst(const EncodedRound& round, const GniInstance& ins
     util::BitReader reader(round.unicast[v]);
     m1.parent = static_cast<graph::Vertex>(reader.readUInt(idBits));
     m1.dist = static_cast<std::uint32_t>(reader.readUInt(idBits));
-    m1.s.resize(k);
-    m1.claims.resize(k);
+    for (auto field : Shape::kCommitted) (m1.*field).resize(k);
+    for (auto field : Shape::kClaims) (m1.*field).resize(k);
     const std::size_t claimCount = instance.g1.degree(v) + 1;
     for (std::size_t j = 0; j < k; ++j) {
-      m1.s[j] = static_cast<graph::Vertex>(reader.readUInt(idBits));
+      for (auto field : Shape::kCommitted) {
+        (m1.*field)[j] = static_cast<graph::Vertex>(reader.readUInt(idBits));
+      }
       if (claimed[j] && b[j] == 1) {
-        for (std::size_t i = 0; i < claimCount; ++i) {
-          m1.claims[j].push_back(static_cast<graph::Vertex>(reader.readUInt(idBits)));
+        for (auto field : Shape::kClaims) {
+          for (std::size_t i = 0; i < claimCount; ++i) {
+            (m1.*field)[j].push_back(static_cast<graph::Vertex>(reader.readUInt(idBits)));
+          }
         }
       }
     }
@@ -160,21 +166,28 @@ GniFirstMessage decodeGniFirst(const EncodedRound& round, const GniInstance& ins
   return message;
 }
 
-EncodedRound encodeGniSecond(const GniSecondMessage& message,
-                             const GniFirstMessage& first, const GniInstance& instance,
-                             const GniParams& params) {
+template <typename Shape>
+EncodedRound encodeGniSecond(const typename Shape::Second& message,
+                             const typename Shape::First& first, const GniInstance& instance,
+                             const GsParams<Shape>& params) {
+  constexpr auto chains = gsChains<Shape>();
   const std::size_t n = instance.g0.numVertices();
   const std::size_t innerBits = params.gsHash.innerValueBits();
   const std::size_t checkBits = params.checkFamily.seedBits();
+  const std::size_t k = params.repetitions;
   if (n == 0 || message.perNode.size() != n || first.perNode.size() != n) {
     throw std::invalid_argument("encodeGniSecond: wrong per-node count");
   }
-  const GniM1PerNode& flags = first.perNode[0];
-  if (flags.claimed.size() != params.repetitions || flags.b.size() != params.repetitions) {
+  const typename Shape::M1& flags = first.perNode[0];
+  if (flags.claimed.size() != k || flags.b.size() != k) {
     throw std::invalid_argument("wire: wrong M1 flag repetition count");
   }
-
   for (graph::Vertex v = 0; v < n; ++v) {
+    // Every node's unicast layout follows its copy of the M1 flags; the
+    // format has one layout, node 0's.
+    if (first.perNode[v].claimed != flags.claimed || first.perNode[v].b != flags.b) {
+      throw std::invalid_argument("encodeGniSecond: inconsistent M1 flags");
+    }
     if (!(message.perNode[v].checkSeed == message.perNode[0].checkSeed)) {
       throw std::invalid_argument("encodeGniSecond: inconsistent check seed");
     }
@@ -184,30 +197,30 @@ EncodedRound encodeGniSecond(const GniSecondMessage& message,
   round.broadcast.writeBig(message.perNode[0].checkSeed, checkBits);
   round.unicast.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    const GniM2PerNode& m2 = message.perNode[v];
-    if (m2.h.size() != params.repetitions || m2.permI.size() != params.repetitions ||
-        m2.permS.size() != params.repetitions ||
-        m2.consC.size() != params.repetitions ||
-        m2.consT.size() != params.repetitions) {
-      throw std::invalid_argument("encodeGniSecond: wrong per-repetition count");
+    const typename Shape::M2& m2 = message.perNode[v];
+    for (auto field : chains) {
+      if ((m2.*field).size() != k) {
+        throw std::invalid_argument("encodeGniSecond: wrong per-repetition count");
+      }
     }
     util::BitWriter& writer = round.unicast[v];
-    for (std::size_t j = 0; j < params.repetitions; ++j) {
+    for (std::size_t j = 0; j < k; ++j) {
       if (!flags.claimed[j]) continue;
-      writer.writeBig(m2.h[j], innerBits);
-      writer.writeBig(m2.permI[j], checkBits);
-      writer.writeBig(m2.permS[j], checkBits);
-      if (flags.b[j] == 1) {
-        writer.writeBig(m2.consC[j], checkBits);
-        writer.writeBig(m2.consT[j], checkBits);
+      const std::size_t count = flags.b[j] == 1 ? chains.size() : Shape::kChains.size();
+      for (std::size_t c = 0; c < count; ++c) {
+        writer.writeBig((m2.*chains[c])[j], c == 0 ? innerBits : checkBits);
       }
     }
   }
   return round;
 }
 
-GniSecondMessage decodeGniSecond(const EncodedRound& round, const GniFirstMessage& first,
-                                 const GniInstance& instance, const GniParams& params) {
+template <typename Shape>
+typename Shape::Second decodeGniSecond(const EncodedRound& round,
+                                       const typename Shape::First& first,
+                                       const GniInstance& instance,
+                                       const GsParams<Shape>& params) {
+  constexpr auto chains = gsChains<Shape>();
   const std::size_t n = instance.g0.numVertices();
   const std::size_t innerBits = params.gsHash.innerValueBits();
   const std::size_t checkBits = params.checkFamily.seedBits();
@@ -216,37 +229,55 @@ GniSecondMessage decodeGniSecond(const EncodedRound& round, const GniFirstMessag
   if (first.perNode.size() != n) {
     throw std::invalid_argument("decodeGniSecond: wrong M1 per-node count");
   }
-  const GniM1PerNode& flags = first.perNode[0];
-  if (flags.claimed.size() != params.repetitions || flags.b.size() != params.repetitions) {
+  const typename Shape::M1& flags = first.perNode[0];
+  if (flags.claimed.size() != k || flags.b.size() != k) {
     throw std::invalid_argument("wire: wrong M1 flag repetition count");
   }
 
   util::BitReader broadcast(round.broadcast);
   util::BigUInt checkSeed = broadcast.readBig(checkBits);
 
-  GniSecondMessage message;
+  typename Shape::Second message;
   message.perNode.resize(n);
   for (graph::Vertex v = 0; v < n; ++v) {
-    GniM2PerNode& m2 = message.perNode[v];
+    typename Shape::M2& m2 = message.perNode[v];
     m2.checkSeed = checkSeed;
-    m2.h.assign(k, util::BigUInt{});
-    m2.permI.assign(k, util::BigUInt{});
-    m2.permS.assign(k, util::BigUInt{});
-    m2.consC.assign(k, util::BigUInt{});
-    m2.consT.assign(k, util::BigUInt{});
+    for (auto field : chains) (m2.*field).assign(k, util::BigUInt{});
     util::BitReader reader(round.unicast[v]);
     for (std::size_t j = 0; j < k; ++j) {
       if (!flags.claimed[j]) continue;
-      m2.h[j] = reader.readBig(innerBits);
-      m2.permI[j] = reader.readBig(checkBits);
-      m2.permS[j] = reader.readBig(checkBits);
-      if (flags.b[j] == 1) {
-        m2.consC[j] = reader.readBig(checkBits);
-        m2.consT[j] = reader.readBig(checkBits);
+      const std::size_t count = flags.b[j] == 1 ? chains.size() : Shape::kChains.size();
+      for (std::size_t c = 0; c < count; ++c) {
+        (m2.*chains[c])[j] = reader.readBig(c == 0 ? innerBits : checkBits);
       }
     }
   }
   return message;
 }
+
+template EncodedRound encodeGniFirst<RigidGsShape>(const GniFirstMessage&, const GniInstance&,
+                                                   const GniParams&);
+template EncodedRound encodeGniFirst<GeneralGsShape>(const GniGenFirstMessage&,
+                                                     const GniInstance&,
+                                                     const GniGeneralParams&);
+template GniFirstMessage decodeGniFirst<RigidGsShape>(const EncodedRound&, const GniInstance&,
+                                                      const GniParams&);
+template GniGenFirstMessage decodeGniFirst<GeneralGsShape>(const EncodedRound&,
+                                                           const GniInstance&,
+                                                           const GniGeneralParams&);
+template EncodedRound encodeGniSecond<RigidGsShape>(const GniSecondMessage&,
+                                                    const GniFirstMessage&,
+                                                    const GniInstance&, const GniParams&);
+template EncodedRound encodeGniSecond<GeneralGsShape>(const GniGenSecondMessage&,
+                                                      const GniGenFirstMessage&,
+                                                      const GniInstance&,
+                                                      const GniGeneralParams&);
+template GniSecondMessage decodeGniSecond<RigidGsShape>(const EncodedRound&,
+                                                        const GniFirstMessage&,
+                                                        const GniInstance&, const GniParams&);
+template GniGenSecondMessage decodeGniSecond<GeneralGsShape>(const EncodedRound&,
+                                                             const GniGenFirstMessage&,
+                                                             const GniInstance&,
+                                                             const GniGeneralParams&);
 
 }  // namespace dip::core::wire

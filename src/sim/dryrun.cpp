@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/gni_amam.hpp"
 #include "util/biguint.hpp"
 #include "util/bitio.hpp"
 
@@ -45,25 +46,8 @@ SymWidths symDamModelWidths(std::size_t n) {
 SymWidths dsymDamModelWidths(std::size_t n) { return symDmamModelWidths(n); }
 
 GniWidths gniModelWidths(std::size_t n, std::size_t repetitions) {
-  // Mirrors GniAmamProtocol::costModel digit for digit (same double
-  // accumulation): ell ~ log2(n!) + 3, field prime ~ ell + 2 log2 n + 8
-  // bits, check family ~ 3 log2 n + 24 bits.
-  double log2Fact = 0.0;
-  // dip-lint: allow(determinism-escape) -- fixed-order scalar loop, exact
-  // mirror of GniAmamProtocol::costModel's accumulation (same result bit
-  // for bit on every platform the tests pin).
-  for (std::size_t i = 2; i <= n; ++i) {
-    log2Fact += std::log2(static_cast<double>(i));
-  }
-  const std::size_t ell = static_cast<std::size_t>(log2Fact) + 3;
-  const std::size_t fieldBits = ell + 2 * util::bitsFor(n) + 8;
-  GniWidths w;
-  w.idBits = util::bitsFor(n);
-  w.seedBlockBits = 3 * fieldBits + ell;
-  w.innerBits = fieldBits;
-  w.checkBits = 3 * util::bitsFor(n) + 24;
-  w.repetitions = repetitions;
-  return w;
+  const core::GsModelWidths model = core::GniAmamProtocol::modelWidths(n);
+  return {model.idBits, model.seedBlockBits, model.fieldBits, model.checkBits, repetitions};
 }
 
 }  // namespace dip::sim

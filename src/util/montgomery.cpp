@@ -62,7 +62,6 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus) : m_(std::move(modulus)) {
   BigUInt rSquared = (rModM * rModM) % m_;
   one_.limbs_ = paddedWords(rModM, numLimbs_);
   rSquared_.limbs_ = paddedWords(rSquared, numLimbs_);
-  zero_.limbs_.assign(numLimbs_, 0);
 }
 
 void MontgomeryContext::mulRaw(const Limb* a, const Limb* b, Limb* out) const {
@@ -126,19 +125,6 @@ void MontgomeryContext::mulValue(const MontgomeryValue& a, const MontgomeryValue
                                  MontgomeryValue& out, Scratch& /*scratch*/) const {
   out.limbs_.resize(numLimbs_);
   mulRaw(a.limbs_.data(), b.limbs_.data(), out.limbs_.data());
-}
-
-void MontgomeryContext::addValue(const MontgomeryValue& a, const MontgomeryValue& b,
-                                 MontgomeryValue& out) const {
-  out.limbs_.resize(numLimbs_);
-  addRaw(a.limbs_.data(), b.limbs_.data(), out.limbs_.data());
-}
-
-void MontgomeryContext::addRaw(const Limb* a, const Limb* b, Limb* out) const {
-  const mont::Modulus mod = kernelModulus();
-  mont::dispatch(numLimbs_, [&](auto width) {
-    mont::add<decltype(width)::value>(mod, a, b, out);
-  });
 }
 
 void MontgomeryContext::buildWindowTable(const Limb* base, unsigned wMax,

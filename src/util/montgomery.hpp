@@ -15,7 +15,7 @@
 // the one plain-domain entry point: it converts in, runs the windowed
 // ladder in-domain and converts out.
 //
-// Every product, sum and convert-out runs through the flat-limb kernels of
+// Every product and convert-out runs through the flat-limb kernels of
 // util/mont_kernels.hpp; the context's methods are thin dispatchers that
 // pick the kernel width and stage through stack accumulators.
 #pragma once
@@ -34,8 +34,7 @@ class MontgomeryContext;
 // context: exactly numLimbs() little-endian limbs, always < m. The domain
 // map is a bijection, so operator== compares the underlying residues.
 // Values must originate from the owning context (toValue / oneValue /
-// zeroValue / mulValue / powValue); a default-constructed value is only a
-// target slot.
+// mulValue / powValue); a default-constructed value is only a target slot.
 class MontgomeryValue {
  public:
   MontgomeryValue() = default;
@@ -77,13 +76,9 @@ class MontgomeryContext {
   // v * R^-1 mod m: back to a plain residue.
   BigUInt fromValue(const MontgomeryValue& v) const;
   const MontgomeryValue& oneValue() const { return one_; }  // Mont(1) = R mod m.
-  const MontgomeryValue& zeroValue() const { return zero_; }
   // out = a * b in-domain (one REDC); out may alias a or b.
   void mulValue(const MontgomeryValue& a, const MontgomeryValue& b,
                 MontgomeryValue& out, Scratch& scratch) const;
-  // In-domain linear op: Mont(x) + Mont(y) = Mont(x + y).
-  void addValue(const MontgomeryValue& a, const MontgomeryValue& b,
-                MontgomeryValue& out) const;
   // out = base ^ exponent in-domain, fixed 4-bit windows (4 squarings plus
   // at most one table multiply per window).
   void powValue(const MontgomeryValue& base, const BigUInt& exponent,
@@ -96,12 +91,11 @@ class MontgomeryContext {
   // (Loops over many residues call the mont:: kernels directly, inside one
   // mont::dispatch.) Every pointer addresses exactly numLimbs() limbs
   // holding an in-domain residue < m; out may alias a or b (products stage
-  // through a stack accumulator, adds are limb-parallel).
+  // through a stack accumulator). In-domain adds are mont::add on the
+  // kernelModulus().
 
   // out = a * b in-domain (one REDC).
   void mulRaw(const Limb* a, const Limb* b, Limb* out) const;
-  // out = a + b mod m, in-domain.
-  void addRaw(const Limb* a, const Limb* b, Limb* out) const;
   // out = x * R mod m (reduces x mod m first if needed).
   void toRaw(const BigUInt& x, Limb* out) const;
   BigUInt rawToPlain(const Limb* v) const;  // Convert-out (one REDC).
@@ -123,7 +117,6 @@ class MontgomeryContext {
   std::size_t numLimbs_ = 0;    // k: limbs of m.
   Limb mPrime_ = 0;             // -m^-1 mod 2^kLimbBits.
   MontgomeryValue one_;         // R mod m (Montgomery form of 1).
-  MontgomeryValue zero_;
   MontgomeryValue rSquared_;    // R^2 mod m (raw limbs; toValue multiplier).
 };
 

@@ -141,7 +141,7 @@ TEST_P(GniCellBudget, AllocationsPerTrialWithinCeiling) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, GniCellBudget,
-    ::testing::Values(CellBudget{"gni_amam", 186.3}, CellBudget{"gni_general", 373.5}),
+    ::testing::Values(CellBudget{"gni_amam", 174.2}, CellBudget{"gni_general", 323.2}),
     [](const ::testing::TestParamInfo<CellBudget>& info) {
       return std::string(info.param.cell);
     });

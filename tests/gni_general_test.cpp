@@ -190,5 +190,42 @@ TEST_F(GniGeneralTest, CostStaysNLogNPerRepetition) {
   EXPECT_LT(maxRatio / minRatio, 6.0);
 }
 
+// The honest prover with the alpha commitments of node 0's first G0
+// neighbour replaced by an empty vector, which node 0 reads for b = 0: the verifiers must
+// reject the message without reading past the vector's end.
+class EmptiedNeighbourAlphaProver : public GniGeneralProver {
+ public:
+  explicit EmptiedNeighbourAlphaProver(const GniGeneralParams& params) : honest_(params) {}
+  GniGenFirstMessage firstMessage(
+      const GniInstance& instance,
+      const std::vector<std::vector<GniChallenge>>& challenges) override {
+    GniGenFirstMessage first = honest_.firstMessage(instance, challenges);
+    // closedNeighbors(0)[0] is node 0 itself.
+    first.perNode[instance.g0.closedNeighbors(0)[1]].a = std::vector<graph::Vertex>();
+    return first;
+  }
+  GniGenSecondMessage secondMessage(
+      const GniInstance& instance, const std::vector<std::vector<GniChallenge>>& challenges,
+      const GniGenFirstMessage& first,
+      const std::vector<util::BigUInt>& checkChallenges) override {
+    return honest_.secondMessage(instance, challenges, first, checkChallenges);
+  }
+
+ private:
+  HonestGniGeneralProver honest_;
+};
+
+TEST_F(GniGeneralTest, MalformedNeighbourAlphaRejected) {
+  Rng rng(179);
+  GniInstance yes = gniGeneralYesInstance(6, rng);
+  GniGeneralProtocol protocol(*params_);
+  HonestGniGeneralProver honest(*params_);
+  Rng honestRng(180);
+  ASSERT_TRUE(protocol.run(yes, honest, honestRng).accepted);
+  EmptiedNeighbourAlphaProver prover(*params_);
+  Rng trialRng(180);
+  EXPECT_FALSE(protocol.run(yes, prover, trialRng).accepted);
+}
+
 }  // namespace
 }  // namespace dip::core

@@ -210,5 +210,72 @@ TEST_F(GniTest, SearchPreimageRespectsHashSemantics) {
   }
 }
 
+// The honest prover with one per-repetition vector of node 0's first G0
+// neighbour replaced by an empty one (no storage): the neighbour's
+// commitments s (read by node 0 for b = 0), its chain h (read by node 0,
+// its tree parent) or its claimed flags (read by the transcript charges
+// and by node 0's broadcast check). The protocol must reject such a message
+// without reading past the vector's end.
+enum class Emptied { kCommitments, kChildChain, kClaimedFlags };
+
+class EmptiedNeighbourGniProver : public GniProver {
+ public:
+  EmptiedNeighbourGniProver(const GniParams& params, Emptied emptied)
+      : honest_(params), emptied_(emptied) {}
+  GniFirstMessage firstMessage(
+      const GniInstance& instance,
+      const std::vector<std::vector<GniChallenge>>& challenges) override {
+    GniFirstMessage first = honest_.firstMessage(instance, challenges);
+    GniM1PerNode& m1 = first.perNode[neighbour(instance)];
+    if (emptied_ == Emptied::kCommitments) m1.s = std::vector<graph::Vertex>();
+    if (emptied_ == Emptied::kClaimedFlags) m1.claimed = std::vector<std::uint8_t>();
+    return first;
+  }
+  GniSecondMessage secondMessage(const GniInstance& instance,
+                                 const std::vector<std::vector<GniChallenge>>& challenges,
+                                 const GniFirstMessage& first,
+                                 const std::vector<util::BigUInt>& checkChallenges) override {
+    GniSecondMessage second =
+        honest_.secondMessage(instance, challenges, first, checkChallenges);
+    if (emptied_ == Emptied::kChildChain) {
+      second.perNode[neighbour(instance)].h = std::vector<util::BigUInt>();
+    }
+    return second;
+  }
+
+ private:
+  static graph::Vertex neighbour(const GniInstance& instance) {
+    return instance.g0.closedNeighbors(0)[1];  // [0] is node 0 itself.
+  }
+  HonestGniProver honest_;
+  Emptied emptied_;
+};
+
+// The honest prover's run is accepted; the same run with the emptied
+// vector is rejected.
+void expectEmptiedRejected(const GniParams& params, Emptied emptied) {
+  Rng rng(160);
+  GniInstance yes = gniYesInstance(6, rng);
+  GniAmamProtocol protocol(params);
+  HonestGniProver honest(params);
+  Rng honestRng(161);
+  ASSERT_TRUE(protocol.run(yes, honest, honestRng).accepted);
+  EmptiedNeighbourGniProver prover(params, emptied);
+  Rng trialRng(161);
+  EXPECT_FALSE(protocol.run(yes, prover, trialRng).accepted);
+}
+
+TEST_F(GniTest, MalformedNeighbourCommitmentsRejected) {
+  expectEmptiedRejected(*params_, Emptied::kCommitments);
+}
+
+TEST_F(GniTest, MalformedChildChainRejected) {
+  expectEmptiedRejected(*params_, Emptied::kChildChain);
+}
+
+TEST_F(GniTest, MalformedClaimedFlagsRejected) {
+  expectEmptiedRejected(*params_, Emptied::kClaimedFlags);
+}
+
 }  // namespace
 }  // namespace dip::core

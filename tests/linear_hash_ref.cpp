@@ -66,7 +66,7 @@ void LinearHashEvaluator::clearRow() {
       row64_ = 0;
       break;
     case Backend::kMontgomery:
-      rowV_ = ctx_->zeroValue();
+      rowRaw_.assign(ctx_->numLimbs(), 0);
       break;
     case Backend::kUnbound:
       throw std::logic_error("LinearHashEvaluator: used before rebind");
@@ -74,7 +74,15 @@ void LinearHashEvaluator::clearRow() {
 }
 
 util::BigUInt LinearHashEvaluator::rowValue() {
-  return backend_ == Backend::kU64 ? util::BigUInt{row64_} : ctx_->fromValue(rowV_);
+  return backend_ == Backend::kU64 ? util::BigUInt{row64_} : ctx_->rawToPlain(rowRaw_.data());
+}
+
+void LinearHashEvaluator::addPowerToRow() {
+  const util::mont::Modulus mod = ctx_->kernelModulus();
+  util::mont::dispatch(mod.k, [&](auto width) {
+    util::mont::add<decltype(width)::value>(mod, rowRaw_.data(), powerV_.limbs().data(),
+                                            rowRaw_.data());
+  });
 }
 
 void LinearHashEvaluator::walkBits(std::uint64_t startExponent,
@@ -99,7 +107,7 @@ void LinearHashEvaluator::walkBits(std::uint64_t startExponent,
     for (std::size_t step = 0; step < gap; ++step) {
       ctx_->mulValue(powerV_, aV_, powerV_, scratch_);
     }
-    ctx_->addValue(rowV_, powerV_, rowV_);
+    addPowerToRow();
     previous = w;
     first = false;
   });
@@ -117,7 +125,7 @@ void LinearHashEvaluator::addTerm(std::uint64_t position, std::uint64_t coeffici
     ctx_->toValue(util::BigUInt{coefficient}, coeffV_, scratch_);
     ctx_->mulValue(powerV_, coeffV_, powerV_, scratch_);
   }
-  ctx_->addValue(rowV_, powerV_, rowV_);
+  addPowerToRow();
 }
 
 util::BigUInt LinearHashEvaluator::hashSparse(

@@ -59,6 +59,8 @@ class LinearHashEvaluator {
   // a^(position+1) * (coefficient mod p), added into the row accumulator.
   void addTerm(std::uint64_t position, std::uint64_t coefficient);
   void clearRow();
+  // Montgomery backend: row += power, in-domain.
+  void addPowerToRow();
   util::BigUInt rowValue();
 
   Backend backend_ = Backend::kUnbound;
@@ -74,7 +76,7 @@ class LinearHashEvaluator {
   util::MontgomeryValue aV_;
   util::MontgomeryValue powerV_;
   util::MontgomeryValue coeffV_;
-  util::MontgomeryValue rowV_;
+  std::vector<util::MontgomeryContext::Limb> rowRaw_;  // In-domain row sum, raw limbs.
 };
 
 }  // namespace dip::hash
