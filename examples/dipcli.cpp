@@ -94,8 +94,8 @@ int cmdSym(const Args& args) {
   core::SymDmamProtocol protocol(hash::makeProtocol1Family(g.numVertices(), rng));
   if (rigid) {
     int seed = 0;
-    core::AcceptanceStats stats = protocol.estimateAcceptance(
-        g,
+    core::AcceptanceStats stats = core::estimateAcceptance(
+        protocol, g,
         [&] {
           return std::make_unique<core::CheatingRhoProver>(
               protocol.family(), core::CheatingRhoProver::Strategy::kRandomPermutation,

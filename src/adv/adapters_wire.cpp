@@ -1,10 +1,10 @@
 #include "adv/adapters_wire.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/gni_wire.hpp"
-#include "core/sym_input_wire.hpp"
 #include "sim/trial.hpp"
 #include "util/arena.hpp"
 #include "util/bitio.hpp"
@@ -45,221 +45,101 @@ std::uint32_t skewedDistance(std::uint32_t dist, unsigned idBits, util::Rng& rng
 
 // ---- Typed surfaces (one per round shape) ----
 
-class SymDmamFirstSurface final : public FieldSurface {
+// A Sym message carrying spanning-tree advice.
+template <typename Message>
+concept SymTreeAdvice = requires(Message& message) {
+  message.parent;
+  message.dist;
+};
+
+// Does a field of Message have this carrier type?
+template <typename Message, typename Carrier>
+constexpr bool hasCarrier() {
+  bool found = false;
+  core::forEachField<Message>([&](const auto& field) {
+    found = found || std::is_same_v<typename std::decay_t<decltype(field)>::Carrier, Carrier>;
+  });
+  return found;
+}
+
+// The typed surface of a Sym message, read off its field table: the tree
+// advice (parent, dist), the broadcast root or witness (its broadcast
+// vertex field) and the hash-domain values, the index echo (its broadcast
+// seed) and the chains (its value fields). A round without a field answers
+// false, and the mutator falls back to a raw flip.
+template <typename Message>
+class SymSurface final : public FieldSurface {
  public:
-  SymDmamFirstSurface(core::SymDmamFirstMessage message, std::size_t n)
-      : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)) {}
-  const core::SymDmamFirstMessage& message() const { return message_; }
+  SymSurface(Message message, const core::SymShape& shape)
+      : message_(std::move(message)), shape_(shape) {}
+  const Message& message() const { return message_; }
 
   bool rewriteParent(util::Rng& rng) override {
-    message_.parent[rng.nextBelow(n_)] = randomId(rng, idBits_);
-    markDirty();
-    return true;
+    if constexpr (SymTreeAdvice<Message>) {
+      message_.parent[rng.nextBelow(shape_.n)] = randomId(rng, shape_.widths.idBits);
+      markDirty();
+      return true;
+    } else {
+      return false;
+    }
   }
   bool skewDistance(util::Rng& rng) override {
-    graph::Vertex v = static_cast<graph::Vertex>(rng.nextBelow(n_));
-    message_.dist[v] = skewedDistance(message_.dist[v], idBits_, rng);
-    markDirty();
-    return true;
-  }
-  bool swapRoot(util::Rng& rng) override {
-    message_.rootPerNode.assign(n_, randomId(rng, idBits_));
-    markDirty();
-    return true;
-  }
-
- private:
-  core::SymDmamFirstMessage message_;
-  std::size_t n_;
-  unsigned idBits_;
-};
-
-class SymDmamSecondSurface final : public FieldSurface {
- public:
-  SymDmamSecondSurface(core::SymDmamSecondMessage message,
-                       const hash::LinearHashFamily& family)
-      : message_(std::move(message)), family_(family) {}
-  const core::SymDmamSecondMessage& message() const { return message_; }
-
-  bool perturbHashValue(util::Rng& rng) override {
-    const std::size_t n = message_.a.size();
-    switch (rng.nextBelow(3)) {
-      case 0:
-        message_.indexPerNode.assign(n, rng.nextBigBits(family_.seedBits()));
-        break;
-      case 1:
-        message_.a[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
-      default:
-        message_.b[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
+    if constexpr (SymTreeAdvice<Message>) {
+      graph::Vertex v = static_cast<graph::Vertex>(rng.nextBelow(shape_.n));
+      message_.dist[v] = skewedDistance(message_.dist[v], shape_.widths.idBits, rng);
+      markDirty();
+      return true;
+    } else {
+      return false;
     }
-    markDirty();
-    return true;
   }
-
- private:
-  core::SymDmamSecondMessage message_;
-  const hash::LinearHashFamily& family_;
-};
-
-class SymDamSurface final : public FieldSurface {
- public:
-  SymDamSurface(core::SymDamMessage message, std::size_t n,
-                const hash::LinearHashFamily& family)
-      : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)),
-        family_(family) {}
-  const core::SymDamMessage& message() const { return message_; }
-
-  bool rewriteParent(util::Rng& rng) override {
-    message_.parent[rng.nextBelow(n_)] = randomId(rng, idBits_);
-    markDirty();
-    return true;
-  }
-  bool skewDistance(util::Rng& rng) override {
-    graph::Vertex v = static_cast<graph::Vertex>(rng.nextBelow(n_));
-    message_.dist[v] = skewedDistance(message_.dist[v], idBits_, rng);
-    markDirty();
-    return true;
-  }
+  // Draws nextBelow(1 + chains): 0 replaces the index echo at every node,
+  // c the c-th chain's value at a random node.
   bool perturbHashValue(util::Rng& rng) override {
-    switch (rng.nextBelow(3)) {
-      case 0:
-        message_.indexPerNode.assign(n_, rng.nextBigBits(family_.seedBits()));
-        break;
-      case 1:
-        message_.a[rng.nextBelow(n_)] = rng.nextBigBits(family_.valueBits());
-        break;
-      default:
-        message_.b[rng.nextBelow(n_)] = rng.nextBigBits(family_.valueBits());
-        break;
+    if constexpr (hasCarrier<Message, core::Broadcast<util::BigUInt>>()) {
+      const std::size_t pick = rng.nextBelow(1 + core::chainCount<Message>());
+      std::size_t chain = 0;
+      core::forEachField<Message>([&](const auto& field) {
+        using Carrier = typename std::decay_t<decltype(field)>::Carrier;
+        auto& value = message_.*field.member;
+        if constexpr (std::is_same_v<Carrier, core::Broadcast<util::BigUInt>>) {
+          if (pick == 0) value.assign(shape_.n, rng.nextBigBits(bits(field)));
+        } else if constexpr (std::is_same_v<Carrier, std::vector<util::BigUInt>>) {
+          if (++chain == pick) value[rng.nextBelow(shape_.n)] = rng.nextBigBits(bits(field));
+        }
+      });
+      markDirty();
+      return true;
+    } else {
+      return false;
     }
-    markDirty();
-    return true;
   }
+  // The broadcast root (the witness w with rho(w) != w in the input-graph
+  // extension).
   bool swapRoot(util::Rng& rng) override {
-    message_.rootPerNode.assign(n_, randomId(rng, idBits_));
-    markDirty();
-    return true;
-  }
-
- private:
-  core::SymDamMessage message_;
-  std::size_t n_;
-  unsigned idBits_;
-  const hash::LinearHashFamily& family_;
-};
-
-class DSymSurface final : public FieldSurface {
- public:
-  DSymSurface(core::DSymMessage message, std::size_t n,
-              const hash::LinearHashFamily& family)
-      : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)),
-        family_(family) {}
-  const core::DSymMessage& message() const { return message_; }
-
-  bool rewriteParent(util::Rng& rng) override {
-    message_.parent[rng.nextBelow(n_)] = randomId(rng, idBits_);
-    markDirty();
-    return true;
-  }
-  bool skewDistance(util::Rng& rng) override {
-    graph::Vertex v = static_cast<graph::Vertex>(rng.nextBelow(n_));
-    message_.dist[v] = skewedDistance(message_.dist[v], idBits_, rng);
-    markDirty();
-    return true;
-  }
-  bool perturbHashValue(util::Rng& rng) override {
-    switch (rng.nextBelow(3)) {
-      case 0:
-        message_.indexPerNode.assign(n_, rng.nextBigBits(family_.seedBits()));
-        break;
-      case 1:
-        message_.a[rng.nextBelow(n_)] = rng.nextBigBits(family_.valueBits());
-        break;
-      default:
-        message_.b[rng.nextBelow(n_)] = rng.nextBigBits(family_.valueBits());
-        break;
+    if constexpr (hasCarrier<Message, core::Broadcast<graph::Vertex>>()) {
+      core::forEachField<Message>([&](const auto& field) {
+        using Carrier = typename std::decay_t<decltype(field)>::Carrier;
+        if constexpr (std::is_same_v<Carrier, core::Broadcast<graph::Vertex>>) {
+          (message_.*field.member)
+              .assign(shape_.n, randomId(rng, static_cast<unsigned>(bits(field))));
+        }
+      });
+      markDirty();
+      return true;
+    } else {
+      return false;
     }
-    markDirty();
-    return true;
-  }
-  bool swapRoot(util::Rng& rng) override {
-    message_.rootPerNode.assign(n_, randomId(rng, idBits_));
-    markDirty();
-    return true;
   }
 
  private:
-  core::DSymMessage message_;
-  std::size_t n_;
-  unsigned idBits_;
-  const hash::LinearHashFamily& family_;
-};
-
-class SymInputFirstSurface final : public FieldSurface {
- public:
-  SymInputFirstSurface(core::SymInputFirstMessage message, std::size_t n)
-      : message_(std::move(message)), n_(n), idBits_(util::bitsFor(n)) {}
-  const core::SymInputFirstMessage& message() const { return message_; }
-
-  bool rewriteParent(util::Rng& rng) override {
-    message_.parent[rng.nextBelow(n_)] = randomId(rng, idBits_);
-    markDirty();
-    return true;
-  }
-  bool skewDistance(util::Rng& rng) override {
-    graph::Vertex v = static_cast<graph::Vertex>(rng.nextBelow(n_));
-    message_.dist[v] = skewedDistance(message_.dist[v], idBits_, rng);
-    markDirty();
-    return true;
-  }
-  // The broadcast witness w (rho(w) != w) plays the root's role here.
-  bool swapRoot(util::Rng& rng) override {
-    message_.witnessPerNode.assign(n_, randomId(rng, idBits_));
-    markDirty();
-    return true;
+  template <typename Field>
+  std::size_t bits(const Field& field) const {
+    return core::bitsOf(field.width, shape_.widths);
   }
 
- private:
-  core::SymInputFirstMessage message_;
-  std::size_t n_;
-  unsigned idBits_;
-};
-
-class SymInputSecondSurface final : public FieldSurface {
- public:
-  SymInputSecondSurface(core::SymInputSecondMessage message,
-                        const hash::LinearHashFamily& family)
-      : message_(std::move(message)), family_(family) {}
-  const core::SymInputSecondMessage& message() const { return message_; }
-
-  bool perturbHashValue(util::Rng& rng) override {
-    const std::size_t n = message_.a.size();
-    switch (rng.nextBelow(5)) {
-      case 0:
-        message_.indexPerNode.assign(n, rng.nextBigBits(family_.seedBits()));
-        break;
-      case 1:
-        message_.a[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
-      case 2:
-        message_.b[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
-      case 3:
-        message_.consC[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
-      default:
-        message_.consT[rng.nextBelow(n)] = rng.nextBigBits(family_.valueBits());
-        break;
-    }
-    markDirty();
-    return true;
-  }
-
- private:
-  core::SymInputSecondMessage message_;
-  const hash::LinearHashFamily& family_;
+  Message message_;
+  core::SymShape shape_;
 };
 
 template <typename Shape>
@@ -390,161 +270,84 @@ std::uint64_t foldPayload(std::uint64_t acc, const util::BitWriter& payload) {
   return acc;
 }
 
-// ---- SymDmam (dMAM: M1, A, M2) ----
+// ---- The Sym protocols ----
 
-MutantSymDmamProver::MutantSymDmamProver(std::unique_ptr<core::SymDmamProver> base,
-                                         const MessageMutator& mutator,
-                                         const hash::LinearHashFamily& family,
-                                         util::Rng rng)
-    : base_(std::move(base)), mutator_(mutator), family_(family), rng_(rng) {}
+namespace {
 
-core::SymDmamFirstMessage MutantSymDmamProver::firstMessage(const graph::Graph& g) {
-  const std::size_t n = g.numVertices();
-  honestFirst_ = base_->firstMessage(g);
-  core::wire::EncodedRound round = core::wire::encodeSymDmamFirst(honestFirst_, n);
-  MutationContext ctx;
-  ctx.roundIndex = 0;
-  ctx.finalRound = false;
-  ctx.numNodes = n;
-  util::Rng stream = roundStream(rng_, ctx);
-  SymDmamFirstSurface surface(honestFirst_, n);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) round = core::wire::encodeSymDmamFirst(surface.message(), n);
-  firstRound_ = round;
-  return decodeOrReject("SymDmam/M1",
-                        [&] { return core::wire::decodeSymDmamFirst(round, n); });
+// One Sym round through the wire: the honest message is encoded, mutated
+// (raw, or through its typed surface and re-encoded when that was used) and
+// decoded back. `round` ends holding the mutated wire form.
+template <typename Message>
+Message mutateSymRound(Message honest, const core::SymShape& shape,
+                       const MessageMutator& mutator, const MutationContext& ctx,
+                       const util::Rng& base, core::wire::EncodedRound& round) {
+  round = core::wire::encodeSym(honest, shape);
+  util::Rng stream = roundStream(base, ctx);
+  SymSurface<Message> surface(std::move(honest), shape);
+  mutator.mutate(round, &surface, ctx, stream);
+  if (surface.dirty()) round = core::wire::encodeSym(surface.message(), shape);
+  return decodeOrReject(Message::kLabel,
+                        [&] { return core::wire::decodeSym<Message>(round, shape); });
 }
 
-core::SymDmamSecondMessage MutantSymDmamProver::secondMessage(
-    const graph::Graph& g, const core::SymDmamFirstMessage& /*first*/,
-    const std::vector<util::BigUInt>& challenges) {
-  const std::size_t n = g.numVertices();
-  core::SymDmamSecondMessage honest = base_->secondMessage(g, honestFirst_, challenges);
-  core::wire::EncodedRound round = core::wire::encodeSymDmamSecond(honest, n, family_);
-  MutationContext ctx;
-  ctx.roundIndex = 1;
-  ctx.finalRound = true;
-  ctx.numNodes = n;
-  ctx.challengeDigest = digestLinearChallenges(challenges, family_);
-  ctx.previousRound = &firstRound_;
-  util::Rng stream = roundStream(rng_, ctx);
-  SymDmamSecondSurface surface(std::move(honest), family_);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeSymDmamSecond(surface.message(), n, family_);
-  }
-  return decodeOrReject("SymDmam/M2", [&] {
-    return core::wire::decodeSymDmamSecond(round, n, family_);
-  });
-}
+}  // namespace
 
-// ---- SymDam (dAM: A, M) ----
-
-MutantSymDamProver::MutantSymDamProver(std::unique_ptr<core::SymDamProver> base,
+template <typename Prover>
+MutantAmProver<Prover>::MutantAmProver(std::unique_ptr<Prover> base,
                                        const MessageMutator& mutator,
-                                       const hash::LinearHashFamily& family,
-                                       util::Rng rng)
+                                       const hash::LinearHashFamily& family, util::Rng rng)
     : base_(std::move(base)), mutator_(mutator), family_(family), rng_(rng) {}
 
-core::SymDamMessage MutantSymDamProver::respond(
-    const graph::Graph& g, const std::vector<util::BigUInt>& challenges) {
-  const std::size_t n = g.numVertices();
-  core::SymDamMessage honest = base_->respond(g, challenges);
-  core::wire::EncodedRound round = core::wire::encodeSymDam(honest, n, family_);
+template <typename Prover>
+auto MutantAmProver<Prover>::respond(const graph::Graph& g,
+                                     const std::vector<util::BigUInt>& challenges) -> Message {
   MutationContext ctx;
   ctx.roundIndex = 0;
   ctx.finalRound = true;
-  ctx.numNodes = n;
+  ctx.numNodes = g.numVertices();
   ctx.challengeDigest = digestLinearChallenges(challenges, family_);
-  util::Rng stream = roundStream(rng_, ctx);
-  SymDamSurface surface(std::move(honest), n, family_);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeSymDam(surface.message(), n, family_);
-  }
-  return decodeOrReject("SymDam/M",
-                        [&] { return core::wire::decodeSymDam(round, n, family_); });
+  core::wire::EncodedRound round;
+  return mutateSymRound(base_->respond(g, challenges), core::symShape(g, family_), mutator_,
+                        ctx, rng_, round);
 }
 
-// ---- DSym (dAM: A, M) ----
-
-MutantDSymProver::MutantDSymProver(std::unique_ptr<core::DSymProver> base,
-                                   const MessageMutator& mutator,
-                                   const hash::LinearHashFamily& family, util::Rng rng)
+template <typename Prover>
+MutantMamProver<Prover>::MutantMamProver(std::unique_ptr<Prover> base,
+                                         const MessageMutator& mutator,
+                                         const hash::LinearHashFamily& family, util::Rng rng)
     : base_(std::move(base)), mutator_(mutator), family_(family), rng_(rng) {}
 
-core::DSymMessage MutantDSymProver::respond(const graph::Graph& g,
-                                            const std::vector<util::BigUInt>& challenges) {
-  const std::size_t n = g.numVertices();
-  core::DSymMessage honest = base_->respond(g, challenges);
-  core::wire::EncodedRound round = core::wire::encodeDSym(honest, n, family_);
-  MutationContext ctx;
-  ctx.roundIndex = 0;
-  ctx.finalRound = true;
-  ctx.numNodes = n;
-  ctx.challengeDigest = digestLinearChallenges(challenges, family_);
-  util::Rng stream = roundStream(rng_, ctx);
-  DSymSurface surface(std::move(honest), n, family_);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeDSym(surface.message(), n, family_);
-  }
-  return decodeOrReject("DSym/M",
-                        [&] { return core::wire::decodeDSym(round, n, family_); });
-}
-
-// ---- SymInput (dMAM: M1, A, M2) ----
-
-MutantSymInputProver::MutantSymInputProver(std::unique_ptr<core::SymInputProver> base,
-                                           const MessageMutator& mutator,
-                                           const hash::LinearHashFamily& family,
-                                           util::Rng rng)
-    : base_(std::move(base)), mutator_(mutator), family_(family), rng_(rng) {}
-
-core::SymInputFirstMessage MutantSymInputProver::firstMessage(
-    const core::SymInputInstance& instance) {
-  const std::size_t n = instance.network.numVertices();
+template <typename Prover>
+auto MutantMamProver<Prover>::firstMessage(const Instance& instance) -> First {
+  const core::SymShape shape = core::symShape(instance, family_);
   honestFirst_ = base_->firstMessage(instance);
-  core::wire::EncodedRound round = core::wire::encodeSymInputFirst(honestFirst_, instance);
   MutationContext ctx;
   ctx.roundIndex = 0;
   ctx.finalRound = false;
-  ctx.numNodes = n;
-  util::Rng stream = roundStream(rng_, ctx);
-  SymInputFirstSurface surface(honestFirst_, n);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeSymInputFirst(surface.message(), instance);
-  }
-  firstRound_ = round;
-  return decodeOrReject("SymInput/M1", [&] {
-    return core::wire::decodeSymInputFirst(round, instance);
-  });
+  ctx.numNodes = shape.n;
+  return mutateSymRound(honestFirst_, shape, mutator_, ctx, rng_, firstRound_);
 }
 
-core::SymInputSecondMessage MutantSymInputProver::secondMessage(
-    const core::SymInputInstance& instance, const core::SymInputFirstMessage& /*first*/,
-    const std::vector<util::BigUInt>& challenges) {
-  const std::size_t n = instance.network.numVertices();
-  core::SymInputSecondMessage honest =
-      base_->secondMessage(instance, honestFirst_, challenges);
-  core::wire::EncodedRound round = core::wire::encodeSymInputSecond(honest, n, family_);
+template <typename Prover>
+auto MutantMamProver<Prover>::secondMessage(const Instance& instance, const First& /*first*/,
+                                            const std::vector<util::BigUInt>& challenges)
+    -> Second {
+  const core::SymShape shape = core::symShape(instance, family_);
   MutationContext ctx;
   ctx.roundIndex = 1;
   ctx.finalRound = true;
-  ctx.numNodes = n;
+  ctx.numNodes = shape.n;
   ctx.challengeDigest = digestLinearChallenges(challenges, family_);
   ctx.previousRound = &firstRound_;
-  util::Rng stream = roundStream(rng_, ctx);
-  SymInputSecondSurface surface(std::move(honest), family_);
-  mutator_.mutate(round, &surface, ctx, stream);
-  if (surface.dirty()) {
-    round = core::wire::encodeSymInputSecond(surface.message(), n, family_);
-  }
-  return decodeOrReject("SymInput/M2", [&] {
-    return core::wire::decodeSymInputSecond(round, n, family_);
-  });
+  core::wire::EncodedRound round;
+  return mutateSymRound(base_->secondMessage(instance, honestFirst_, challenges), shape,
+                        mutator_, ctx, rng_, round);
 }
+
+template class MutantAmProver<core::SymDamProver>;
+template class MutantAmProver<core::DSymProver>;
+template class MutantMamProver<core::SymDmamProver>;
+template class MutantMamProver<core::SymInputProver>;
 
 // ---- GNI, both shapes (dAMAM: A1, M1, A2, M2) ----
 

@@ -46,73 +46,59 @@ namespace dip::adv {
 // Used by the adapters to key adaptive mutation streams on challenges.
 std::uint64_t foldPayload(std::uint64_t acc, const util::BitWriter& payload);
 
-class MutantSymDmamProver final : public core::SymDmamProver {
+// The Sym protocols share two adapters over the fingerprint-chain frame's
+// messages (core/sym_frame.hpp), one per round shape.
+
+// A-M (Protocol 2, DSym): the prover answers the challenges with one
+// message. Prover names the protocol's prover interface (SymDamProver,
+// DSymProver), whose Message is the answer.
+template <typename Prover>
+class MutantAmProver final : public Prover {
  public:
-  MutantSymDmamProver(std::unique_ptr<core::SymDmamProver> base,
-                      const MessageMutator& mutator,
-                      const hash::LinearHashFamily& family, util::Rng rng);
-  core::SymDmamFirstMessage firstMessage(const graph::Graph& g) override;
-  core::SymDmamSecondMessage secondMessage(
-      const graph::Graph& g, const core::SymDmamFirstMessage& first,
-      const std::vector<util::BigUInt>& challenges) override;
+  using Message = typename Prover::Message;
+
+  MutantAmProver(std::unique_ptr<Prover> base, const MessageMutator& mutator,
+                 const hash::LinearHashFamily& family, util::Rng rng);
+  Message respond(const graph::Graph& g,
+                  const std::vector<util::BigUInt>& challenges) override;
 
  private:
-  std::unique_ptr<core::SymDmamProver> base_;
+  std::unique_ptr<Prover> base_;
   const MessageMutator& mutator_;
   const hash::LinearHashFamily& family_;
   util::Rng rng_;
-  core::SymDmamFirstMessage honestFirst_;
+};
+
+// M1-A-M2 (Protocol 1, the input-graph extension): a commitment, the
+// challenges, then the response. Prover names the protocol's prover
+// interface (SymDmamProver, SymInputProver) with its Instance, First and
+// Second types.
+template <typename Prover>
+class MutantMamProver final : public Prover {
+ public:
+  using Instance = typename Prover::Instance;
+  using First = typename Prover::First;
+  using Second = typename Prover::Second;
+
+  MutantMamProver(std::unique_ptr<Prover> base, const MessageMutator& mutator,
+                  const hash::LinearHashFamily& family, util::Rng rng);
+  First firstMessage(const Instance& instance) override;
+  Second secondMessage(const Instance& instance, const First& first,
+                       const std::vector<util::BigUInt>& challenges) override;
+
+ private:
+  std::unique_ptr<Prover> base_;
+  const MessageMutator& mutator_;
+  const hash::LinearHashFamily& family_;
+  util::Rng rng_;
+  First honestFirst_;
   core::wire::EncodedRound firstRound_;  // Mutated M1 as sent (replay source).
 };
 
-class MutantSymDamProver final : public core::SymDamProver {
- public:
-  MutantSymDamProver(std::unique_ptr<core::SymDamProver> base,
-                     const MessageMutator& mutator,
-                     const hash::LinearHashFamily& family, util::Rng rng);
-  core::SymDamMessage respond(const graph::Graph& g,
-                              const std::vector<util::BigUInt>& challenges) override;
-
- private:
-  std::unique_ptr<core::SymDamProver> base_;
-  const MessageMutator& mutator_;
-  const hash::LinearHashFamily& family_;
-  util::Rng rng_;
-};
-
-class MutantDSymProver final : public core::DSymProver {
- public:
-  MutantDSymProver(std::unique_ptr<core::DSymProver> base,
-                   const MessageMutator& mutator,
-                   const hash::LinearHashFamily& family, util::Rng rng);
-  core::DSymMessage respond(const graph::Graph& g,
-                            const std::vector<util::BigUInt>& challenges) override;
-
- private:
-  std::unique_ptr<core::DSymProver> base_;
-  const MessageMutator& mutator_;
-  const hash::LinearHashFamily& family_;
-  util::Rng rng_;
-};
-
-class MutantSymInputProver final : public core::SymInputProver {
- public:
-  MutantSymInputProver(std::unique_ptr<core::SymInputProver> base,
-                       const MessageMutator& mutator,
-                       const hash::LinearHashFamily& family, util::Rng rng);
-  core::SymInputFirstMessage firstMessage(const core::SymInputInstance& instance) override;
-  core::SymInputSecondMessage secondMessage(
-      const core::SymInputInstance& instance, const core::SymInputFirstMessage& first,
-      const std::vector<util::BigUInt>& challenges) override;
-
- private:
-  std::unique_ptr<core::SymInputProver> base_;
-  const MessageMutator& mutator_;
-  const hash::LinearHashFamily& family_;
-  util::Rng rng_;
-  core::SymInputFirstMessage honestFirst_;
-  core::wire::EncodedRound firstRound_;
-};
+using MutantSymDmamProver = MutantMamProver<core::SymDmamProver>;
+using MutantSymDamProver = MutantAmProver<core::SymDamProver>;
+using MutantDSymProver = MutantAmProver<core::DSymProver>;
+using MutantSymInputProver = MutantMamProver<core::SymInputProver>;
 
 // Both GNI protocols share one adapter over the Goldwasser-Sipser frame's
 // rounds (core/gni_frame.hpp).

@@ -17,11 +17,12 @@
 // probability <= N^2/p <= 1/(10 N).
 #pragma once
 
+#include <tuple>
 #include <vector>
 
 #include "core/broadcast.hpp"
 #include "core/result.hpp"
-#include "core/sym_dmam.hpp"
+#include "core/sym_frame.hpp"
 #include "graph/builders.hpp"
 #include "hash/linear_hash.hpp"
 #include "util/rng.hpp"
@@ -35,10 +36,24 @@ struct DSymMessage {
   std::vector<std::uint32_t> dist;          // Unicast.
   std::vector<util::BigUInt> a;             // Unicast.
   std::vector<util::BigUInt> b;             // Unicast.
+
+  static constexpr const char* kRound = "M: index/root/tree/chains";
+  static constexpr const char* kLabel = "DSym/M";
+  static constexpr auto fields() {
+    using M = DSymMessage;
+    return std::tuple{SymField{&M::indexPerNode, SymWidth::kSeed},
+                      SymField{&M::rootPerNode, SymWidth::kId},
+                      SymField{&M::parent, SymWidth::kId},
+                      SymField{&M::dist, SymWidth::kId},
+                      SymField{&M::a, SymWidth::kValue},
+                      SymField{&M::b, SymWidth::kValue}};
+  }
 };
 
 class DSymProver {
  public:
+  using Message = DSymMessage;
+
   virtual ~DSymProver() = default;
   virtual DSymMessage respond(const graph::Graph& g,
                               const std::vector<util::BigUInt>& challenges) = 0;
@@ -55,20 +70,11 @@ class DSymDamProtocol {
 
   RunResult run(const graph::Graph& g, DSymProver& prover, util::Rng& rng) const;
 
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const graph::Graph& g, ProverFactory&& proverFactory,
-                                     std::size_t trials, util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(g, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
-  }
-
+  using Rounds = SymRounds<DSymMessage>;
   // O(log N) bits per node with the paper's p in [10 N^3, 100 N^3].
   static CostBreakdown costModel(const graph::DSymLayout& layout);
+  // The widths costModel charges for N = n vertices.
+  static SymWidths modelWidths(std::size_t n);
 
   bool nodeDecision(const graph::Graph& g, graph::Vertex v, const DSymMessage& msg,
                     const util::BigUInt& ownChallenge) const;

@@ -169,19 +169,6 @@ class GsProtocol {
 
   RunResult run(const GniInstance& instance, Prover& prover, util::Rng& rng) const;
 
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const GniInstance& instance,
-                                     ProverFactory&& proverFactory, std::size_t trials,
-                                     util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(instance, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
-  }
-
   // Single-repetition variant: Pr[some candidate hits one random target],
   // the quantity with the 2q vs q gap; cheaper to estimate than the
   // amplified protocol and what E5 and E11 report alongside it.

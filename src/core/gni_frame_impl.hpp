@@ -11,10 +11,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/chain_util.hpp"
 #include "core/gni_frame.hpp"
 #include "core/gni_search.hpp"
 #include "core/gni_wire.hpp"
+#include "core/sym_frame.hpp"
 #include "core/wire.hpp"
 #include "graph/isomorphism.hpp"
 #include "hash/batch_eval.hpp"
@@ -264,13 +264,18 @@ bool GsProtocol<Shape>::nodeDecision(const GniInstance& instance, graph::Vertex 
     gsSlot.rebind(params_.gsHash.inner(), challenge.seed.a);
     gs_detail::nodePieces<Shape>({params_.gsHash, gsSlot, checkBatch, n}, v, vouch, b1, pieces);
     const std::size_t chainCount = b1 ? chains.size() : always;
+    const auto forEachChild = [&](auto&& visit) {
+      for (graph::Vertex child : children) visit(child);
+    };
     for (std::size_t c = 0; c < chainCount; ++c) {
       const typename Shape::Chain field = chains[c];
-      const auto claimedAt = [&](graph::Vertex u) -> const util::BigUInt& {
+      const auto claimedAt = [&](std::size_t, graph::Vertex u) -> const util::BigUInt& {
         return (second.perNode[u].*field)[j];
       };
-      const util::BigUInt& prime = gs_detail::chainPrime(params_, c);
-      if (!chainLinkHoldsAt(pieces[c], children, claimedAt, v, prime)) return false;
+      if (!chainLinksHold(v, forEachChild, std::span(&pieces[c], 1), claimedAt,
+                          gs_detail::chainPrime(params_, c))) {
+        return false;
+      }
     }
 
     // Root-only equalities and echo checks.
@@ -356,23 +361,9 @@ RunResult GsProtocol<Shape>::run(const GniInstance& instance, Prover& prover,
 #endif
 
   // A2: fresh commitment-check indices.
-  transcript.beginRound("A2: check indices");
-  std::vector<util::BigUInt> checkChallenges;
-  checkChallenges.reserve(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::Rng nodeRng = rng.split(Shape::kCheckStream + v);
-    checkChallenges.push_back(params_.checkFamily.randomIndex(nodeRng));
-    transcript.chargeToProver(v, checkBits);
-  }
-#if DIP_AUDIT
-  net::roundArena().reset();
-  for (graph::Vertex v = 0; v < n; ++v) {
-    net::auditCharge(gs_detail::label<Shape>("/A2").c_str(), v, transcript.roundBitsToProver(v),
-                     wire::encodeChallenge(checkChallenges[v], params_.checkFamily,
-                                           &net::roundArena())
-                         .bitCount());
-  }
-#endif
+  const std::vector<util::BigUInt> checkChallenges =
+      challengeRound(transcript, "A2: check indices", gs_detail::label<Shape>("/A2").c_str(),
+                     params_.checkFamily, rng, Shape::kCheckStream);
 
   // M2: chain values.
   transcript.beginRound("M2: check echo + chains");
@@ -395,13 +386,9 @@ RunResult GsProtocol<Shape>::run(const GniInstance& instance, Prover& prover,
   });
 #endif
 
-  result.accepted = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecision(instance, v, first, second, challenges[v], checkChallenges[v])) {
-      result.accepted = false;
-      break;
-    }
-  }
+  result.accepted = allNodesAccept(n, [&](graph::Vertex v) {
+    return nodeDecision(instance, v, first, second, challenges[v], checkChallenges[v]);
+  });
   return result;
 }
 
@@ -564,7 +551,6 @@ auto HonestGsProver<Shape>::secondMessage(
   thread_local gs_detail::Vouch<Shape> vouch;
   thread_local gs_detail::Pieces<Shape> pieces;
   thread_local std::array<std::vector<util::BigUInt>, chains.size()> columns;
-  thread_local std::vector<util::BigUInt> sums;
   checkBatch.rebind(params_.checkFamily, checkSeed);
   for (auto& column : columns) column.resize(n);
 
@@ -596,8 +582,10 @@ auto HonestGsProver<Shape>::secondMessage(
       for (std::size_t c = 0; c < chainCount; ++c) columns[c][v] = pieces[c];
     }
     for (std::size_t c = 0; c < chainCount; ++c) {
-      subtreeSums(instance.g0, tree_, order_, columns[c], gs_detail::chainPrime(params_, c), sums);
-      for (graph::Vertex v = 0; v < n; ++v) (second.perNode[v].*chains[c])[j] = sums[v];
+      std::vector<util::BigUInt>* const column = &columns[c];
+      foldChains(instance.g0, tree_, order_, std::span(&column, 1),
+                 gs_detail::chainPrime(params_, c));
+      for (graph::Vertex v = 0; v < n; ++v) (second.perNode[v].*chains[c])[j] = (*column)[v];
     }
   }
   return second;

@@ -5,6 +5,7 @@
 
 #include "net/transcript.hpp"
 #include "util/mathutil.hpp"
+#include "util/rng.hpp"
 
 namespace dip::core {
 
@@ -23,6 +24,23 @@ struct AcceptanceStats {
     return trials == 0 ? 0.0 : static_cast<double>(accepts) / static_cast<double>(trials);
   }
 };
+
+// Serial acceptance estimate: `trials` runs of protocol.run(instance,
+// *proverFactory(), rng), one after another on the caller's rng. A factory
+// may be stateful per run. sim::estimateAcceptance is the parallel, seeded
+// form.
+template <typename Protocol, typename Instance, typename ProverFactory>
+AcceptanceStats estimateAcceptance(const Protocol& protocol, const Instance& instance,
+                                   ProverFactory&& proverFactory, std::size_t trials,
+                                   util::Rng& rng) {
+  AcceptanceStats stats;
+  stats.trials = trials;
+  for (std::size_t t = 0; t < trials; ++t) {
+    auto prover = proverFactory();
+    if (protocol.run(instance, *prover, rng).accepted) ++stats.accepts;
+  }
+  return stats;
+}
 
 // Structural message-size breakdown of a protocol for a given instance
 // size, independent of any actual execution (message schedules do not

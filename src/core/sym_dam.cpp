@@ -3,10 +3,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/wire.hpp"
 #include "hash/batch_eval.hpp"
-#include "net/audit.hpp"
-#include "util/bitio.hpp"
 
 namespace dip::core {
 
@@ -30,53 +27,24 @@ bool SymDamProtocol::nodeDecision(const graph::Graph& g, graph::Vertex v,
                                   const SymDamMessage& msg,
                                   const util::BigUInt& ownChallenge) const {
   const std::size_t n = g.numVertices();
-  const util::BigUInt& p = family_.prime();
 
   // Broadcast consistency (rho, index, root) against all neighbors.
   const std::vector<graph::Vertex>& rho = msg.rhoPerNode[v];
   const util::BigUInt& index = msg.indexPerNode[v];
-  graph::Vertex root = msg.rootPerNode[v];
-  if (rho.size() != n || root >= n || index >= p) return false;
+  const graph::Vertex root = msg.rootPerNode[v];
+  if (rho.size() != n || root >= n || index >= family_.prime()) return false;
   for (graph::Vertex u : rho) {
     if (u >= n) return false;
   }
-  bool consistent = true;
-  g.row(v).forEachSet([&](std::size_t u) {
-    const auto neighbor = static_cast<graph::Vertex>(u);
-    if (!msg.rhoPerNode.agree(neighbor, v) || !msg.indexPerNode.agree(neighbor, v) ||
-        !msg.rootPerNode.agree(neighbor, v)) {
-      consistent = false;
-    }
-  });
-  if (!consistent) return false;
+  if (!neighboursAgree(g, v, msg)) return false;
 
   // Line 1: spanning-tree local checks, on a view of the message's advice.
   const net::SpanningTreeView tree{root, msg.parent, msg.dist};
   if (!net::verifyTreeLocally(g, tree, v)) return false;
 
   // Lines 2-3: chain verification. rho is fully known here, so the node
-  // evaluates rho(N(v)) itself. Its two own rows hash over the calling
-  // thread's shared power tables: in an honest trial the prover pinned this
-  // index moments ago, so the rebind is a no-op. Thread-local accumulators
-  // keep the fold's limb storage alive across the n decisions.
-  hash::BatchLinearHashEvaluator& batch = hash::threadChainEvaluator();
-  batch.rebind(p, family_.dimension(), index);
-  thread_local util::BigUInt expectA;
-  thread_local util::BigUInt expectB;
-  expectA = batch.hashMatrixRow(v, g.closedRow(v), n);
-  expectB = batch.hashMappedRow(rho, v, g.row(v), n);
-  bool childrenOk = true;
-  net::forEachChild(g, tree, v, [&](graph::Vertex child) {
-    if (!childrenOk) return;
-    if (msg.a[child] >= p || msg.b[child] >= p) {
-      childrenOk = false;
-      return;
-    }
-    util::addModInPlace(expectA, msg.a[child], p);
-    util::addModInPlace(expectB, msg.b[child], p);
-  });
-  if (!childrenOk) return false;
-  if (!(msg.a[v] == expectA) || !(msg.b[v] == expectB)) return false;
+  // evaluates rho(N(v)) itself.
+  if (!rowChainLinksHold(g, v, tree, family_, index, rho, msg)) return false;
 
   // Line 4: root-only checks.
   if (v == root) {
@@ -91,78 +59,26 @@ RunResult SymDamProtocol::run(const graph::Graph& g, SymDamProver& prover,
                               util::Rng& rng) const {
   const std::size_t n = g.numVertices();
   if (n == 0) throw std::invalid_argument("SymDamProtocol: empty graph");
-  const unsigned idBits = util::bitsFor(n);
-  const std::size_t seedBits = family_.seedBits();
-  const std::size_t valueBits = family_.valueBits();
-
   RunResult result;
   result.transcript = net::Transcript(n);
-  net::Transcript& transcript = result.transcript;
 
   // A: challenges first (this is what makes it Arthur-Merlin).
-  transcript.beginRound("A: hash indices");
-  std::vector<util::BigUInt> challenges;
-  challenges.reserve(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::Rng nodeRng = rng.split(v);
-    challenges.push_back(family_.randomIndex(nodeRng));
-    transcript.chargeToProver(v, seedBits);
-  }
-#if DIP_AUDIT
-  net::roundArena().reset();
-  for (graph::Vertex v = 0; v < n; ++v) {
-    net::auditCharge(
-        "SymDam/A", v, transcript.roundBitsToProver(v),
-        wire::encodeChallenge(challenges[v], family_, &net::roundArena()).bitCount());
-  }
-#endif
-
+  const std::vector<util::BigUInt> challenges =
+      challengeRound(result.transcript, "A: hash indices", "SymDam/A", family_, rng);
   // M: the prover's single response.
-  transcript.beginRound("M: rho/index/root/tree/chains");
-  SymDamMessage msg = prover.respond(g, challenges);
-  if (msg.rhoPerNode.size() != n || msg.indexPerNode.size() != n ||
-      msg.rootPerNode.size() != n || msg.parent.size() != n || msg.dist.size() != n ||
-      msg.a.size() != n || msg.b.size() != n) {
-    throw std::runtime_error("SymDamProver: malformed message");
-  }
-  transcript.chargeBroadcastFromProver(n * idBits   // Full rho.
-                                       + seedBits   // Index echo.
-                                       + idBits);   // Root.
-  for (graph::Vertex v = 0; v < n; ++v) {
-    transcript.chargeFromProver(v, 2 * idBits        // t_v, d_v.
-                                       + 2 * valueBits);  // a_v, b_v.
-  }
-#if DIP_AUDIT
-  net::auditChargedRound("SymDam/M", transcript,
-                         [&] { return wire::encodeSymDam(msg, n, family_, &net::roundArena()); });
-#endif
+  const SymDamMessage msg = prover.respond(g, challenges);
+  proverRound(result.transcript, msg, symShape(g, family_));
 
-  // Decisions: every node runs its own local check.
-  result.accepted = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecision(g, v, msg, challenges[v])) {
-      result.accepted = false;
-      break;
-    }
-  }
+  result.accepted = allNodesAccept(
+      n, [&](graph::Vertex v) { return nodeDecision(g, v, msg, challenges[v]); });
   return result;
 }
 
 CostBreakdown SymDamProtocol::costModel(std::size_t n) {
-  const unsigned idBits = util::bitsFor(n);
-  // p in [10 n^(n+2), 100 n^(n+2)] => about (n+2) log2(n) + 7 bits.
-  util::BigUInt pHi =
-      util::BigUInt{100} * util::BigUInt::pow(util::BigUInt{n}, n + 2);
-  const std::size_t hashBits = pHi.bitLength();
-  CostBreakdown cost;
-  cost.bitsToProverPerNode = hashBits;
-  cost.bitsFromProverPerNode = n * idBits       // Full rho broadcast.
-                               + hashBits       // Index echo.
-                               + idBits         // Root.
-                               + 2 * idBits     // t_v, d_v.
-                               + 2 * hashBits;  // a_v, b_v.
-  return cost;
+  return Rounds::cost(modelWidths(n), n);
 }
+
+SymWidths SymDamProtocol::modelWidths(std::size_t n) { return symModelWidths(n, n + 2); }
 
 // ---- Honest prover ----
 

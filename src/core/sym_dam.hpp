@@ -24,11 +24,12 @@
 // with a short (Protocol 1-sized) hash it succeeds easily — the E8 ablation.
 #pragma once
 
+#include <tuple>
 #include <vector>
 
 #include "core/broadcast.hpp"
 #include "core/result.hpp"
-#include "core/sym_dmam.hpp"
+#include "core/sym_frame.hpp"
 #include "graph/graph.hpp"
 #include "hash/linear_hash.hpp"
 #include "net/spanning.hpp"
@@ -47,10 +48,25 @@ struct SymDamMessage {
   std::vector<std::uint32_t> dist;
   std::vector<util::BigUInt> a;
   std::vector<util::BigUInt> b;
+
+  static constexpr const char* kRound = "M: rho/index/root/tree/chains";
+  static constexpr const char* kLabel = "SymDam/M";
+  static constexpr auto fields() {
+    using M = SymDamMessage;
+    return std::tuple{SymField{&M::rhoPerNode, SymWidth::kId, SymCount::kNodes},
+                      SymField{&M::indexPerNode, SymWidth::kSeed},
+                      SymField{&M::rootPerNode, SymWidth::kId},
+                      SymField{&M::parent, SymWidth::kId},
+                      SymField{&M::dist, SymWidth::kId},
+                      SymField{&M::a, SymWidth::kValue},
+                      SymField{&M::b, SymWidth::kValue}};
+  }
 };
 
 class SymDamProver {
  public:
+  using Message = SymDamMessage;
+
   virtual ~SymDamProver() = default;
   virtual SymDamMessage respond(const graph::Graph& g,
                                 const std::vector<util::BigUInt>& challenges) = 0;
@@ -66,21 +82,12 @@ class SymDamProtocol {
 
   RunResult run(const graph::Graph& g, SymDamProver& prover, util::Rng& rng) const;
 
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const graph::Graph& g, ProverFactory&& proverFactory,
-                                     std::size_t trials, util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(g, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
-  }
-
+  using Rounds = SymRounds<SymDamMessage>;
   // Structural cost with the paper's p in [10 n^(n+2), 100 n^(n+2)]:
   // Theta(n log n) bits per node.
   static CostBreakdown costModel(std::size_t n);
+  // The widths costModel charges.
+  static SymWidths modelWidths(std::size_t n);
 
   bool nodeDecision(const graph::Graph& g, graph::Vertex v, const SymDamMessage& msg,
                     const util::BigUInt& ownChallenge) const;

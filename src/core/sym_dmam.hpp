@@ -21,11 +21,13 @@
 #pragma once
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/broadcast.hpp"
 #include "core/prepared.hpp"
 #include "core/result.hpp"
+#include "core/sym_frame.hpp"
 #include "graph/graph.hpp"
 #include "hash/linear_hash.hpp"
 #include "net/spanning.hpp"
@@ -41,6 +43,14 @@ struct SymDmamFirstMessage {
   std::vector<graph::Vertex> rho;           // Unicast: claimed image rho_v.
   std::vector<graph::Vertex> parent;        // Unicast: claimed parent t_v.
   std::vector<std::uint32_t> dist;          // Unicast: claimed distance d_v.
+
+  static constexpr const char* kRound = "M1: root/rho/tree";
+  static constexpr const char* kLabel = "SymDmam/M1";
+  static constexpr auto fields() {
+    using M = SymDmamFirstMessage;
+    return std::tuple{SymField{&M::rootPerNode, SymWidth::kId}, SymField{&M::rho, SymWidth::kId},
+                      SymField{&M::parent, SymWidth::kId}, SymField{&M::dist, SymWidth::kId}};
+  }
 };
 
 // M2: the prover's response to the challenge.
@@ -48,10 +58,22 @@ struct SymDmamSecondMessage {
   Broadcast<util::BigUInt> indexPerNode;    // Broadcast: claimed root index i.
   std::vector<util::BigUInt> a;             // Unicast: subtree hash of sum [u, N(u)].
   std::vector<util::BigUInt> b;             // Unicast: subtree hash of sum [rho(u), rho(N(u))].
+
+  static constexpr const char* kRound = "M2: index echo + chain values";
+  static constexpr const char* kLabel = "SymDmam/M2";
+  static constexpr auto fields() {
+    using M = SymDmamSecondMessage;
+    return std::tuple{SymField{&M::indexPerNode, SymWidth::kSeed},
+                      SymField{&M::a, SymWidth::kValue}, SymField{&M::b, SymWidth::kValue}};
+  }
 };
 
 class SymDmamProver {
  public:
+  using Instance = graph::Graph;
+  using First = SymDmamFirstMessage;
+  using Second = SymDmamSecondMessage;
+
   virtual ~SymDmamProver() = default;
   virtual SymDmamFirstMessage firstMessage(const graph::Graph& g) = 0;
   virtual SymDmamSecondMessage secondMessage(
@@ -71,22 +93,12 @@ class SymDmamProtocol {
   // must be connected (the model assumes a connected network).
   RunResult run(const graph::Graph& g, SymDmamProver& prover, util::Rng& rng) const;
 
-  // Repeated independent executions; proverFactory() may be stateful per run.
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const graph::Graph& g, ProverFactory&& proverFactory,
-                                     std::size_t trials, util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(g, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
-  }
-
+  using Rounds = SymRounds<SymDmamFirstMessage, SymDmamSecondMessage>;
   // Structural per-node message sizes for an n-vertex instance (paper
   // parameters p in [10 n^3, 100 n^3]); no execution, no prime search.
   static CostBreakdown costModel(std::size_t n);
+  // The widths costModel charges.
+  static SymWidths modelWidths(std::size_t n);
 
   // Node v's decision function, exposed for white-box tests. Only v's local
   // view is consulted: its closed neighborhood, its own challenge, and the
@@ -162,21 +174,5 @@ class HashChainLiarProver : public SymDmamProver {
   HonestSymDmamProver inner_;
   util::Rng rng_;
 };
-
-// Shared helper: per-node chain contributions and subtree aggregation for
-// the [u, N(u)] / [rho(u), rho(N(u))] fingerprints (used by Protocols 1, 2
-// and the DSym protocol).
-struct ChainValues {
-  std::vector<util::BigUInt> a;
-  std::vector<util::BigUInt> b;
-};
-ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
-                            const util::BigUInt& index,
-                            const std::vector<graph::Vertex>& rho,
-                            net::SpanningTreeView tree);
-// The same values for the prepared instance's rho and tree, hashing its
-// stored rows (prepared must have a tree: see requireTree).
-ChainValues aggregateChains(const graph::Graph& g, const hash::LinearHashFamily& family,
-                            const util::BigUInt& index, const PreparedSym& prepared);
 
 }  // namespace dip::core

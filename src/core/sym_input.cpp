@@ -1,37 +1,27 @@
 #include "core/sym_input.hpp"
 
+#include <array>
 #include <optional>
 #include <span>
 #include <stdexcept>
 
-#include "core/chain_util.hpp"
 #include "core/prepared.hpp"
-#include "core/sym_input_wire.hpp"
-#include "core/wire.hpp"
 #include "graph/generators.hpp"
 #include "hash/batch_eval.hpp"
-#include "net/audit.hpp"
 #include "net/spanning.hpp"
-#include "util/bitio.hpp"
 
 namespace dip::core {
 
 namespace {
 
-// Per-node chain pieces for the three checks, given the committed rho and
-// (possibly lying) claims. Used by both the honest prover and the verifier.
-struct SymInputPieces {
-  util::BigUInt a, b, consC, consT;
-};
-
-SymInputPieces piecesFor(const SymInputInstance& instance,
-                         const hash::LinearHashFamily& family,
-                         const util::BigUInt& index, graph::Vertex v,
-                         graph::Vertex rhoV, std::span<const graph::Vertex> closedH,
-                         const std::vector<graph::Vertex>& claims) {
+// Node v's pieces of the four chains (a, b, consC, consT, the second
+// message's wire order), given the committed rho and (possibly lying)
+// claims. Used by both the honest prover and the verifier.
+void piecesFor(const SymInputInstance& instance, const hash::LinearHashFamily& family,
+               const util::BigUInt& index, graph::Vertex v, graph::Vertex rhoV,
+               std::span<const graph::Vertex> closedH, const std::vector<graph::Vertex>& claims,
+               std::span<util::BigUInt, 4> pieces) {
   const std::size_t n = instance.network.numVertices();
-
-  SymInputPieces pieces;
   util::DynBitset claimedImages(n);
   for (graph::Vertex image : claims) claimedImages.set(image);
 
@@ -40,8 +30,8 @@ SymInputPieces piecesFor(const SymInputInstance& instance,
   // short-circuits and all four pieces become table lookups.
   thread_local hash::BatchLinearHashEvaluator batch;
   batch.rebind(family, index);
-  pieces.a = batch.hashMatrixRow(v, instance.input.closedRow(v), n);
-  pieces.b = batch.hashMatrixRow(rhoV, claimedImages, n);
+  pieces[0] = batch.hashMatrixRow(v, instance.input.closedRow(v), n);
+  pieces[1] = batch.hashMatrixRow(rhoV, claimedImages, n);
   thread_local std::vector<std::uint64_t> consRows;
   thread_local std::vector<std::uint64_t> consCols;
   consRows.clear();
@@ -50,9 +40,8 @@ SymInputPieces piecesFor(const SymInputInstance& instance,
     consRows.push_back(closedH[i]);
     consCols.push_back(claims[i]);
   }
-  pieces.consC = batch.accumulateMatrixEntries(consRows, consCols, n);
-  pieces.consT = batch.hashMatrixEntry(v, rhoV, closedH.size(), n);
-  return pieces;
+  pieces[2] = batch.accumulateMatrixEntries(consRows, consCols, n);
+  pieces[3] = batch.hashMatrixEntry(v, rhoV, closedH.size(), n);
 }
 
 // v's sorted closed H-neighborhood, written into a per-thread buffer.
@@ -74,31 +63,19 @@ bool SymInputProtocol::nodeDecision(const SymInputInstance& instance, graph::Ver
                                     const util::BigUInt& ownChallenge,
                                     const SymInputSecondMessage& second) const {
   const std::size_t n = instance.network.numVertices();
-  const util::BigUInt& p = family_.prime();
 
   // Broadcast consistency (witness, index echo).
-  graph::Vertex witness = first.witnessPerNode[v];
+  const graph::Vertex witness = first.witnessPerNode[v];
   const util::BigUInt& index = second.indexPerNode[v];
-  if (witness >= n || index >= p) return false;
-  bool consistent = true;
-  instance.network.row(v).forEachSet([&](std::size_t u) {
-    const auto neighbor = static_cast<graph::Vertex>(u);
-    if (!first.witnessPerNode.agree(neighbor, v) || !second.indexPerNode.agree(neighbor, v)) {
-      consistent = false;
-    }
-  });
-  if (!consistent) return false;
+  if (witness >= n || index >= family_.prime()) return false;
+  if (!neighboursAgree(instance.network, v, first, second)) return false;
 
   // Tree checks over the NETWORK graph (root fixed at node 0).
   const net::SpanningTreeView tree{0, first.parent, first.dist};
   if (!net::verifyTreeLocally(instance.network, tree, v)) return false;
-  thread_local std::vector<graph::Vertex> children;
-  children.clear();
-  net::forEachChild(instance.network, tree, v,
-                    [&](graph::Vertex child) { children.push_back(child); });
 
   // Commitment and claims shape.
-  graph::Vertex rhoV = first.rho[v];
+  const graph::Vertex rhoV = first.rho[v];
   if (rhoV >= n) return false;
   std::span<const graph::Vertex> closedH = closedInputNeighbors(instance, v);
   const std::vector<graph::Vertex>& claims = first.claims[v];
@@ -112,14 +89,9 @@ bool SymInputProtocol::nodeDecision(const SymInputInstance& instance, graph::Ver
   if (v == witness && rhoV == v) return false;
 
   // Chain checks for all four series.
-  SymInputPieces pieces = piecesFor(instance, family_, index, v, rhoV, closedH, claims);
-  auto column = [&](const std::vector<util::BigUInt>& values) {
-    return [&values](graph::Vertex u) -> const util::BigUInt& { return values[u]; };
-  };
-  if (!chainLinkHoldsAt(pieces.a, children, column(second.a), v, p) ||
-      !chainLinkHoldsAt(pieces.b, children, column(second.b), v, p) ||
-      !chainLinkHoldsAt(pieces.consC, children, column(second.consC), v, p) ||
-      !chainLinkHoldsAt(pieces.consT, children, column(second.consT), v, p)) {
+  thread_local std::array<util::BigUInt, 4> expect;
+  piecesFor(instance, family_, index, v, rhoV, closedH, claims, expect);
+  if (!chainLinksHold(instance.network, v, tree, second, expect, family_.prime())) {
     return false;
   }
 
@@ -138,85 +110,28 @@ RunResult SymInputProtocol::run(const SymInputInstance& instance, SymInputProver
   if (instance.input.numVertices() != n) {
     throw std::invalid_argument("SymInputProtocol: input size mismatch");
   }
-  const unsigned idBits = util::bitsFor(n);
-  const std::size_t seedBits = family_.seedBits();
-  const std::size_t valueBits = family_.valueBits();
-
+  const SymShape shape = symShape(instance, family_);
   RunResult result;
   result.transcript = net::Transcript(n);
-  net::Transcript& transcript = result.transcript;
 
-  transcript.beginRound("M1: rho/claims/tree");
-  SymInputFirstMessage first = prover.firstMessage(instance);
-  if (first.witnessPerNode.size() != n || first.rho.size() != n ||
-      first.parent.size() != n || first.dist.size() != n || first.claims.size() != n) {
-    throw std::runtime_error("SymInputProver: malformed first message");
-  }
-  transcript.chargeBroadcastFromProver(idBits);  // Witness.
-  for (graph::Vertex v = 0; v < n; ++v) {
-    transcript.chargeFromProver(v, 3 * idBits + first.claims[v].size() * idBits);
-  }
-#if DIP_AUDIT
-  net::auditChargedRound("SymInput/M1", transcript, [&] {
-    return wire::encodeSymInputFirst(first, instance);
+  const SymInputFirstMessage first = prover.firstMessage(instance);
+  proverRound(result.transcript, first, shape);
+  const std::vector<util::BigUInt> challenges =
+      challengeRound(result.transcript, "A: hash indices", "SymInput/A", family_, rng);
+  const SymInputSecondMessage second = prover.secondMessage(instance, first, challenges);
+  proverRound(result.transcript, second, shape);
+
+  result.accepted = allNodesAccept(n, [&](graph::Vertex v) {
+    return nodeDecision(instance, v, first, challenges[v], second);
   });
-#endif
-
-  transcript.beginRound("A: hash indices");
-  std::vector<util::BigUInt> challenges;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::Rng nodeRng = rng.split(v);
-    challenges.push_back(family_.randomIndex(nodeRng));
-    transcript.chargeToProver(v, seedBits);
-  }
-#if DIP_AUDIT
-  net::roundArena().reset();
-  for (graph::Vertex v = 0; v < n; ++v) {
-    net::auditCharge(
-        "SymInput/A", v, transcript.roundBitsToProver(v),
-        wire::encodeChallenge(challenges[v], family_, &net::roundArena()).bitCount());
-  }
-#endif
-
-  transcript.beginRound("M2: index echo + chains");
-  SymInputSecondMessage second = prover.secondMessage(instance, first, challenges);
-  if (second.indexPerNode.size() != n || second.a.size() != n || second.b.size() != n ||
-      second.consC.size() != n || second.consT.size() != n) {
-    throw std::runtime_error("SymInputProver: malformed second message");
-  }
-  transcript.chargeBroadcastFromProver(seedBits);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    transcript.chargeFromProver(v, 4 * valueBits);
-  }
-#if DIP_AUDIT
-  net::auditChargedRound("SymInput/M2", transcript, [&] {
-    return wire::encodeSymInputSecond(second, n, family_);
-  });
-#endif
-
-  result.accepted = true;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (!nodeDecision(instance, v, first, challenges[v], second)) {
-      result.accepted = false;
-      break;
-    }
-  }
   return result;
 }
 
 CostBreakdown SymInputProtocol::costModel(std::size_t n, std::size_t maxInputDegree) {
-  const unsigned idBits = util::bitsFor(n);
-  util::BigUInt pHi = util::BigUInt{100} * util::BigUInt::pow(util::BigUInt{n}, 3);
-  const std::size_t hashBits = pHi.bitLength();
-  CostBreakdown cost;
-  cost.bitsToProverPerNode = hashBits;
-  cost.bitsFromProverPerNode = idBits                                  // Witness.
-                               + 3 * idBits                            // rho, t, d.
-                               + (maxInputDegree + 1) * idBits         // Claims.
-                               + hashBits                              // Echo.
-                               + 4 * hashBits;                         // Chains.
-  return cost;
+  return Rounds::cost(modelWidths(n), n, maxInputDegree);
 }
+
+SymWidths SymInputProtocol::modelWidths(std::size_t n) { return symModelWidths(n, 3); }
 
 // ---- Honest prover ----
 
@@ -255,22 +170,21 @@ SymInputSecondMessage buildSecondMessage(const SymInputInstance& instance,
                                          const SymInputFirstMessage& first,
                                          const util::BigUInt& index) {
   const std::size_t n = instance.network.numVertices();
-  const net::SpanningTreeView tree{0, first.parent, first.dist};
-  std::vector<util::BigUInt> aPieces(n), bPieces(n), cPieces(n), tPieces(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    SymInputPieces pieces = piecesFor(instance, family, index, v, first.rho[v],
-                                      closedInputNeighbors(instance, v), first.claims[v]);
-    aPieces[v] = pieces.a;
-    bPieces[v] = pieces.b;
-    cPieces[v] = pieces.consC;
-    tPieces[v] = pieces.consT;
-  }
   SymInputSecondMessage second;
   second.indexPerNode.assign(n, index);
-  second.a = subtreeSums(instance.network, tree, aPieces, family.prime());
-  second.b = subtreeSums(instance.network, tree, bPieces, family.prime());
-  second.consC = subtreeSums(instance.network, tree, cPieces, family.prime());
-  second.consT = subtreeSums(instance.network, tree, tPieces, family.prime());
+  const std::array<std::vector<util::BigUInt>*, 4> chains{&second.a, &second.b, &second.consC,
+                                                          &second.consT};
+  for (std::vector<util::BigUInt>* chain : chains) chain->resize(n);
+  thread_local std::array<util::BigUInt, 4> pieces;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    piecesFor(instance, family, index, v, first.rho[v], closedInputNeighbors(instance, v),
+              first.claims[v], pieces);
+    for (std::size_t c = 0; c < chains.size(); ++c) (*chains[c])[v] = pieces[c];
+  }
+  const net::SpanningTreeView tree{0, first.parent, first.dist};
+  thread_local std::vector<graph::Vertex> order;
+  net::bottomUpOrderInto(tree, order);
+  foldChains(instance.network, tree, order, chains, family.prime());
   return second;
 }
 

@@ -28,10 +28,12 @@
 // for bounded-degree inputs the same O(log n) as Theorem 1.1.
 #pragma once
 
+#include <tuple>
 #include <vector>
 
 #include "core/broadcast.hpp"
 #include "core/result.hpp"
+#include "core/sym_frame.hpp"
 #include "graph/graph.hpp"
 #include "hash/linear_hash.hpp"
 #include "util/rng.hpp"
@@ -52,6 +54,17 @@ struct SymInputFirstMessage {
   std::vector<std::uint32_t> dist;
   // claims[v][i] = claimed rho of the i-th sorted closed H-neighbor of v.
   std::vector<std::vector<graph::Vertex>> claims;
+
+  static constexpr const char* kRound = "M1: rho/claims/tree";
+  static constexpr const char* kLabel = "SymInput/M1";
+  static constexpr auto fields() {
+    using M = SymInputFirstMessage;
+    return std::tuple{SymField{&M::witnessPerNode, SymWidth::kId},
+                      SymField{&M::rho, SymWidth::kId},
+                      SymField{&M::parent, SymWidth::kId},
+                      SymField{&M::dist, SymWidth::kId},
+                      SymField{&M::claims, SymWidth::kId, SymCount::kClosedInputDegree}};
+  }
 };
 
 struct SymInputSecondMessage {
@@ -60,10 +73,33 @@ struct SymInputSecondMessage {
   std::vector<util::BigUInt> b;             // Fingerprint of sum [rho(v), rho(N_H(v))].
   std::vector<util::BigUInt> consC;         // Claims-matrix side.
   std::vector<util::BigUInt> consT;         // Owner-commitment side.
+
+  static constexpr const char* kRound = "M2: index echo + chains";
+  static constexpr const char* kLabel = "SymInput/M2";
+  static constexpr auto fields() {
+    using M = SymInputSecondMessage;
+    return std::tuple{SymField{&M::indexPerNode, SymWidth::kSeed},
+                      SymField{&M::a, SymWidth::kValue},
+                      SymField{&M::b, SymWidth::kValue},
+                      SymField{&M::consC, SymWidth::kValue},
+                      SymField{&M::consT, SymWidth::kValue}};
+  }
 };
+
+// The shape of a run on `instance`: trees and messages over the network,
+// claims over the input graph's closed neighbourhoods.
+inline SymShape symShape(const SymInputInstance& instance,
+                         const hash::LinearHashFamily& family) {
+  const std::size_t n = instance.network.numVertices();
+  return {n, symWidths(family, n), &instance.input};
+}
 
 class SymInputProver {
  public:
+  using Instance = SymInputInstance;
+  using First = SymInputFirstMessage;
+  using Second = SymInputSecondMessage;
+
   virtual ~SymInputProver() = default;
   virtual SymInputFirstMessage firstMessage(const SymInputInstance& instance) = 0;
   virtual SymInputSecondMessage secondMessage(
@@ -81,21 +117,11 @@ class SymInputProtocol {
   RunResult run(const SymInputInstance& instance, SymInputProver& prover,
                 util::Rng& rng) const;
 
-  template <typename ProverFactory>
-  AcceptanceStats estimateAcceptance(const SymInputInstance& instance,
-                                     ProverFactory&& proverFactory, std::size_t trials,
-                                     util::Rng& rng) const {
-    AcceptanceStats stats;
-    stats.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-      auto prover = proverFactory();
-      if (run(instance, *prover, rng).accepted) ++stats.accepts;
-    }
-    return stats;
-  }
-
+  using Rounds = SymRounds<SymInputFirstMessage, SymInputSecondMessage>;
   // Max bits per node for an n-node instance with max input degree delta.
   static CostBreakdown costModel(std::size_t n, std::size_t maxInputDegree);
+  // The widths costModel charges.
+  static SymWidths modelWidths(std::size_t n);
 
   bool nodeDecision(const SymInputInstance& instance, graph::Vertex v,
                     const SymInputFirstMessage& first, const util::BigUInt& ownChallenge,

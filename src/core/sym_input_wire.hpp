@@ -1,8 +1,8 @@
-// Wire formats for the input-graph symmetry protocol (honest/consistent
-// message shape). Claim counts are determined by the instance's input
-// graph (claims[v] covers v's sorted closed H-neighborhood), so both
-// directions need the instance. With these, every SymInputProtocol charge
-// is backed by a real byte stream (cross-checked under DIP_AUDIT).
+// Wire formats for the input-graph symmetry protocol: core/wire.hpp's
+// encodeSym/decodeSym under their protocol's names (defined in wire.cpp).
+// Claim counts are determined by the instance's input graph (claims[v]
+// covers v's sorted closed H-neighborhood), so both directions of M1 need
+// the instance.
 #pragma once
 
 #include "core/sym_input.hpp"
@@ -12,13 +12,15 @@ namespace dip::core::wire {
 
 // M1: broadcast = witness id; unicast = rho, tree advice, claimed images.
 EncodedRound encodeSymInputFirst(const SymInputFirstMessage& message,
-                                 const SymInputInstance& instance);
+                                 const SymInputInstance& instance,
+                                 util::Arena* arena = nullptr);
 SymInputFirstMessage decodeSymInputFirst(const EncodedRound& round,
                                          const SymInputInstance& instance);
 
 // M2: broadcast = index echo; unicast = the four chain values per node.
 EncodedRound encodeSymInputSecond(const SymInputSecondMessage& message, std::size_t n,
-                                  const hash::LinearHashFamily& family);
+                                  const hash::LinearHashFamily& family,
+                                  util::Arena* arena = nullptr);
 SymInputSecondMessage decodeSymInputSecond(const EncodedRound& round, std::size_t n,
                                            const hash::LinearHashFamily& family);
 

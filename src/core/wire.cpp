@@ -2,13 +2,14 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
+
+#include "core/sym_input_wire.hpp"
 
 namespace dip::core::wire {
 
 namespace {
-
-unsigned idBitsFor(std::size_t n) { return util::bitsFor(n); }
 
 void requireConsistentBroadcast(bool consistent) {
   if (!consistent) {
@@ -52,190 +53,195 @@ void requireUnicastCount(const EncodedRound& round, std::size_t n) {
   }
 }
 
-// ---- Protocol 1 ----
+// ---- The Sym messages ----
 
-EncodedRound encodeSymDmamFirst(const SymDmamFirstMessage& message, std::size_t n,
-                                util::Arena* arena) {
-  const unsigned idBits = idBitsFor(n);
+namespace {
+
+// One entry of a field at its width: an id or distance, a hash-domain value,
+// or a list of ids (a whole mapping, a claim list) of `count` entries.
+template <typename Entry>
+void writeEntry(util::BitWriter& writer, const Entry& entry, std::size_t bits) {
+  if constexpr (std::is_same_v<Entry, util::BigUInt>) {
+    writer.writeBig(entry, bits);
+  } else if constexpr (std::is_same_v<Entry, std::vector<graph::Vertex>>) {
+    for (graph::Vertex id : entry) writer.writeUInt(id, static_cast<unsigned>(bits));
+  } else {
+    writer.writeUInt(entry, static_cast<unsigned>(bits));
+  }
+}
+
+template <typename Entry>
+Entry readEntry(util::BitReader& reader, std::size_t bits, std::size_t count) {
+  if constexpr (std::is_same_v<Entry, util::BigUInt>) {
+    return reader.readBig(bits);
+  } else if constexpr (std::is_same_v<Entry, std::vector<graph::Vertex>>) {
+    Entry ids(count);
+    for (graph::Vertex& id : ids) {
+      id = static_cast<graph::Vertex>(reader.readUInt(static_cast<unsigned>(bits)));
+    }
+    return ids;
+  } else {
+    return static_cast<Entry>(reader.readUInt(static_cast<unsigned>(bits)));
+  }
+}
+
+// Does the entry hold `count` values? A list holds its size, anything
+// else one value.
+template <typename Entry>
+bool holdsCount(const Entry& entry, std::size_t count) {
+  if constexpr (std::is_same_v<Entry, std::vector<graph::Vertex>>) {
+    return entry.size() == count;
+  } else {
+    return count == 1;
+  }
+}
+
+void requireEntryCount(bool matches) {
+  if (!matches) {
+    throw std::invalid_argument("wire: a mapping or claim list has the wrong entry count");
+  }
+}
+
+SymShape idShape(std::size_t n) { return {n, {util::bitsFor(n), 0, 0}, nullptr}; }
+
+}  // namespace
+
+template <typename Message>
+EncodedRound encodeSym(const Message& message, const SymShape& shape, util::Arena* arena) {
+  const std::size_t n = shape.n;
   requireNonEmpty(n);
-  requireFieldCount(message.rootPerNode.size(), n, "rootPerNode");
-  requireFieldCount(message.rho.size(), n, "rho");
-  requireFieldCount(message.parent.size(), n, "parent");
-  requireFieldCount(message.dist.size(), n, "dist");
-  requireConsistentBroadcast(message.rootPerNode.uniform());
-  EncodedRound round = makeRound(n, arena);
+  bool uniform = true;
+  forEachField<Message>([&](const auto& field) {
+    const auto& value = message.*field.member;
+    requireFieldCount(value.size(), n, "message field");
+    if constexpr (std::decay_t<decltype(field)>::kBroadcast) {
+      uniform = uniform && value.uniform();
+      requireEntryCount(holdsCount(value[0], shape.countAt(field.count, 0)));
+    } else {
+      for (graph::Vertex v = 0; v < n; ++v) {
+        requireEntryCount(holdsCount(value[v], shape.countAt(field.count, v)));
+      }
+    }
+  });
+  requireConsistentBroadcast(uniform);
 
-  round.broadcast.writeUInt(message.rootPerNode[0], idBits);
+  EncodedRound round = makeRound(n, arena);
+  forEachField<Message>([&](const auto& field) {
+    if constexpr (std::decay_t<decltype(field)>::kBroadcast) {
+      writeEntry(round.broadcast, (message.*field.member)[0], bitsOf(field.width, shape.widths));
+    }
+  });
   for (graph::Vertex v = 0; v < n; ++v) {
-    round.unicast[v].writeUInt(message.rho[v], idBits);
-    round.unicast[v].writeUInt(message.parent[v], idBits);
-    round.unicast[v].writeUInt(message.dist[v], idBits);
+    forEachField<Message>([&](const auto& field) {
+      if constexpr (!std::decay_t<decltype(field)>::kBroadcast) {
+        writeEntry(round.unicast[v], (message.*field.member)[v],
+                   bitsOf(field.width, shape.widths));
+      }
+    });
   }
   return round;
 }
 
-SymDmamFirstMessage decodeSymDmamFirst(const EncodedRound& round, std::size_t n) {
-  const unsigned idBits = idBitsFor(n);
+template <typename Message>
+Message decodeSym(const EncodedRound& round, const SymShape& shape) {
+  const std::size_t n = shape.n;
   requireUnicastCount(round, n);
-  SymDmamFirstMessage message;
+  Message message;
   util::BitReader broadcast(round.broadcast);
-  graph::Vertex root = static_cast<graph::Vertex>(broadcast.readUInt(idBits));
-  message.rootPerNode.assign(n, root);
-  message.rho.resize(n);
-  message.parent.resize(n);
-  message.dist.resize(n);
+  forEachField<Message>([&](const auto& field) {
+    auto& value = message.*field.member;
+    if constexpr (std::decay_t<decltype(field)>::kBroadcast) {
+      using Entry = std::decay_t<decltype(value[0])>;
+      value.assign(n, readEntry<Entry>(broadcast, bitsOf(field.width, shape.widths),
+                                       shape.countAt(field.count, 0)));
+    } else {
+      value.resize(n);
+    }
+  });
   for (graph::Vertex v = 0; v < n; ++v) {
     util::BitReader reader(round.unicast[v]);
-    message.rho[v] = static_cast<graph::Vertex>(reader.readUInt(idBits));
-    message.parent[v] = static_cast<graph::Vertex>(reader.readUInt(idBits));
-    message.dist[v] = static_cast<std::uint32_t>(reader.readUInt(idBits));
+    forEachField<Message>([&](const auto& field) {
+      if constexpr (!std::decay_t<decltype(field)>::kBroadcast) {
+        auto& value = message.*field.member;
+        using Entry = typename std::decay_t<decltype(value)>::value_type;
+        value[v] = readEntry<Entry>(reader, bitsOf(field.width, shape.widths),
+                                    shape.countAt(field.count, v));
+      }
+    });
   }
   return message;
 }
 
-EncodedRound encodeSymDmamSecond(const SymDmamSecondMessage& message, std::size_t n,
-                                 const hash::LinearHashFamily& family,
-                                 util::Arena* arena) {
-  requireNonEmpty(n);
-  requireFieldCount(message.indexPerNode.size(), n, "indexPerNode");
-  requireFieldCount(message.a.size(), n, "a");
-  requireFieldCount(message.b.size(), n, "b");
-  requireConsistentBroadcast(message.indexPerNode.uniform());
-  EncodedRound round = makeRound(n, arena);
+#define DIP_SYM_CODEC(Message)                                                        \
+  template EncodedRound encodeSym(const Message&, const SymShape&, util::Arena*); \
+  template Message decodeSym<Message>(const EncodedRound&, const SymShape&)
+DIP_SYM_CODEC(SymDmamFirstMessage);
+DIP_SYM_CODEC(SymDmamSecondMessage);
+DIP_SYM_CODEC(SymDamMessage);
+DIP_SYM_CODEC(DSymMessage);
+DIP_SYM_CODEC(SymInputFirstMessage);
+DIP_SYM_CODEC(SymInputSecondMessage);
+#undef DIP_SYM_CODEC
 
-  round.broadcast.writeBig(message.indexPerNode[0], family.seedBits());
-  for (graph::Vertex v = 0; v < n; ++v) {
-    round.unicast[v].writeBig(message.a[v], family.valueBits());
-    round.unicast[v].writeBig(message.b[v], family.valueBits());
-  }
-  return round;
+EncodedRound encodeSymDmamFirst(const SymDmamFirstMessage& message, std::size_t n,
+                                util::Arena* arena) {
+  return encodeSym(message, idShape(n), arena);
+}
+
+SymDmamFirstMessage decodeSymDmamFirst(const EncodedRound& round, std::size_t n) {
+  return decodeSym<SymDmamFirstMessage>(round, idShape(n));
+}
+
+EncodedRound encodeSymDmamSecond(const SymDmamSecondMessage& message, std::size_t n,
+                                 const hash::LinearHashFamily& family, util::Arena* arena) {
+  return encodeSym(message, {n, symWidths(family, n)}, arena);
 }
 
 SymDmamSecondMessage decodeSymDmamSecond(const EncodedRound& round, std::size_t n,
                                          const hash::LinearHashFamily& family) {
-  requireUnicastCount(round, n);
-  SymDmamSecondMessage message;
-  util::BitReader broadcast(round.broadcast);
-  message.indexPerNode.assign(n, broadcast.readBig(family.seedBits()));
-  message.a.resize(n);
-  message.b.resize(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::BitReader reader(round.unicast[v]);
-    message.a[v] = reader.readBig(family.valueBits());
-    message.b[v] = reader.readBig(family.valueBits());
-  }
-  return message;
+  return decodeSym<SymDmamSecondMessage>(round, {n, symWidths(family, n)});
 }
-
-// ---- Protocol 2 ----
 
 EncodedRound encodeSymDam(const SymDamMessage& message, std::size_t n,
                           const hash::LinearHashFamily& family, util::Arena* arena) {
-  const unsigned idBits = idBitsFor(n);
-  requireNonEmpty(n);
-  requireFieldCount(message.rhoPerNode.size(), n, "rhoPerNode");
-  requireFieldCount(message.indexPerNode.size(), n, "indexPerNode");
-  requireFieldCount(message.rootPerNode.size(), n, "rootPerNode");
-  requireFieldCount(message.parent.size(), n, "parent");
-  requireFieldCount(message.dist.size(), n, "dist");
-  requireFieldCount(message.a.size(), n, "a");
-  requireFieldCount(message.b.size(), n, "b");
-  requireFieldCount(message.rhoPerNode[0].size(), n, "rhoPerNode[0]");
-  requireConsistentBroadcast(message.rhoPerNode.uniform() &&
-                             message.indexPerNode.uniform() &&
-                             message.rootPerNode.uniform());
-  EncodedRound round = makeRound(n, arena);
-
-  for (graph::Vertex image : message.rhoPerNode[0]) {
-    round.broadcast.writeUInt(image, idBits);
-  }
-  round.broadcast.writeBig(message.indexPerNode[0], family.seedBits());
-  round.broadcast.writeUInt(message.rootPerNode[0], idBits);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    round.unicast[v].writeUInt(message.parent[v], idBits);
-    round.unicast[v].writeUInt(message.dist[v], idBits);
-    round.unicast[v].writeBig(message.a[v], family.valueBits());
-    round.unicast[v].writeBig(message.b[v], family.valueBits());
-  }
-  return round;
+  return encodeSym(message, {n, symWidths(family, n)}, arena);
 }
 
 SymDamMessage decodeSymDam(const EncodedRound& round, std::size_t n,
                            const hash::LinearHashFamily& family) {
-  const unsigned idBits = idBitsFor(n);
-  requireUnicastCount(round, n);
-  SymDamMessage message;
-  util::BitReader broadcast(round.broadcast);
-  std::vector<graph::Vertex> rho(n);
-  for (graph::Vertex& image : rho) {
-    image = static_cast<graph::Vertex>(broadcast.readUInt(idBits));
-  }
-  message.rhoPerNode.assign(n, std::move(rho));
-  message.indexPerNode.assign(n, broadcast.readBig(family.seedBits()));
-  message.rootPerNode.assign(
-      n, static_cast<graph::Vertex>(broadcast.readUInt(idBits)));
-  message.parent.resize(n);
-  message.dist.resize(n);
-  message.a.resize(n);
-  message.b.resize(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::BitReader reader(round.unicast[v]);
-    message.parent[v] = static_cast<graph::Vertex>(reader.readUInt(idBits));
-    message.dist[v] = static_cast<std::uint32_t>(reader.readUInt(idBits));
-    message.a[v] = reader.readBig(family.valueBits());
-    message.b[v] = reader.readBig(family.valueBits());
-  }
-  return message;
+  return decodeSym<SymDamMessage>(round, {n, symWidths(family, n)});
 }
-
-// ---- DSym ----
 
 EncodedRound encodeDSym(const DSymMessage& message, std::size_t n,
                         const hash::LinearHashFamily& family, util::Arena* arena) {
-  const unsigned idBits = idBitsFor(n);
-  requireNonEmpty(n);
-  requireFieldCount(message.indexPerNode.size(), n, "indexPerNode");
-  requireFieldCount(message.rootPerNode.size(), n, "rootPerNode");
-  requireFieldCount(message.parent.size(), n, "parent");
-  requireFieldCount(message.dist.size(), n, "dist");
-  requireFieldCount(message.a.size(), n, "a");
-  requireFieldCount(message.b.size(), n, "b");
-  requireConsistentBroadcast(message.indexPerNode.uniform() &&
-                             message.rootPerNode.uniform());
-  EncodedRound round = makeRound(n, arena);
-
-  round.broadcast.writeBig(message.indexPerNode[0], family.seedBits());
-  round.broadcast.writeUInt(message.rootPerNode[0], idBits);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    round.unicast[v].writeUInt(message.parent[v], idBits);
-    round.unicast[v].writeUInt(message.dist[v], idBits);
-    round.unicast[v].writeBig(message.a[v], family.valueBits());
-    round.unicast[v].writeBig(message.b[v], family.valueBits());
-  }
-  return round;
+  return encodeSym(message, {n, symWidths(family, n)}, arena);
 }
 
 DSymMessage decodeDSym(const EncodedRound& round, std::size_t n,
                        const hash::LinearHashFamily& family) {
-  const unsigned idBits = idBitsFor(n);
-  requireUnicastCount(round, n);
-  DSymMessage message;
-  util::BitReader broadcast(round.broadcast);
-  message.indexPerNode.assign(n, broadcast.readBig(family.seedBits()));
-  message.rootPerNode.assign(
-      n, static_cast<graph::Vertex>(broadcast.readUInt(idBits)));
-  message.parent.resize(n);
-  message.dist.resize(n);
-  message.a.resize(n);
-  message.b.resize(n);
-  for (graph::Vertex v = 0; v < n; ++v) {
-    util::BitReader reader(round.unicast[v]);
-    message.parent[v] = static_cast<graph::Vertex>(reader.readUInt(idBits));
-    message.dist[v] = static_cast<std::uint32_t>(reader.readUInt(idBits));
-    message.a[v] = reader.readBig(family.valueBits());
-    message.b[v] = reader.readBig(family.valueBits());
-  }
-  return message;
+  return decodeSym<DSymMessage>(round, {n, symWidths(family, n)});
+}
+
+EncodedRound encodeSymInputFirst(const SymInputFirstMessage& message,
+                                 const SymInputInstance& instance, util::Arena* arena) {
+  const std::size_t n = instance.network.numVertices();
+  return encodeSym(message, {n, idShape(n).widths, &instance.input}, arena);
+}
+
+SymInputFirstMessage decodeSymInputFirst(const EncodedRound& round,
+                                         const SymInputInstance& instance) {
+  const std::size_t n = instance.network.numVertices();
+  return decodeSym<SymInputFirstMessage>(round, {n, idShape(n).widths, &instance.input});
+}
+
+EncodedRound encodeSymInputSecond(const SymInputSecondMessage& message, std::size_t n,
+                                  const hash::LinearHashFamily& family, util::Arena* arena) {
+  return encodeSym(message, {n, symWidths(family, n)}, arena);
+}
+
+SymInputSecondMessage decodeSymInputSecond(const EncodedRound& round, std::size_t n,
+                                           const hash::LinearHashFamily& family) {
+  return decodeSym<SymInputSecondMessage>(round, {n, symWidths(family, n)});
 }
 
 // ---- Challenges ----

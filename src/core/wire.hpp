@@ -17,6 +17,7 @@
 #include "core/dsym_dam.hpp"
 #include "core/sym_dam.hpp"
 #include "core/sym_dmam.hpp"
+#include "core/sym_frame.hpp"
 #include "util/bitio.hpp"
 
 namespace dip::core::wire {
@@ -47,8 +48,22 @@ struct EncodedRound {
 // out of bounds (BitReader bounds-checks the payloads themselves).
 void requireUnicastCount(const EncodedRound& round, std::size_t n);
 
-// ---- Protocol 1 (dMAM) ----
+// ---- The Sym messages (core/sym_frame.hpp) ----
 
+// Any Sym message, walking its field table: the broadcast payload holds its
+// broadcast fields in wire order, node v's unicast payload its unicast
+// fields' entries at v. The encoder throws std::invalid_argument for
+// n == 0, a field without one entry per node, a non-uniform broadcast, a
+// mapping without n entries or a claim list without deg_H(v) + 1 entries.
+template <typename Message>
+EncodedRound encodeSym(const Message& message, const SymShape& shape,
+                       util::Arena* arena = nullptr);
+template <typename Message>
+Message decodeSym(const EncodedRound& round, const SymShape& shape);
+
+// The same codecs under their protocols' names.
+
+// Protocol 1 (dMAM).
 EncodedRound encodeSymDmamFirst(const SymDmamFirstMessage& message, std::size_t n,
                                 util::Arena* arena = nullptr);
 SymDmamFirstMessage decodeSymDmamFirst(const EncodedRound& round, std::size_t n);
@@ -59,16 +74,14 @@ EncodedRound encodeSymDmamSecond(const SymDmamSecondMessage& message, std::size_
 SymDmamSecondMessage decodeSymDmamSecond(const EncodedRound& round, std::size_t n,
                                          const hash::LinearHashFamily& family);
 
-// ---- Protocol 2 (dAM) ----
-
+// Protocol 2 (dAM).
 EncodedRound encodeSymDam(const SymDamMessage& message, std::size_t n,
                           const hash::LinearHashFamily& family,
                           util::Arena* arena = nullptr);
 SymDamMessage decodeSymDam(const EncodedRound& round, std::size_t n,
                            const hash::LinearHashFamily& family);
 
-// ---- DSym (dAM) ----
-
+// DSym (dAM).
 EncodedRound encodeDSym(const DSymMessage& message, std::size_t n,
                         const hash::LinearHashFamily& family,
                         util::Arena* arena = nullptr);

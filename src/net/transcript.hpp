@@ -62,19 +62,4 @@ class Transcript {
   std::vector<RoundSummary> rounds_;
 };
 
-// Per-node broadcast-consistency check: node v accepts iff every neighbor
-// received the same value it did (the paper's implicit verification for
-// Broadcast-type prover messages). On a connected graph, all nodes passing
-// implies a globally consistent value.
-template <typename T>
-std::vector<bool> broadcastConsistent(const graph::Graph& g, const std::vector<T>& values) {
-  std::vector<bool> ok(g.numVertices(), true);
-  for (graph::Vertex v = 0; v < g.numVertices(); ++v) {
-    g.row(v).forEachSet([&](std::size_t u) {
-      if (!(values[u] == values[v])) ok[v] = false;
-    });
-  }
-  return ok;
-}
-
 }  // namespace dip::net

@@ -24,6 +24,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/dsym_dam.hpp"
+#include "core/result.hpp"
+#include "core/sym_dam.hpp"
+#include "core/sym_dmam.hpp"
 #include "graph/graph.hpp"
 #include "net/spanning.hpp"
 #include "net/transcript.hpp"
@@ -75,11 +79,7 @@ struct DryRunReport {
 // Bit widths for the three LinearHashFamily protocols. Build from a real
 // family (exact identity with a measured run) or from the model formulas
 // below (large n, no prime search).
-struct SymWidths {
-  unsigned idBits = 0;
-  std::size_t seedBits = 0;
-  std::size_t valueBits = 0;
-};
+using SymWidths = core::SymWidths;
 
 // Widths for GNI (Protocol 4 / E5).
 struct GniWidths {
@@ -98,7 +98,7 @@ struct GniClaimProfile {
   std::vector<std::uint8_t> b;
 };
 
-// Model widths matching the committed costModel formulas (and, for E1/E2,
+// Model widths: the protocols' own modelWidths (and, for E1/E2,
 // the exact families the benches construct). symDamModelWidths switches to
 // a floating-point bit length above `kSymDamExactThreshold` — the exact
 // p <= 100 n^(n+2) has ~(n+2) log2 n bits and is infeasible to materialize
@@ -130,56 +130,39 @@ inline void finish(const CostFold& fold, DryRunReport& report) {
   report.costDigest = fold.digest;
 }
 
+// A schedule that charges every node the same bits: the Sym protocols,
+// whose costs come from their messages' field tables (core/sym_frame.hpp).
+template <typename G>
+DryRunReport uniformDryRun(const G& g, const core::CostBreakdown& perNode) {
+  DryRunReport report;
+  fillStructure(g, report);
+  CostFold fold;
+  for (std::size_t v = 0; v < report.numNodes; ++v) {
+    fold.addNode(perNode.bitsToProverPerNode, perNode.bitsFromProverPerNode);
+  }
+  finish(fold, report);
+  return report;
+}
+
 }  // namespace detail
 
-// Protocol 3 / E1 (Sym, dMAM): M1 root broadcast + per-node tree advice,
-// A seed, M2 index echo broadcast + per-node chain pair. Uniform per node.
+// Protocol 1 / E1 (Sym, dMAM): M1 root broadcast + per-node tree advice,
+// A seed, M2 index echo broadcast + per-node chain pair.
 template <typename G>
 DryRunReport dryRunSymDmam(const G& g, const SymWidths& w) {
-  DryRunReport report;
-  detail::fillStructure(g, report);
-  const std::size_t to = w.seedBits;
-  const std::size_t from = w.idBits          // M1 broadcast: root.
-                           + 3 * w.idBits    // M1: rho_v, t_v, d_v.
-                           + w.seedBits      // M2 broadcast: index echo.
-                           + 2 * w.valueBits;  // M2: a_v, b_v.
-  CostFold fold;
-  for (std::size_t v = 0; v < report.numNodes; ++v) fold.addNode(to, from);
-  detail::finish(fold, report);
-  return report;
+  return detail::uniformDryRun(g, core::SymDmamProtocol::Rounds::cost(w, g.numVertices()));
 }
 
 // Protocol 2 / E3 (Sym, dAM): A seed, M broadcasts the full rho.
 template <typename G>
 DryRunReport dryRunSymDam(const G& g, const SymWidths& w) {
-  DryRunReport report;
-  detail::fillStructure(g, report);
-  const std::size_t n = report.numNodes;
-  const std::size_t to = w.seedBits;
-  const std::size_t from = n * w.idBits      // M broadcast: full rho.
-                           + w.seedBits      // M broadcast: index echo.
-                           + w.idBits        // M broadcast: root.
-                           + 2 * w.idBits    // M: t_v, d_v.
-                           + 2 * w.valueBits;  // M: a_v, b_v.
-  CostFold fold;
-  for (std::size_t v = 0; v < n; ++v) fold.addNode(to, from);
-  detail::finish(fold, report);
-  return report;
+  return detail::uniformDryRun(g, core::SymDamProtocol::Rounds::cost(w, g.numVertices()));
 }
 
 // DSym / E2 (the promise variant whose sigma is known from the layout).
 template <typename G>
 DryRunReport dryRunDsymDam(const G& g, const SymWidths& w) {
-  DryRunReport report;
-  detail::fillStructure(g, report);
-  const std::size_t to = w.seedBits;
-  const std::size_t from = w.seedBits + w.idBits  // M broadcast: index + root.
-                           + 2 * w.idBits         // M: t_v, d_v.
-                           + 2 * w.valueBits;     // M: a_v, b_v.
-  CostFold fold;
-  for (std::size_t v = 0; v < report.numNodes; ++v) fold.addNode(to, from);
-  detail::finish(fold, report);
-  return report;
+  return detail::uniformDryRun(g, core::DSymDamProtocol::Rounds::cost(w, g.numVertices()));
 }
 
 // Protocol 4 / E5 (GNI, AMAM). The only degree-dependent schedule: for each

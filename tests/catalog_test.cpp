@@ -86,8 +86,8 @@ TEST(Catalog, CheatersFailOnFrucht) {
   Graph frucht = fruchtGraph();
   core::SymDmamProtocol protocol(hash::makeProtocol1Family(12, rng));
   int seed = 0;
-  core::AcceptanceStats stats = protocol.estimateAcceptance(
-      frucht,
+  core::AcceptanceStats stats = estimateAcceptance(
+      protocol, frucht,
       [&] {
         return std::make_unique<core::CheatingRhoProver>(
             protocol.family(), core::CheatingRhoProver::Strategy::kRandomPermutation,

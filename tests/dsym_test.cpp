@@ -60,8 +60,8 @@ TEST(DSymDam, SoundnessOnMismatchedSides) {
   ASSERT_FALSE(graph::isDSymInstance(no, layout));
 
   DSymDamProtocol protocol = makeProtocol(layout, 400);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      no, [&] { return std::make_unique<CheatingDSymProver>(layout, protocol.family()); },
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, no, [&] { return std::make_unique<CheatingDSymProver>(layout, protocol.family()); },
       300, rng);
   EXPECT_LT(stats.interval().low, 1.0 / 3.0);
   EXPECT_LT(stats.rate(), 0.1);
@@ -78,8 +78,8 @@ TEST(DSymDam, StructuralViolationsRejectedDeterministically) {
   graph::DSymLayout layout = graph::dsymLayout(side, 1);
 
   DSymDamProtocol protocol = makeProtocol(layout, 500);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g, [&] { return std::make_unique<CheatingDSymProver>(layout, protocol.family()); },
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g, [&] { return std::make_unique<CheatingDSymProver>(layout, protocol.family()); },
       30, rng);
   EXPECT_EQ(stats.accepts, 0u);
 }

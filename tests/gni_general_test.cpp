@@ -100,8 +100,8 @@ TEST_F(GniGeneralTest, CompletenessOnSymmetricInputs) {
   Rng rng(174);
   GniInstance yes = gniGeneralYesInstance(6, rng);
   GniGeneralProtocol protocol(*params_);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      yes, [&] { return std::make_unique<HonestGniGeneralProver>(*params_); }, 8, rng);
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, yes, [&] { return std::make_unique<HonestGniGeneralProver>(*params_); }, 8, rng);
   EXPECT_GT(stats.rate(), 2.0 / 3.0);
 }
 
@@ -109,8 +109,8 @@ TEST_F(GniGeneralTest, SoundnessOnSymmetricInputs) {
   Rng rng(175);
   GniInstance no = gniGeneralNoInstance(6, rng);
   GniGeneralProtocol protocol(*params_);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      no, [&] { return std::make_unique<HonestGniGeneralProver>(*params_); }, 8, rng);
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, no, [&] { return std::make_unique<HonestGniGeneralProver>(*params_); }, 8, rng);
   EXPECT_LT(stats.rate(), 1.0 / 3.0);
 }
 

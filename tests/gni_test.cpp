@@ -103,8 +103,8 @@ TEST_F(GniTest, CompletenessOfFullProtocol) {
   Rng rng(154);
   GniInstance yes = gniYesInstance(6, rng);
   GniAmamProtocol protocol(*params_);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      yes, [&] { return std::make_unique<HonestGniProver>(*params_); }, 12, rng);
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, yes, [&] { return std::make_unique<HonestGniProver>(*params_); }, 12, rng);
   EXPECT_GT(stats.rate(), 2.0 / 3.0);
 }
 
@@ -114,8 +114,8 @@ TEST_F(GniTest, SoundnessOfFullProtocol) {
   Rng rng(155);
   GniInstance no = gniNoInstance(6, rng);
   GniAmamProtocol protocol(*params_);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      no, [&] { return std::make_unique<HonestGniProver>(*params_); }, 12, rng);
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, no, [&] { return std::make_unique<HonestGniProver>(*params_); }, 12, rng);
   EXPECT_LT(stats.rate(), 1.0 / 3.0);
 }
 
@@ -126,8 +126,8 @@ TEST_F(GniTest, NonPermutationMappingsCaught) {
   GniInstance no = gniNoInstance(6, rng);
   GniAmamProtocol protocol(*params_);
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      no,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, no,
       [&] { return std::make_unique<NonPermutationGniProver>(*params_, seed++); },
       10, rng);
   EXPECT_EQ(stats.accepts, 0u);

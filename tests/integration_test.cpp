@@ -43,8 +43,8 @@ TEST(Integration, Protocol1OnLowerBoundDumbbells) {
   EXPECT_TRUE(protocol.run(same, honest, rng).accepted);
 
   int seed = 0;
-  core::AcceptanceStats cheater = protocol.estimateAcceptance(
-      mixed,
+  core::AcceptanceStats cheater = estimateAcceptance(
+      protocol, mixed,
       [&] {
         return std::make_unique<core::CheatingRhoProver>(
             protocol.family(), core::CheatingRhoProver::Strategy::kRandomPermutation,

@@ -1,9 +1,13 @@
 // Tests for the simulation substrate: transcripts, spanning-tree advice,
-// broadcast consistency.
+// broadcast consistency (the Sym frame's neighbour-agreement check).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "core/sym_frame.hpp"
 #include "graph/generators.hpp"
 #include "net/spanning.hpp"
 #include "net/transcript.hpp"
@@ -52,19 +56,26 @@ TEST(Transcript, OutOfRangeVertexThrows) {
   EXPECT_THROW(transcript.chargeToProver(2, 1), std::out_of_range);
 }
 
+// A one-field message for the Sym frame's neighbour-agreement check.
+struct OneBroadcast {
+  core::Broadcast<int> value;
+  static constexpr auto fields() {
+    return std::tuple{core::SymField{&OneBroadcast::value, core::SymWidth::kId}};
+  }
+};
+
 TEST(BroadcastConsistent, DetectsLocalDisagreement) {
   graph::Graph path = graph::pathGraph(4);
-  std::vector<int> consistent{5, 5, 5, 5};
-  auto allOk = broadcastConsistent(path, consistent);
-  EXPECT_EQ(allOk, (std::vector<bool>{true, true, true, true}));
+  const auto decisions = [&](std::vector<int> perNode) {
+    const OneBroadcast message{core::Broadcast<int>::fromPerNode(std::move(perNode))};
+    std::vector<bool> ok;
+    for (graph::Vertex v = 0; v < 4; ++v) ok.push_back(core::neighboursAgree(path, v, message));
+    return ok;
+  };
+  EXPECT_EQ(decisions({5, 5, 5, 5}), (std::vector<bool>{true, true, true, true}));
 
-  std::vector<int> tampered{5, 5, 6, 6};
-  auto decisions = broadcastConsistent(path, tampered);
   // The disagreement edge 1-2 makes both endpoints reject.
-  EXPECT_TRUE(decisions[0]);
-  EXPECT_FALSE(decisions[1]);
-  EXPECT_FALSE(decisions[2]);
-  EXPECT_TRUE(decisions[3]);
+  EXPECT_EQ(decisions({5, 5, 6, 6}), (std::vector<bool>{true, false, false, true}));
 }
 
 TEST(SpanningTree, BfsTreeIsValidEverywhere) {

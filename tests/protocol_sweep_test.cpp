@@ -89,8 +89,8 @@ TEST_P(Protocol1Soundness, CheaterBelowCollisionBudget) {
   SymDmamProtocol protocol(hash::makeProtocol1Family(n, setup));
   graph::Graph g = graph::randomRigidConnected(n, rng);
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g,
       [&] {
         return std::make_unique<CheatingRhoProver>(
             protocol.family(), CheatingRhoProver::Strategy::kRandomPermutation, seed++);

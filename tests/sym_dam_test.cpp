@@ -41,8 +41,8 @@ TEST(SymDam, SoundnessWithPaperParameters) {
   Graph g = graph::randomRigidConnected(n, rng);
 
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g,
       [&] {
         return std::make_unique<AdaptiveCollisionProver>(protocol.family(), 2000, seed++);
       },
@@ -62,8 +62,8 @@ TEST(SymDam, AblationShortHashBreaksSoundness) {
   Graph g = graph::randomRigidConnected(n, rng);
 
   int seed = 0;
-  AcceptanceStats stats = shortHashProtocol.estimateAcceptance(
-      g,
+  AcceptanceStats stats = estimateAcceptance(
+      shortHashProtocol, g,
       [&] {
         return std::make_unique<AdaptiveCollisionProver>(shortHashProtocol.family(),
                                                          60000, seed++);
@@ -83,8 +83,8 @@ TEST(SymDam, CommittedCheaterStillFailsWithShortHash) {
   SymDamProtocol protocol(hash::makeProtocol1Family(n, setupRng));
   Graph g = graph::randomRigidConnected(n, rng);
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g,
       [&] {
         return std::make_unique<AdaptiveCollisionProver>(protocol.family(), 1, seed++);
       },

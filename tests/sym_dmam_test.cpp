@@ -63,8 +63,8 @@ TEST(SymDmam, SoundnessAgainstCommittedCheaters) {
   int proverSeed = 0;
   for (auto strategy : {CheatingRhoProver::Strategy::kRandomPermutation,
                         CheatingRhoProver::Strategy::kTransposition}) {
-    AcceptanceStats stats = protocol.estimateAcceptance(
-        g,
+    AcceptanceStats stats = estimateAcceptance(
+        protocol, g,
         [&] {
           return std::make_unique<CheatingRhoProver>(protocol.family(), strategy,
                                                      9000 + proverSeed++);
@@ -80,8 +80,8 @@ TEST(SymDmam, IdentityRhoAlwaysRejected) {
   Rng rng(85);
   Graph g = graph::randomRigidConnected(7, rng);
   SymDmamProtocol protocol = makeProtocol(7, 5000);
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g,
       [&] {
         return std::make_unique<CheatingRhoProver>(
             protocol.family(), CheatingRhoProver::Strategy::kIdentity, 1);
@@ -96,8 +96,8 @@ TEST(SymDmam, HashChainLiesCaughtDeterministically) {
   Graph g = graph::randomSymmetricConnected(12, rng);
   SymDmamProtocol protocol = makeProtocol(12, 6000);
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      g, [&] { return std::make_unique<HashChainLiarProver>(protocol.family(), seed++); },
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, g, [&] { return std::make_unique<HashChainLiarProver>(protocol.family(), seed++); },
       60, rng);
   EXPECT_EQ(stats.accepts, 0u);
 }

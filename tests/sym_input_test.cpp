@@ -69,8 +69,8 @@ TEST(SymInput, SoundAgainstFakeRho) {
   SymInputInstance instance = makeInstance(n, /*symmetricInput=*/false, rng);
 
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      instance,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, instance,
       [&] {
         return std::make_unique<CheatingSymInputProver>(
             protocol.family(), CheatingSymInputProver::Strategy::kFakeRhoHonestClaims,
@@ -91,8 +91,8 @@ TEST(SymInput, ClaimLiarCaughtByConsistencyCheck) {
   SymInputInstance instance = makeInstance(n, /*symmetricInput=*/true, rng);
 
   int seed = 0;
-  AcceptanceStats stats = protocol.estimateAcceptance(
-      instance,
+  AcceptanceStats stats = estimateAcceptance(
+      protocol, instance,
       [&] {
         return std::make_unique<CheatingSymInputProver>(
             protocol.family(), CheatingSymInputProver::Strategy::kClaimLiar, seed++);

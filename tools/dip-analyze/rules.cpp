@@ -300,7 +300,12 @@ void ruleHotLoopAlloc(SourceFile& file, std::vector<Finding>& findings) {
 // through the own vertex's row/closedRow/hasEdge, may not leak the graph
 // into helpers that do not also receive the own vertex, and never read the
 // honest provers' prepared instance (core/prepared.hpp): prover-derived
-// state is not a verifier input.
+// state is not a verifier input. The fingerprint-chain frame's shared
+// decision checks (core/sym_frame.hpp) run inside the Sym and GNI
+// nodeDecisions, so their bodies are held to the same rule.
+
+constexpr std::string_view kNodeLocalFunctions[] = {
+    "nodeDecision", "neighboursAgree", "chainLinksHold", "rowChainLinksHold"};
 
 bool isPreparedAccessor(const Token& token) {
   return token.isIdent("preparedSym") || token.isIdent("buildPreparedSym") ||
@@ -310,7 +315,12 @@ bool isPreparedAccessor(const Token& token) {
 void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
                   std::vector<Finding>& findings) {
   const std::vector<Token>& tokens = file.tokens();
-  for (const FunctionDef& def : findFunctionDefs(tokens, "nodeDecision")) {
+  std::vector<FunctionDef> defs;
+  for (std::string_view function : kNodeLocalFunctions) {
+    for (FunctionDef& def : findFunctionDefs(tokens, function)) defs.push_back(std::move(def));
+  }
+  for (const FunctionDef& def : defs) {
+    const std::string& name = tokens[def.nameIndex].text;
     const std::string vertex =
         def.vertexParams.empty() ? std::string("v") : def.vertexParams.front();
 
@@ -347,14 +357,14 @@ void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
       }
       if (comparesAll) {
         emitAt(file, findings, "locality", tokens[i],
-               "whole-graph loop in nodeDecision: verifiers see only N(v)");
+               "whole-graph loop in " + name + ": verifiers see only N(v)");
       }
     }
 
     for (std::size_t i = def.bodyOpen; i < def.bodyClose; ++i) {
       if (isPreparedAccessor(tokens[i])) {
         emitAt(file, findings, "locality", tokens[i],
-               tokens[i].text + " in nodeDecision: the verifier never reads the "
+               tokens[i].text + " in " + name + ": the verifier never reads the "
                "honest prover's prepared instance");
       }
     }
@@ -378,7 +388,7 @@ void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
             }
           }
           emitAt(file, findings, "locality", tokens[call.nameIndex],
-                 call.name + "(" + arg + ") in nodeDecision: only the own "
+                 call.name + "(" + arg + ") in " + name + ": only the own "
                  "vertex's row may be read");
         }
         continue;
@@ -406,7 +416,7 @@ void ruleLocality(SourceFile& file, const std::vector<CallSite>& calls,
       }
       if (passesGraph && !passesVertex) {
         emitAt(file, findings, "locality", tokens[call.nameIndex],
-               "graph escapes nodeDecision into " + call.qualified +
+               "graph escapes " + name + " into " + call.qualified +
                "(...) without the own vertex: helpers must compute local "
                "views only");
       }

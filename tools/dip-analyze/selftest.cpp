@@ -329,6 +329,24 @@ const SeededCase kCases[] = {
      "  return g.hasEdge(v, prepared.tree.parent[v]);\n"
      "}\n",
      "locality"},
+    {"src/core/bad_shared_chain_check.hpp",
+     "template <typename Message>\n"
+     "bool chainLinksHold(const graph::Graph& g, graph::Vertex v,\n"
+     "                    const Message& message) {\n"
+     "  const std::size_t n = g.numVertices();\n"
+     "  for (graph::Vertex u = 0; u < n; ++u) {\n"
+     "    if (message.a[u] >= prime) return false;\n"
+     "  }\n"
+     "  return true;\n"
+     "}\n",
+     "locality"},
+    {"src/core/bad_shared_agreement.hpp",
+     "template <typename Message>\n"
+     "bool neighboursAgree(const graph::Graph& g, graph::Vertex v,\n"
+     "                     const Message& message) {\n"
+     "  return globalAgreement(g, message);\n"
+     "}\n",
+     "locality"},
     {"src/core/good_local_decision.cpp",
      "bool Proto::nodeDecision(const graph::Graph& g, graph::Vertex v,\n"
      "                         const Msg& msg) const {\n"
